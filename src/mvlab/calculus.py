@@ -74,24 +74,18 @@ def cap_constant(n: int) -> float:
 # shifted views with NaN padding
 
 
-def _shift(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
-    out = np.full_like(values, np.nan)
-    src, dst = [], []
-    for size, off in zip(values.shape, offsets):
-        if off >= 0:
-            src.append(slice(off, size))
-            dst.append(slice(0, size - off))
-        else:
-            src.append(slice(0, size + off))
-            dst.append(slice(-off, size))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+def _pad(values: np.ndarray) -> np.ndarray:
+    """Copy of ``values`` with one NaN layer around the box."""
+    return np.pad(values, 1, constant_values=np.nan)
 
 
-def _axis_offset(n: int, axis: int, step: int) -> tuple[int, ...]:
-    off = [0] * n
-    off[axis] = step
-    return tuple(off)
+def _shifted(padded: np.ndarray, steps: dict[int, int]) -> np.ndarray:
+    """View of a ``_pad`` array with out[i] = values[i + step] along each
+    axis in ``steps`` (steps of +-1), NaN where that leaves the box."""
+    sel = [slice(1, -1)] * padded.ndim
+    for ax, step in steps.items():
+        sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
+    return padded[tuple(sel)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +105,10 @@ def laplacian(e: ScalarField) -> ScalarField:
     h = dom.spacing
     v = e.values
     if dom.metric is None or dom.metric.trivial:
+        padded = _pad(v)
         acc = np.zeros_like(v)
         for ax in range(n):
-            plus = _shift(v, _axis_offset(n, ax, +1))
-            minus = _shift(v, _axis_offset(n, ax, -1))
-            acc += plus - 2.0 * v + minus
+            acc += _shifted(padded, {ax: 1}) - 2.0 * v + _shifted(padded, {ax: -1})
         lap = -acc / h**2
     else:
         lap = _metric_laplacian(e)
@@ -134,6 +127,7 @@ def _metric_laplacian(e: ScalarField) -> np.ndarray:
     g_node = metric(pts)
     sqrt_det_node = np.sqrt(np.linalg.det(g_node)).reshape(dom.shape)
 
+    padded = _pad(v)
     div = np.zeros_like(v)
     for ax in range(n):
         face_pts = pts.copy()
@@ -143,24 +137,18 @@ def _metric_laplacian(e: ScalarField) -> np.ndarray:
         g_inv_face = np.linalg.inv(g_face)
 
         flux = np.zeros_like(v)
-        v_plus_ax = _shift(v, _axis_offset(n, ax, +1))
         for j in range(n):
             if j == ax:
-                dj = (v_plus_ax - v) / h
+                dj = (_shifted(padded, {ax: 1}) - v) / h
             else:
-                cj_here = (_shift(v, _axis_offset(n, j, +1))
-                           - _shift(v, _axis_offset(n, j, -1))) / (2.0 * h)
-                off_pp = [0] * n
-                off_pp[ax] = 1
-                off_pp[j] += 1
-                off_pm = [0] * n
-                off_pm[ax] = 1
-                off_pm[j] -= 1
-                cj_there = (_shift(v, tuple(off_pp)) - _shift(v, tuple(off_pm))) / (2.0 * h)
+                cj_here = (_shifted(padded, {j: 1})
+                           - _shifted(padded, {j: -1})) / (2.0 * h)
+                cj_there = (_shifted(padded, {ax: 1, j: 1})
+                            - _shifted(padded, {ax: 1, j: -1})) / (2.0 * h)
                 dj = 0.5 * (cj_here + cj_there)
             flux += g_inv_face[:, ax, j].reshape(dom.shape) * dj
         flux *= sqrt_det_face
-        div += (flux - _shift(flux, _axis_offset(n, ax, -1))) / h
+        div += (flux - _shifted(_pad(flux), {ax: -1})) / h
     return -div / sqrt_det_node
 
 
@@ -358,24 +346,6 @@ def shell_nodes(center: Sequence[float], r: float, n: int, h: float,
     return ShellNodes(float(r), phi0, clipped, pts, weights.ravel())
 
 
-class ShellQuadrature:
-    """Per-radius shell quadratures about a common center."""
-
-    def __init__(self, center: Sequence[float], radii: Sequence[float], n: int,
-                 h: float, y0: float | None):
-        self.center = np.asarray(center, dtype=float)
-        self.radii = [float(r) for r in radii]
-        if any(r2 <= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
-            raise MVLabError("shell radii must be strictly increasing")
-        self.shells = [shell_nodes(self.center, r, n, h, y0) for r in self.radii]
-
-    def phi0(self, r: float) -> float:
-        for shell in self.shells:
-            if shell.radius == r:
-                return shell.phi0
-        raise KeyError(r)
-
-
 def interpolate(e: ScalarField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of field values; NaN where the surrounding
     cell leaves the grid box or touches out-of-mask nodes."""
@@ -434,10 +404,12 @@ def shell_profile(e: ScalarField, center: Sequence[float],
     for r in radii:
         if r < 4.0 * h:
             raise RadiusBelowResolution(f"shell radius {r} < 4h = {4 * h}")
+    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise MVLabError("shell radii must be strictly increasing")
     y0 = float(center[0]) if dom.kind == HALF_BALL else None
-    quad = ShellQuadrature(center, radii, dom.dimension, h, y0)
     samples = []
-    for shell in quad.shells:
+    for r in radii:
+        shell = shell_nodes(center, r, dom.dimension, h, y0)
         vals = interpolate(e, shell.points)
         if not np.all(np.isfinite(vals)):
             raise ShellExitsDomain(
@@ -594,7 +566,11 @@ def cosine_bump(name: str, p_lat: np.ndarray, span: float, lat_radius: float,
 def default_test_set(domain: Domain, count: int = 16) -> WeakTestSet:
     """Deterministic catalog: plane-centered bumps, interior bumps, and
     cosine-profile products, all supported inside B_{0.9 r}(y) so they vanish
-    near the spherical cap."""
+    near the spherical cap.
+
+    ``count`` is the minimum to place: whole scales of the catalog are added
+    until it is reached, and every placed function is returned (15 per scale
+    on a half-ball centred on the plane, so 30 at the default count)."""
     if domain.kind != HALF_BALL:
         raise DomainNotHalfBall("weak test sets live on half-ball domains")
     n = domain.dimension
@@ -638,7 +614,7 @@ def default_test_set(domain: Domain, count: int = 16) -> WeakTestSet:
             break
     if len(funcs) < count:
         raise MVLabError(f"could not place {count} test functions in this domain")
-    return WeakTestSet(tuple(funcs[:max(count, len(funcs))]))
+    return WeakTestSet(tuple(funcs))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calculus, heinz, quantization, report, synth, verify
+from . import heinz, quantization, report, synth, verify
 from .config import (
     domain_from_config,
     generator_from_config,
@@ -117,30 +117,30 @@ class RunConfig:
             cfg["b"] = self.b_flag
         return params_from_config(cfg, n)
 
-    def ledger(self, n, params, measured_c=None):
+    def ledger(self, domain, params):
+        """The run's ledger; C is measured on ``domain`` only when asked for."""
         cfg = dict(self.raw.get("ledger", {}))
         if self.c_override is not None:
             cfg["C"] = self.c_override
         if self.measure_c:
             cfg["C"] = "measure"
-        return ledger_from_config(cfg, n, params, measured_c=measured_c)
-
-    def needs_measured_c(self) -> bool:
-        if self.measure_c:
-            return True
-        if self.c_override is not None:
-            return False
-        cfg = self.raw.get("ledger", {})
-        return cfg.get("C", "measure") == "measure"
+        measured = (measure_c(domain, self.tol_k)
+                    if cfg.get("C", "measure") == "measure" else None)
+        return ledger_from_config(cfg, domain.dimension, params, measured_c=measured)
 
 
 def builtin_family(domain) -> list:
     """Small deterministic subharmonic family used to measure C."""
     r = domain.radius
+    # on half-balls the quadratic is centred on the plane, where its normal
+    # derivative vanishes, whatever the height of the domain's centre
+    centre = np.array(domain.center, dtype=float)
+    if domain.kind == HALF_BALL:
+        centre[0] = 0.0
     specs = [
         synth.GeneratorSpec("constant", amplitude=1.0),
         synth.GeneratorSpec("quadratic", amplitude=1.0, offset=0.25,
-                            center=tuple(domain.center)),
+                            center=tuple(centre)),
         synth.GeneratorSpec("harmonic_product", amplitude=1.0, scale=1.0 / r,
                             offset=0.1),
     ]
@@ -219,10 +219,9 @@ def run(cfg: RunConfig) -> int:
         return EXIT_OK if ok else EXIT_CLAIM_FAILED
 
     params = cfg.params(n)
-    measured = measure_c(domain, cfg.tol_k) if cfg.needs_measured_c() else None
 
     if sub == "verify-morrey":
-        ledger = cfg.ledger(n, params, measured)
+        ledger = cfg.ledger(domain, params)
         rep = verify.verify_morrey(e, ledger.c_master, cfg.tol_k)
         rec = rep.as_dict()
         rec["ledger"] = ledger.as_dict()
@@ -231,7 +230,7 @@ def run(cfg: RunConfig) -> int:
         return _verdict_exit([rep.verdict])
 
     if sub == "verify-interior":
-        ledger = cfg.ledger(n, params, measured)
+        ledger = cfg.ledger(domain, params)
         rep = verify.verify_interior_mvi(e, params, ledger, cfg.tol_k)
         report.write_records(cfg.out_dir / "interior.txt", [rep.as_dict()])
         print(f"interior-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
@@ -239,7 +238,7 @@ def run(cfg: RunConfig) -> int:
         return _verdict_exit([rep.verdict])
 
     if sub == "verify-boundary":
-        ledger = cfg.ledger(n, params, measured)
+        ledger = cfg.ledger(domain, params)
         rep = verify.verify_boundary_mvi(e, params, ledger, cfg.tol_k)
         report.write_records(cfg.out_dir / "boundary.txt", [rep.as_dict()])
         print(f"boundary-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
@@ -252,6 +251,9 @@ def run(cfg: RunConfig) -> int:
         if radii is None:
             h = domain.spacing
             r_min = 16.0 * h
+            if 0.0 < center[0] <= r_min:
+                # the small-radius limit about a lifted centre needs a radius below y0
+                r_min = max(4.0 * h, 0.5 * center[0])
             r_max = domain.radius - 4.0 * h
             radii = list(np.linspace(r_min, r_max, 24))
         mode = cfg.raw.get("hypothesis_mode", "pointwise")
@@ -259,9 +261,8 @@ def run(cfg: RunConfig) -> int:
                                         hypothesis_mode=mode)
         report.write_records(cfg.out_dir / "monotonicity.txt", [rep.as_dict()])
         report.write_shell_csv(cfg.out_dir / "monotonicity.csv", rep.profile)
-        if mode == "weak":
-            weak = calculus.weak_subharmonic_test(e, tol_k=cfg.tol_k)
-            report.write_weak_csv(cfg.out_dir / "weak_tests.csv", weak)
+        if rep.weak is not None:
+            report.write_weak_csv(cfg.out_dir / "weak_tests.csv", rep.weak)
         print(f"monotonicity verdict={rep.verdict} worst_drop={rep.worst_drop!r} "
               f"limit={rep.limit_value!r} target={rep.limit_target!r}")
         return _verdict_exit([rep.verdict])
@@ -301,8 +302,7 @@ def _run_detect(cfg: RunConfig) -> int:
         params = seq.params
         threshold = float(seq_cfg["divergence_threshold"])
 
-    measured = measure_c(seq.domain, cfg.tol_k) if cfg.needs_measured_c() else None
-    ledger = cfg.ledger(seq.domain.dimension, params, measured)
+    ledger = cfg.ledger(seq.domain, params)
     try:
         rep = quantization.detect_concentration(seq, ledger, threshold)
     except QuantizationViolated as exc:

@@ -42,6 +42,12 @@ _GL_W = 0.5 * _GL_W
 _CHUNK = 1 << 17
 
 
+def _blocks(rows: np.ndarray):
+    """Consecutive blocks of at most _CHUNK rows, so that per-node (n, n)
+    metric arrays are built one block at a time."""
+    return (rows[start:start + _CHUNK] for start in range(0, len(rows), _CHUNK))
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """A smooth metric g(x) on R^n given as a vectorized matrix field.
@@ -153,8 +159,7 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
     nz = np.flatnonzero(length.reshape(-1) > 0)
     flat_v = v.reshape(-1, v.shape[-1])
     flat_len = length.reshape(-1)
-    for start in range(0, nz.size, _CHUNK):
-        sel = nz[start:start + _CHUNK]
+    for sel in _blocks(nz):
         vv = flat_v[sel]
         ll = flat_len[sel]
         vhat = vv / ll[:, None]
@@ -267,12 +272,8 @@ class Domain:
         """sqrt(det g) at every box node (ones for Euclidean domains)."""
         if self.metric is None or self.metric.trivial:
             return np.ones(self.shape)
-        pts = self.points()
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _CHUNK):
-            g = self.metric(pts[start:start + _CHUNK])
-            out[start:start + _CHUNK] = np.sqrt(np.linalg.det(g))
-        return out.reshape(self.shape)
+        return np.concatenate([np.sqrt(np.linalg.det(self.metric(block)))
+                               for block in _blocks(self.points())]).reshape(self.shape)
 
     # -- field construction -------------------------------------------------
 
@@ -360,8 +361,7 @@ def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray
 
 
 def _check_positive_definite(metric: MetricSpec, points: np.ndarray) -> None:
-    for start in range(0, points.shape[0], _CHUNK):
-        g = metric(points[start:start + _CHUNK])
+    for g in map(metric, _blocks(points)):
         if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-10):
             raise MetricNotPositiveDefinite("metric is not symmetric")
         eigs = np.linalg.eigvalsh(g)
@@ -465,8 +465,7 @@ def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     h = domain.spacing
     eye = np.eye(n)
     worst = 0.0
-    for start in range(0, pts.shape[0], _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for chunk in _blocks(pts):
         g = metric(chunk)
         worst = max(worst, float(np.max(np.abs(g - eye))))
         for ax in range(n):

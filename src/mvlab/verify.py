@@ -110,39 +110,112 @@ def fit_boundary_nonlinearity(e: ScalarField, b0: float, b1: float,
     return max(0.0, float(np.max(ratio)))
 
 
-def _interior_bound_margin(e: ScalarField, params: BoundParams) -> tuple[float, tuple | None]:
-    """Max of Delta e - (A0 + A1 e + a e^((n+2)/n)) over stencil-valid nodes
-    and the worst node index."""
-    n = e.domain.dimension
-    lap = calculus.laplacian(e).values
-    bound = params.A0 + params.A1 * e.values + params.a * e.values ** ((n + 2) / n)
-    resid = lap - bound
+def _bound_margin(e: ScalarField, params: BoundParams,
+                  flat: bool) -> tuple[float, tuple]:
+    """Worst excess of an operator over its hypothesis bound and its node.
+
+    Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over stencil-valid
+    nodes. Flat (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over
+    the usable flat-boundary nodes."""
+    dom = e.domain
+    n = dom.dimension
+    if flat:
+        bv = calculus.normal_derivative(e)
+        ev = e.values[tuple(bv.indices.T)]
+        resid = bv.values - (params.B0 + params.B1 * ev + params.b * ev ** ((n + 1) / n))
+        empty = "no usable flat-boundary nodes for the normal bound check"
+    else:
+        lap = calculus.laplacian(e).values
+        bound = params.A0 + params.A1 * e.values + params.a * e.values ** ((n + 2) / n)
+        resid = (lap - bound).ravel()
+        empty = "no stencil-valid nodes for the interior bound check"
     finite = np.isfinite(resid)
     if not np.any(finite):
-        raise MVLabError("no stencil-valid nodes for the interior bound check")
-    resid = np.where(finite, resid, -np.inf)
-    k = int(np.argmax(resid))
-    idx = np.unravel_index(k, e.domain.shape)
-    return float(resid[idx]), idx
+        raise MVLabError(empty)
+    k = int(np.argmax(np.where(finite, resid, -np.inf)))
+    node = (tuple(int(x) for x in bv.indices[k]) if flat
+            else np.unravel_index(k, dom.shape))
+    return float(resid[k]), node
 
 
-def _boundary_bound_margin(e: ScalarField, params: BoundParams) -> tuple[float, tuple | None]:
-    n = e.domain.dimension
-    bv = calculus.normal_derivative(e)
-    lin = np.ravel_multi_index(tuple(bv.indices.T), e.domain.shape)
-    ev = e.values.ravel()[lin]
-    bound = params.B0 + params.B1 * ev + params.b * ev ** ((n + 1) / n)
-    resid = bv.values - bound
-    finite = np.isfinite(resid)
-    if not np.any(finite):
-        raise MVLabError("no usable flat-boundary nodes for the normal bound check")
-    resid = np.where(finite, resid, -np.inf)
-    k = int(np.argmax(resid))
-    return float(resid[k]), tuple(int(x) for x in bv.indices[k])
+# reason labels of the Laplacian and normal-derivative checks: the sign
+# conditions of Morrey, monotonicity and constant estimation, and the
+# nonlinear bounds of the two mean value inequalities
+_SIGN_LABELS = ("laplacian-positive", "normal-derivative-positive")
+_BOUND_LABELS = ("laplacian-bound", "normal-bound")
 
 
-def _report(claim: str, lhs: float, rhs: float, tol: float, hypothesis: dict,
-            grid: dict, ledger: ConstantLedger | None, c: float) -> VerificationReport:
+def _pointwise_hypothesis(e: ScalarField, params: BoundParams, tol: float,
+                          hypothesis: dict,
+                          labels: tuple[str, str] = _SIGN_LABELS) -> str | None:
+    """Laplacian bound, then the normal bound on half-balls with flat nodes.
+    Records the margins in ``hypothesis``; returns the first violation's
+    reason, or None when both hold within ``tol``."""
+    dom = e.domain
+    lap_margin, lap_node = _bound_margin(e, params, flat=False)
+    hypothesis["laplacian_margin"] = lap_margin
+    if lap_margin > tol:
+        return f"{labels[0]}@{lap_node}"
+    if dom.kind == HALF_BALL and dom.flat_node_count > 0:
+        nd_margin, nd_node = _bound_margin(e, params, flat=True)
+        hypothesis["normal_margin"] = nd_margin
+        if nd_margin > tol:
+            return f"{labels[1]}@{nd_node}"
+    return None
+
+
+def _violated(claim: str, reason: str, tol: float, hypothesis: dict, grid: dict,
+              ledger: ConstantLedger | None) -> VerificationReport:
+    return VerificationReport(claim, math.nan, math.nan, math.nan,
+                              HYPOTHESIS_VIOLATED, reason, tol, hypothesis,
+                              grid, ledger, None)
+
+
+def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
+           tol_k: float, ledger: ConstantLedger | None = None) -> VerificationReport:
+    """The mean value check e(center) <= rhs(params, r, int e, c): interior
+    right-hand side on balls, boundary one on half-balls.
+
+    With a ledger (the nonlinear inequalities) the metric deviation and the
+    energy are gated against the ledger's delta and smallness threshold."""
+    dom = e.domain
+    n = dom.dimension
+    tol = tol_k * dom.spacing
+    grid = _grid_summary(e)
+    hypothesis: dict = {}
+
+    deviation = grid.get("measured_metric_deviation")
+    if ledger is not None and deviation is not None and deviation > ledger.delta + 1e-12:
+        return _violated(claim, f"metric-deviation {deviation:.3g} above delta={ledger.delta}",
+                         tol, hypothesis, grid, ledger)
+    labels = _SIGN_LABELS if ledger is None else _BOUND_LABELS
+    reason = _pointwise_hypothesis(e, params, tol, hypothesis, labels)
+    if reason is not None:
+        return _violated(claim, reason, tol, hypothesis, grid, ledger)
+
+    energy = calculus.integrate(e)
+    hypothesis["energy"] = energy
+    if ledger is not None:
+        threshold = (ledger.energy_threshold_interior() if dom.kind == BALL
+                     else ledger.energy_threshold_boundary())
+        hypothesis["energy_threshold"] = threshold
+        if energy > threshold:
+            return _violated(claim, "energy-above-threshold", tol, hypothesis,
+                             grid, ledger)
+
+    lhs = e.at(dom.center)
+    if dom.kind == BALL:
+        rhs = interior_rhs(params, dom.radius, energy, c)
+        if ledger is not None:
+            terms = {
+                "A0_term": c * params.A0 * dom.radius**2,
+                "morrey_term": c * dom.radius ** (-n) * energy,
+                "A1_term": c * params.A1 ** (n / 2.0) * energy,
+            }
+            hypothesis["branch"] = max(terms, key=lambda k: terms[k])
+            hypothesis["terms"] = terms
+    else:
+        rhs = boundary_rhs(params, dom.radius, energy, c)
     margin = rhs - lhs
     verdict = HOLDS if margin >= -tol else FAILS
     required_c = lhs * c / rhs if rhs > 0 else None
@@ -151,45 +224,11 @@ def _report(claim: str, lhs: float, rhs: float, tol: float, hypothesis: dict,
                               required_c)
 
 
-def _violated(claim: str, reason: str, tol: float, hypothesis: dict, grid: dict,
-              ledger: ConstantLedger | None = None) -> VerificationReport:
-    return VerificationReport(claim, math.nan, math.nan, math.nan,
-                              HYPOTHESIS_VIOLATED, reason, tol, hypothesis,
-                              grid, ledger, None)
-
-
 def verify_morrey(e: ScalarField, c: float, tol_k: float = 10.0) -> VerificationReport:
     """Sub-mean-value check e(center) <= c r^-n int e for fields passing the
-    subharmonicity hypothesis (plus the Neumann sign on half-balls)."""
-    dom = e.domain
-    n = dom.dimension
-    tol = tol_k * dom.spacing
-    grid = _grid_summary(e)
-    zero = BoundParams(n)
-    hypothesis: dict = {}
-
-    lap_margin, lap_node = _interior_bound_margin(e, zero)
-    hypothesis["laplacian_margin"] = lap_margin
-    if lap_margin > tol:
-        return _violated("morrey", f"laplacian-positive@{lap_node}", tol,
-                         hypothesis, grid)
-    if dom.kind == HALF_BALL and dom.flat_node_count > 0:
-        nd_margin, nd_node = _boundary_bound_margin(e, zero)
-        hypothesis["normal_margin"] = nd_margin
-        if nd_margin > tol:
-            return _violated("morrey", f"normal-derivative-positive@{nd_node}",
-                             tol, hypothesis, grid)
-
-    energy = calculus.integrate(e)
-    hypothesis["energy"] = energy
-    lhs = e.at(dom.center)
-    if dom.kind == BALL:
-        if dom.radius > 1.0:
-            raise RadiusOutOfRange("interior sub-mean-value check requires r <= 1")
-        rhs = interior_rhs(zero, dom.radius, energy, c)
-    else:
-        rhs = boundary_rhs(zero, dom.radius, energy, c)
-    return _report("morrey", lhs, rhs, tol, hypothesis, grid, None, c)
+    subharmonicity hypothesis (plus the Neumann sign on half-balls): the
+    a = b = 0 case of the two mean value inequalities."""
+    return _check("morrey", e, BoundParams(e.domain.dimension), c, tol_k)
 
 
 def _check_ledger_match(params: BoundParams, ledger: ConstantLedger) -> None:
@@ -206,48 +245,12 @@ def verify_interior_mvi(e: ScalarField, params: BoundParams,
     dom = e.domain
     if dom.kind != BALL:
         raise MVLabError("interior inequality lives on ball domains")
-    n = dom.dimension
-    if params.n != n:
+    if params.n != dom.dimension:
         raise MVLabError("params dimension differs from the domain")
     _check_ledger_match(params, ledger)
     if dom.radius > 1.0:
         raise RadiusOutOfRange(f"the interior inequality is stated for radii r <= 1, got {dom.radius}")
-    tol = tol_k * dom.spacing
-    grid = _grid_summary(e)
-    hypothesis: dict = {}
-
-    if "measured_metric_deviation" in grid:
-        if grid["measured_metric_deviation"] > ledger.delta + 1e-12:
-            return _violated("interior-mvi",
-                             f"metric-deviation {grid['measured_metric_deviation']:.3g} "
-                             f"above delta={ledger.delta}",
-                             tol, hypothesis, grid, ledger)
-
-    lap_margin, lap_node = _interior_bound_margin(e, params)
-    hypothesis["laplacian_margin"] = lap_margin
-    if lap_margin > tol:
-        return _violated("interior-mvi", f"laplacian-bound@{lap_node}", tol,
-                         hypothesis, grid, ledger)
-
-    energy = calculus.integrate(e)
-    threshold = ledger.energy_threshold_interior()
-    hypothesis["energy"] = energy
-    hypothesis["energy_threshold"] = threshold
-    if energy > threshold:
-        return _violated("interior-mvi", "energy-above-threshold", tol,
-                         hypothesis, grid, ledger)
-
-    c = ledger.c_master
-    lhs = e.at(dom.center)
-    rhs = interior_rhs(params, dom.radius, energy, c)
-    terms = {
-        "A0_term": c * params.A0 * dom.radius**2,
-        "morrey_term": c * dom.radius ** (-n) * energy,
-        "A1_term": c * params.A1 ** (n / 2.0) * energy,
-    }
-    hypothesis["branch"] = max(terms, key=lambda k: terms[k])
-    hypothesis["terms"] = terms
-    return _report("interior-mvi", lhs, rhs, tol, hypothesis, grid, ledger, c)
+    return _check("interior-mvi", e, params, ledger.c_master, tol_k, ledger)
 
 
 def verify_boundary_mvi(e: ScalarField, params: BoundParams,
@@ -256,38 +259,10 @@ def verify_boundary_mvi(e: ScalarField, params: BoundParams,
     dom = e.domain
     if dom.kind != HALF_BALL:
         raise MVLabError("boundary inequality lives on half-ball domains")
-    n = dom.dimension
-    if params.n != n:
+    if params.n != dom.dimension:
         raise MVLabError("params dimension differs from the domain")
     _check_ledger_match(params, ledger)
-    tol = tol_k * dom.spacing
-    grid = _grid_summary(e)
-    hypothesis: dict = {}
-
-    lap_margin, lap_node = _interior_bound_margin(e, params)
-    hypothesis["laplacian_margin"] = lap_margin
-    if lap_margin > tol:
-        return _violated("boundary-mvi", f"laplacian-bound@{lap_node}", tol,
-                         hypothesis, grid, ledger)
-    if dom.flat_node_count > 0:
-        nd_margin, nd_node = _boundary_bound_margin(e, params)
-        hypothesis["normal_margin"] = nd_margin
-        if nd_margin > tol:
-            return _violated("boundary-mvi", f"normal-bound@{nd_node}", tol,
-                             hypothesis, grid, ledger)
-
-    energy = calculus.integrate(e)
-    threshold = ledger.energy_threshold_boundary()
-    hypothesis["energy"] = energy
-    hypothesis["energy_threshold"] = threshold
-    if energy > threshold:
-        return _violated("boundary-mvi", "energy-above-threshold", tol,
-                         hypothesis, grid, ledger)
-
-    lhs = e.at(dom.center)
-    rhs = boundary_rhs(params, dom.radius, energy, ledger.c_master)
-    return _report("boundary-mvi", lhs, rhs, tol, hypothesis, grid, ledger,
-                   ledger.c_master)
+    return _check("boundary-mvi", e, params, ledger.c_master, tol_k, ledger)
 
 
 @dataclass(frozen=True)
@@ -313,6 +288,7 @@ class MonotonicityReport:
     hypothesis: dict
     tol: float
     verdict: str
+    weak: calculus.WeakTestReport | None = None  # weak mode only; not a record field
 
     def as_dict(self) -> dict:
         return {
@@ -352,31 +328,21 @@ def monotonicity_suite(e: ScalarField, center, radii,
     y0 = float(center[0])
     tol = tol_k * dom.spacing
     hypothesis: dict = {"mode": hypothesis_mode}
+    weak = None
 
     if hypothesis_mode == "pointwise":
-        zero = BoundParams(n)
-        lap_margin, lap_node = _interior_bound_margin(e, zero)
-        hypothesis["laplacian_margin"] = lap_margin
-        ok = lap_margin <= tol
-        reason = None if ok else f"laplacian-positive@{lap_node}"
-        if ok and dom.flat_node_count > 0:
-            nd_margin, nd_node = _boundary_bound_margin(e, zero)
-            hypothesis["normal_margin"] = nd_margin
-            if nd_margin > tol:
-                ok = False
-                reason = f"normal-derivative-positive@{nd_node}"
+        ok = _pointwise_hypothesis(e, BoundParams(n), tol, hypothesis) is None
     elif hypothesis_mode == "weak":
         weak = calculus.weak_subharmonic_test(e, tol_k=tol_k)
         hypothesis["weak_worst"] = weak.worst()
         ok = weak.subharmonic
-        reason = None if ok else "weak-test-positive"
     else:
         raise MVLabError(f"unknown hypothesis mode {hypothesis_mode!r}")
     if not ok:
         profile = calculus.shell_profile(e, center, radii)
         return MonotonicityReport(profile, y0, False, math.nan, (), math.nan,
                                   None, "unresolved", None, (), hypothesis,
-                                  tol, HYPOTHESIS_VIOLATED)
+                                  tol, HYPOTHESIS_VIOLATED, weak)
 
     profile = calculus.shell_profile(e, center, radii)
     rs = profile.radii()
@@ -432,7 +398,7 @@ def monotonicity_suite(e: ScalarField, center, radii,
     return MonotonicityReport(profile, y0, monotone, worst_drop,
                               tuple(float(r) for r in mono_r), limit_value,
                               target, limit_kind, limit_passed, tuple(checks),
-                              hypothesis, tol, verdict)
+                              hypothesis, tol, verdict, weak)
 
 
 @dataclass(frozen=True)
@@ -463,18 +429,12 @@ def estimate_constant(family: list[ScalarField], kind: str,
         if dom.kind != expected:
             raise MVLabError(f"family member {i} is on a {dom.kind} domain, "
                              f"need {expected}")
-        tol = tol_k * dom.spacing
-        zero = BoundParams(dom.dimension)
-        lap_margin, lap_node = _interior_bound_margin(e, zero)
-        if lap_margin > tol:
-            raise MVLabError(
-                f"family member {i} is not subharmonic (margin {lap_margin:.3g} "
-                f"at {lap_node})")
-        if kind == "boundary" and dom.flat_node_count > 0:
-            nd_margin, nd_node = _boundary_bound_margin(e, zero)
-            if nd_margin > tol:
-                raise MVLabError(
-                    f"family member {i} violates the Neumann sign at {nd_node}")
+        hypothesis: dict = {}
+        reason = _pointwise_hypothesis(e, BoundParams(dom.dimension),
+                                       tol_k * dom.spacing, hypothesis)
+        if reason is not None:
+            raise MVLabError(f"family member {i} violates its hypothesis: {reason} "
+                             f"(margins {hypothesis})")
         energy = calculus.integrate(e)
         if energy <= 0:
             raise MVLabError(f"family member {i} has nonpositive energy")

@@ -15,6 +15,7 @@ from mvlab import (
     make_half_ball_domain,
     normal_derivative,
     shell_profile,
+    sine_metric,
     vol_sphere,
     weak_subharmonic_test,
 )
@@ -319,3 +320,85 @@ def test_laplacian_quadratic_exact_4d():
     finite = np.isfinite(lap)
     assert finite.sum() > 0
     assert np.allclose(lap[finite], -8.0, atol=1e-9)
+
+
+def _shift_reference(values, offsets):
+    """Full-array shifted copy, NaN past the box edge: out[i] = values[i + off]."""
+    out = np.full_like(values, np.nan)
+    src, dst = [], []
+    for size, off in zip(values.shape, offsets):
+        if off >= 0:
+            src.append(slice(off, size))
+            dst.append(slice(0, size - off))
+        else:
+            src.append(slice(0, size + off))
+            dst.append(slice(-off, size))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _laplacian_reference(e):
+    """The Laplacian built from full-array shifted copies, one per neighbour."""
+    dom = e.domain
+    n, h, v = dom.dimension, dom.spacing, e.values
+
+    def axis(ax, step, other=None, other_step=0):
+        off = [0] * n
+        off[ax] = step
+        if other is not None:
+            off[other] += other_step
+        return tuple(off)
+
+    if dom.metric is None or dom.metric.trivial:
+        acc = np.zeros_like(v)
+        for ax in range(n):
+            acc += (_shift_reference(v, axis(ax, 1)) - 2.0 * v
+                    + _shift_reference(v, axis(ax, -1)))
+        lap = -acc / h**2
+    else:
+        pts = dom.points()
+        sqrt_det_node = np.sqrt(np.linalg.det(dom.metric(pts))).reshape(dom.shape)
+        div = np.zeros_like(v)
+        for ax in range(n):
+            face_pts = pts.copy()
+            face_pts[:, ax] += 0.5 * h
+            g_face = dom.metric(face_pts)
+            sqrt_det_face = np.sqrt(np.linalg.det(g_face)).reshape(dom.shape)
+            g_inv_face = np.linalg.inv(g_face)
+            flux = np.zeros_like(v)
+            v_plus_ax = _shift_reference(v, axis(ax, 1))
+            for j in range(n):
+                if j == ax:
+                    dj = (v_plus_ax - v) / h
+                else:
+                    cj_here = (_shift_reference(v, axis(j, 1))
+                               - _shift_reference(v, axis(j, -1))) / (2.0 * h)
+                    cj_there = (_shift_reference(v, axis(ax, 1, j, 1))
+                                - _shift_reference(v, axis(ax, 1, j, -1))) / (2.0 * h)
+                    dj = 0.5 * (cj_here + cj_there)
+                flux += g_inv_face[:, ax, j].reshape(dom.shape) * dj
+            flux *= sqrt_det_face
+            div += (flux - _shift_reference(flux, axis(ax, -1))) / h
+        lap = -div / sqrt_det_node
+    return np.where(dom.in_mask, lap, np.nan)
+
+
+@pytest.mark.parametrize("n,metric", [
+    (2, None), (3, None), (4, None),
+    (2, "conformal"), (3, "conformal"), (4, "conformal"), (2, "sine"), (3, "sine"),
+])
+def test_laplacian_bitwise_equals_shifted_copy_reference(n, metric):
+    spec = {None: None, "conformal": conformal_metric(n, 0.01, axis=1),
+            "sine": sine_metric(n, 0.02, entry=(0, 1), axis=1)}[metric]
+    dom = make_ball_domain([0.0] * n, 0.5, 1 / 16, n, spec)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    assert np.array_equal(laplacian(e).values, _laplacian_reference(e), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_default_test_set_count_is_a_minimum(n):
+    dom = make_half_ball_domain([0.0] * n, 1.0, 1 / 8, n)
+    assert len(default_test_set(dom, count=1)) == 15
+    assert len(default_test_set(dom, count=15)) == 15
+    assert len(default_test_set(dom)) == 30

@@ -81,10 +81,14 @@ def test_measure_c_flag(tmp_path, capsys):
 
 
 def test_estimate_c_subcommand(tmp_path, capsys):
-    cfg = write_config(tmp_path, "est.json", {"domain": HALF})
-    assert main(["--config", cfg, "--out", str(tmp_path / "o6"),
-                 "estimate-c"]) == 0
-    assert "measured_c=" in capsys.readouterr().out
+    # on the plane, and lifted above it at n = 2 and 3
+    lifted = {"kind": "half_ball", "radius": 1.0, "spacing": 1 / 32}
+    for i, domain in enumerate((HALF, {**lifted, "center": [0.25, 0.0], "dimension": 2},
+                                {**lifted, "center": [0.25, 0.0, 0.0], "dimension": 3})):
+        cfg = write_config(tmp_path, f"est{i}.json", {"domain": domain})
+        assert main(["--config", cfg, "--out", str(tmp_path / f"o6-{i}"),
+                     "estimate-c"]) == 0
+        assert "measured_c=" in capsys.readouterr().out
 
 
 def test_heinz_scan_subcommand(tmp_path):
@@ -107,6 +111,18 @@ def test_monotonicity_subcommand(tmp_path):
                  "monotonicity"]) == 0
     csv_text = (tmp_path / "o8" / "monotonicity.csv").read_text()
     assert csv_text.splitlines()[0] == "r,M_r,quadrature_node_count,clipped_flag"
+
+    # a centre lifted to y0 <= 16h: the default radii start below y0, so the
+    # small-radius limit is resolved, and C is not measured
+    lifted = write_config(tmp_path, "lifted.json", {
+        "domain": {**HALF, "spacing": 1 / 32, "center": [0.25, 0.0]},
+        "generator": {"kind": "quadratic", "amplitude": 1.0, "offset": 0.3,
+                      "center": [0.0, 0.0]},
+    })
+    assert main(["--config", lifted, "--out", str(tmp_path / "o9"),
+                 "monotonicity"]) == 0
+    data = json.loads(strip_header((tmp_path / "o9" / "monotonicity.txt").read_text()))
+    assert data["limit_kind"] == "full" and data["limit_passed"]
 
 
 def test_detect_bubbles_generator_and_manifest(tmp_path):
@@ -170,7 +186,17 @@ def test_reports_byte_identical_modulo_header(tmp_path):
     assert a == b
 
 
-def test_monotonicity_weak_mode_emits_csv(tmp_path):
+def test_monotonicity_weak_mode_emits_csv(tmp_path, monkeypatch):
+    from mvlab import calculus
+
+    calls = []
+    original = calculus.weak_subharmonic_test
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "weak_subharmonic_test", counting)
     cfg = write_config(tmp_path, "weak.json", {
         "domain": HALF,
         "generator": {"kind": "quadratic", "amplitude": 1.0, "center": [0.0, 0.0],
@@ -181,6 +207,28 @@ def test_monotonicity_weak_mode_emits_csv(tmp_path):
                  "monotonicity"]) == 0
     weak_csv = (tmp_path / "ow" / "weak_tests.csv").read_text()
     assert weak_csv.splitlines()[0] == "test_function,value,tol"
+    assert len(calls) == 1  # the CSV reuses the suite's weak test
+
+
+def test_subcommands_without_a_ledger_never_measure_c(tmp_path, monkeypatch):
+    import mvlab.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("measure_c called")
+
+    monkeypatch.setattr(mvlab.cli, "measure_c", fail)
+    mono = write_config(tmp_path, "mono.json", {
+        "domain": {**HALF, "spacing": 1 / 32},
+        "generator": {"kind": "constant", "amplitude": 1.0},
+    })
+    assert main(["--config", mono, "--out", str(tmp_path / "om"),
+                 "monotonicity"]) == 0
+    heinz = write_config(tmp_path, "heinz.json", {
+        "domain": {**BALL, "spacing": 1 / 32},
+        "generator": {"kind": "bubble", "center": [0.25, 0.0], "scale": 0.125},
+    })
+    assert main(["--config", heinz, "--out", str(tmp_path / "oh"),
+                 "heinz-scan"]) == 0
 
 
 def test_module_entry_point(tmp_path):

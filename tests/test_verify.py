@@ -168,29 +168,31 @@ def test_boundary_mvi_reflected_bubble_below_threshold():
 
 
 def test_specialization_interior_equals_morrey():
-    dom = make_ball_domain([0, 0], 1.0, 1 / 64, 2)
-    ledger = make_ledger(2, 0.0, 0.0, 0.7)
-    for spec in (GeneratorSpec("constant", amplitude=1.3),
-                 GeneratorSpec("quadratic", amplitude=0.5, offset=0.2),
-                 GeneratorSpec("harmonic_product", scale=1.1, offset=0.3)):
-        e = gen(spec, dom)
-        a = verify_morrey(e, c=0.7)
-        b = verify_interior_mvi(e, BoundParams(2), ledger)
-        assert a.verdict == b.verdict
-        assert abs(a.margin - b.margin) <= 1e-12
-        assert a.lhs == b.lhs and a.rhs == b.rhs
+    for n, h in ((2, 1 / 64), (3, 1 / 16)):
+        dom = make_ball_domain([0.0] * n, 1.0, h, n)
+        ledger = make_ledger(n, 0.0, 0.0, 0.7)
+        for spec in (GeneratorSpec("constant", amplitude=1.3),
+                     GeneratorSpec("quadratic", amplitude=0.5, offset=0.2),
+                     GeneratorSpec("harmonic_product", scale=1.1, offset=0.3)):
+            e = gen(spec, dom)
+            a = verify_morrey(e, c=0.7)
+            b = verify_interior_mvi(e, BoundParams(n), ledger)
+            assert a.verdict == b.verdict
+            assert abs(a.margin - b.margin) <= 1e-12
+            assert a.lhs == b.lhs and a.rhs == b.rhs
 
 
 def test_specialization_boundary_equals_morrey():
-    dom = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 64, 2)
-    ledger = make_ledger(2, 0.0, 0.0, 0.9)
-    for spec in (GeneratorSpec("constant", amplitude=0.8),
-                 GeneratorSpec("linear_x0", amplitude=1.0, offset=0.1)):
-        e = gen(spec, dom)
-        a = verify_morrey(e, c=0.9)
-        b = verify_boundary_mvi(e, BoundParams(2), ledger)
-        assert a.verdict == b.verdict
-        assert abs(a.margin - b.margin) <= 1e-12
+    for n, h in ((2, 1 / 64), (3, 1 / 16)):
+        dom = make_half_ball_domain([0.0] * n, 1.0, h, n)
+        ledger = make_ledger(n, 0.0, 0.0, 0.9)
+        for spec in (GeneratorSpec("constant", amplitude=0.8),
+                     GeneratorSpec("linear_x0", amplitude=1.0, offset=0.1)):
+            e = gen(spec, dom)
+            a = verify_morrey(e, c=0.9)
+            b = verify_boundary_mvi(e, BoundParams(n), ledger)
+            assert a.verdict == b.verdict
+            assert abs(a.margin - b.margin) <= 1e-12
 
 
 def test_monotonicity_constant_on_plane():
