@@ -29,6 +29,7 @@ from .grid import (
     HALF_BALL,
     Domain,
     ScalarField,
+    cell_fractions,
 )
 
 _SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
@@ -118,26 +119,13 @@ def laplacian(e: ScalarField) -> ScalarField:
 
 def _metric_laplacian(e: ScalarField) -> np.ndarray:
     dom = e.domain
-    n = dom.dimension
     h = dom.spacing
     v = e.values
-    pts = dom.points()
-    metric = dom.metric
-
-    g_node = metric(pts)
-    sqrt_det_node = np.sqrt(np.linalg.det(g_node)).reshape(dom.shape)
-
     padded = _pad(v)
     div = np.zeros_like(v)
-    for ax in range(n):
-        face_pts = pts.copy()
-        face_pts[:, ax] += 0.5 * h
-        g_face = metric(face_pts)
-        sqrt_det_face = np.sqrt(np.linalg.det(g_face)).reshape(dom.shape)
-        g_inv_face = np.linalg.inv(g_face)
-
+    for ax, (sqrt_det_face, inv_rows) in enumerate(dom.face_metric):
         flux = np.zeros_like(v)
-        for j in range(n):
+        for j, inv_row in enumerate(inv_rows):
             if j == ax:
                 dj = (_shifted(padded, {ax: 1}) - v) / h
             else:
@@ -146,10 +134,10 @@ def _metric_laplacian(e: ScalarField) -> np.ndarray:
                 cj_there = (_shifted(padded, {ax: 1, j: 1})
                             - _shifted(padded, {ax: 1, j: -1})) / (2.0 * h)
                 dj = 0.5 * (cj_here + cj_there)
-            flux += g_inv_face[:, ax, j].reshape(dom.shape) * dj
+            flux += inv_row * dj
         flux *= sqrt_det_face
         div += (flux - _shifted(_pad(flux), {ax: -1})) / h
-    return -div / sqrt_det_node
+    return -div / dom.sqrt_det_metric()
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +186,21 @@ def normal_derivative(e: ScalarField) -> BoundaryValues:
 # volume integration with clipped cells
 
 
-_SUBCELL_OFFSETS: dict[int, np.ndarray] = {}
-
-
-def _subcell_offsets(n: int) -> np.ndarray:
-    if n not in _SUBCELL_OFFSETS:
-        offs = (np.arange(4) + 0.5) / 4.0 - 0.5
-        grid = np.meshgrid(*([offs] * n), indexing="ij")
-        _SUBCELL_OFFSETS[n] = np.stack([g.ravel() for g in grid], axis=-1)
-    return _SUBCELL_OFFSETS[n]
-
-
 def integrate(e: ScalarField,
               subregion: tuple[Sequence[float], float] | None = None) -> float:
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball).
 
     Nodes carry weight h^n; cells straddling a region boundary are weighted
-    by the in-region volume fraction estimated on a 4^n subcell sample.
+    by the in-region volume fraction estimated on a 4^n subcell sample, kept
+    per domain and resampled only where the subregion sphere cuts the cell.
     """
     dom = e.domain
     n = dom.dimension
     h = dom.spacing
-    pts = dom.points()
-    in_mask = dom.in_mask.ravel()
-    sel = in_mask.copy()
+    sel = dom.in_mask.ravel()
+    straddle = dom.straddles.ravel()
 
-    sub_center = sub_radius = None
     if subregion is not None:
         sub_center = np.asarray(subregion[0], dtype=float)
         sub_radius = float(subregion[1])
@@ -234,19 +210,13 @@ def integrate(e: ScalarField,
         if center_gap - sub_radius >= dom.radius:
             raise SubregionOutsideDomain(
                 f"ball of radius {sub_radius} at {sub_center} misses the domain")
-        d_sub = np.linalg.norm(pts - sub_center, axis=-1)
-        sel &= d_sub < sub_radius
+        d_sub = np.linalg.norm(dom.points() - sub_center, axis=-1)
+        sel = sel & (d_sub < sub_radius)
+        cut = np.abs(d_sub - sub_radius) <= 0.5 * math.sqrt(n) * h
+        straddle = straddle | cut
 
     if not np.any(sel):
         return 0.0
-
-    margin = 0.5 * math.sqrt(n) * h
-    d_dom = dom.center_distances().ravel()
-    straddle = np.abs(d_dom - dom.radius) <= margin
-    if dom.kind == HALF_BALL:
-        straddle |= pts[:, 0] < 0.5 * h
-    if subregion is not None:
-        straddle |= np.abs(d_sub - sub_radius) <= margin
 
     weights = dom.sqrt_det_metric().ravel()
     vals = e.values.ravel()
@@ -256,13 +226,12 @@ def integrate(e: ScalarField,
 
     bdry = np.flatnonzero(sel & straddle)
     if bdry.size:
-        sub = _subcell_offsets(n) * h
-        spts = pts[bdry][:, None, :] + sub[None, :, :]
-        flat_pts = spts.reshape(-1, n)
-        keep = dom.region_contains(flat_pts)
+        frac = dom.cell_fraction.ravel()[bdry]
         if subregion is not None:
-            keep &= np.linalg.norm(flat_pts - sub_center, axis=-1) < sub_radius
-        frac = keep.reshape(bdry.size, -1).mean(axis=1)
+            recut = cut[bdry]
+            frac[recut] = cell_fractions(
+                dom.points()[bdry[recut]], lambda s: dom.region_contains(s)
+                & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
         total += float(np.sum(vals[bdry] * weights[bdry] * frac))
     return total * h**n
 
@@ -470,10 +439,8 @@ def flat_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
     total = float(np.sum(bv.values[inner])) * h ** (n - 1)
     bdry = np.flatnonzero(sel & ~inner)
     if bdry.size:
-        sub = _subcell_offsets(n - 1) * h
-        spts = lat[bdry][:, None, :] + sub[None, :, :]
-        keep = np.linalg.norm(spts - center[1:], axis=-1) < rho
-        frac = keep.mean(axis=1)
+        frac = cell_fractions(lat[bdry],
+                              lambda s: np.linalg.norm(s - center[1:], axis=-1) < rho, h)
         total += float(np.sum(bv.values[bdry] * frac)) * h ** (n - 1)
     return total
 
@@ -637,14 +604,13 @@ def weak_subharmonic_test(e: ScalarField, tests: WeakTestSet | None = None,
         raise DomainNotHalfBall("weak subharmonicity test needs a half-ball")
     if tests is None:
         tests = default_test_set(dom)
-    pts = dom.points()
-    in_mask = dom.in_mask
+    pts = dom.in_mask_points()
+    inside = e.in_mask_values()
     tol = tol_k * dom.spacing
     values = []
     for fn in tests.functions:
-        lap_vals = fn.laplacian(pts).reshape(dom.shape)
-        product = np.where(in_mask, e.values * lap_vals, np.nan)
-        integrand = ScalarField(dom, product, density=False)
-        values.append((fn.name, integrate(integrand)))
+        product = np.full(dom.shape, np.nan)
+        product[dom.in_mask] = inside * fn.laplacian(pts)
+        values.append((fn.name, integrate(ScalarField(dom, product, density=False))))
     verdict = all(v <= tol for _, v in values)
     return WeakTestReport(tuple(values), tol, verdict)

@@ -250,11 +250,15 @@ def run(cfg: RunConfig) -> int:
         radii = cfg.raw.get("radii")
         if radii is None:
             h = domain.spacing
-            r_min = 16.0 * h
+            r_max = domain.radius - 4.0 * h
+            # from 16h, or halfway to r - 4h on coarse grids (h >= r/20)
+            r_min = 16.0 * h if 16.0 * h < r_max else max(4.0 * h, 0.5 * r_max)
             if 0.0 < center[0] <= r_min:
                 # the small-radius limit about a lifted centre needs a radius below y0
                 r_min = max(4.0 * h, 0.5 * center[0])
-            r_max = domain.radius - 4.0 * h
+            if r_min >= r_max:
+                raise ConfigError(f"no default shell radii between 4h and r - 4h at "
+                                  f"h={h}, r={domain.radius}; set 'radii' in the config")
             radii = list(np.linspace(r_min, r_max, 24))
         mode = cfg.raw.get("hypothesis_mode", "pointwise")
         rep = verify.monotonicity_suite(e, center, radii, cfg.tol_k,

@@ -9,7 +9,9 @@ interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,10 +44,29 @@ _GL_W = 0.5 * _GL_W
 _CHUNK = 1 << 17
 
 
-def _blocks(rows: np.ndarray):
-    """Consecutive blocks of at most _CHUNK rows, so that per-node (n, n)
-    metric arrays are built one block at a time."""
-    return (rows[start:start + _CHUNK] for start in range(0, len(rows), _CHUNK))
+def _blocks(rows: np.ndarray, size: int = _CHUNK):
+    """Consecutive blocks of at most ``size`` rows, so that per-node (n, n)
+    metric arrays and subcell samples are built one block at a time."""
+    return (rows[start:start + size] for start in range(0, len(rows), size))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def cell_fractions(points: np.ndarray, contains: Callable[[np.ndarray], np.ndarray],
+                   h: float) -> np.ndarray:
+    """Fraction of the cube of side h about each point that lies in the
+    region ``contains``, sampled at the 4^n subcell centres, so each fraction
+    is an exact multiple of 4^-n."""
+    n = points.shape[-1]
+    offsets = (np.arange(4) + 0.5) / 4.0 - 0.5
+    sub = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1).reshape(-1, n) * h
+    fractions = [contains((block[:, None, :] + sub[None, :, :]).reshape(-1, n))
+                 .reshape(len(block), -1).mean(axis=1)
+                 for block in _blocks(points, _CHUNK // len(sub))]
+    return np.concatenate(fractions) if fractions else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -174,7 +195,11 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
 
 @dataclass(frozen=True)
 class Domain:
-    """Immutable masked grid over a ball or clipped half-ball."""
+    """Immutable masked grid over a ball or clipped half-ball.
+
+    Geometry that depends on the domain alone (points, centre distances, mask,
+    sqrt(det g) at nodes and faces, straddling-cell fractions, the measured
+    metric deviation) is computed on first use, kept, and handed out read-only."""
 
     kind: str
     center: np.ndarray
@@ -183,39 +208,33 @@ class Domain:
     dimension: int
     origin: np.ndarray
     shape: tuple[int, ...]
-    mask: np.ndarray = field(repr=False)
     metric: MetricSpec | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_points_cache", None)
-        object.__setattr__(self, "_center_dist_cache", None)
 
     # -- geometry ---------------------------------------------------------
 
-    @property
-    def h(self) -> float:
-        return self.spacing
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Node classes (int8): OUTSIDE, INTERIOR, FLAT_BOUNDARY, CAP_BOUNDARY."""
+        inside = self.center_distances() < self.radius
+        return _read_only(_classify(self.kind, inside, self.flat_plane_index))
 
-    @property
+    @cached_property
     def in_mask(self) -> np.ndarray:
-        return self.mask != OUTSIDE
+        return _read_only(self.mask != OUTSIDE)
 
     @property
     def node_count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def axis_coords(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.spacing * np.arange(self.shape[axis])
+    @cached_property
+    def _points(self) -> np.ndarray:
+        mesh = np.meshgrid(*[o + self.spacing * np.arange(k)
+                             for o, k in zip(self.origin, self.shape)], indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
     def points(self) -> np.ndarray:
         """All box node coordinates, shape (prod(shape), n), C-order."""
-        cached = getattr(self, "_points_cache")
-        if cached is None:
-            mesh = np.meshgrid(*[self.axis_coords(i) for i in range(self.dimension)],
-                               indexing="ij")
-            cached = np.stack([m.ravel() for m in mesh], axis=-1)
-            object.__setattr__(self, "_points_cache", cached)
-        return cached
+        return self._points
 
     def in_mask_points(self) -> np.ndarray:
         return self.points()[self.in_mask.ravel()]
@@ -226,13 +245,13 @@ class Domain:
             base = self.center
         return segment_distance(self.metric, base, points)
 
+    @cached_property
+    def _center_distances(self) -> np.ndarray:
+        return _read_only(self.distance(self.points()).reshape(self.shape))
+
     def center_distances(self) -> np.ndarray:
-        """Distance from the center to every box node, box-shaped, cached."""
-        cached = getattr(self, "_center_dist_cache")
-        if cached is None:
-            cached = self.distance(self.points()).reshape(self.shape)
-            object.__setattr__(self, "_center_dist_cache", cached)
-        return cached
+        """Distance from the center to every box node, box-shaped."""
+        return self._center_distances
 
     def region_contains(self, points: np.ndarray) -> np.ndarray:
         """Membership in the analytic region (ball/half-ball), not the mask."""
@@ -268,12 +287,60 @@ class Domain:
     def flat_node_count(self) -> int:
         return int(np.count_nonzero(self.mask == FLAT_BOUNDARY))
 
+    @cached_property
+    def _sqrt_det_metric(self) -> np.ndarray:
+        if self.metric is None or self.metric.trivial:
+            return _read_only(np.ones(self.shape))
+        roots = [np.sqrt(np.linalg.det(self.metric(block))) for block in _blocks(self.points())]
+        return _read_only(np.concatenate(roots).reshape(self.shape))
+
     def sqrt_det_metric(self) -> np.ndarray:
         """sqrt(det g) at every box node (ones for Euclidean domains)."""
+        return self._sqrt_det_metric
+
+    @cached_property
+    def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis a, at the faces x + h/2 e_a: sqrt(det g), box-shaped, and
+        the rows g^{aj} of the inverse metric, shape (n,) + box."""
+        faces = []
+        for ax in range(self.dimension):
+            sqrt_det, rows = [], []
+            for block in _blocks(self.points()):
+                face_pts = block.copy()
+                face_pts[:, ax] += 0.5 * self.spacing
+                g = self.metric(face_pts)
+                sqrt_det.append(np.sqrt(np.linalg.det(g)))
+                rows.append(np.linalg.inv(g)[:, ax, :])
+            faces.append((_read_only(np.concatenate(sqrt_det).reshape(self.shape)),
+                          _read_only(np.concatenate(rows).T.copy().reshape((-1,) + self.shape))))
+        return tuple(faces)
+
+    @cached_property
+    def straddles(self) -> np.ndarray:
+        """Box mask of the nodes whose cell may cross the region boundary:
+        within sqrt(n) h / 2 of the sphere, or on the flat plane."""
+        margin = 0.5 * math.sqrt(self.dimension) * self.spacing
+        straddles = np.abs(self.center_distances() - self.radius) <= margin
+        if self.kind == HALF_BALL:
+            straddles |= self.points()[:, 0].reshape(self.shape) < 0.5 * self.spacing
+        return _read_only(straddles)
+
+    @cached_property
+    def cell_fraction(self) -> np.ndarray:
+        """In-region volume fraction of the cell of each in-mask node: 1 off
+        the straddling nodes, ``cell_fractions`` on them."""
+        fraction = np.ones(self.shape)
+        nodes = self.straddles & self.in_mask
+        fraction[nodes] = cell_fractions(self.points()[nodes.ravel()],
+                                         self.region_contains, self.spacing)
+        return _read_only(fraction)
+
+    @cached_property
+    def measured_deviation(self) -> float | None:
+        """``metric_deviation`` of the domain's metric; None when Euclidean."""
         if self.metric is None or self.metric.trivial:
-            return np.ones(self.shape)
-        return np.concatenate([np.sqrt(np.linalg.det(self.metric(block)))
-                               for block in _blocks(self.points())]).reshape(self.shape)
+            return None
+        return metric_deviation(self.metric, self)
 
     # -- field construction -------------------------------------------------
 
@@ -330,33 +397,21 @@ class ScalarField:
         return ScalarField(self.domain, self.values + other.values,
                            self.density and other.density)
 
-    def scaled(self, factor: float) -> "ScalarField":
-        return ScalarField(self.domain, self.values * factor,
-                           self.density and factor >= 0)
-
 
 def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray:
     """Interior nodes have all 2n axis neighbors inside; flat-plane nodes win
     over the cap classification."""
+    padded = np.pad(inside, 1)  # False beyond the box
     interior = inside.copy()
-    n = inside.ndim
-    for ax in range(n):
-        plus = np.zeros_like(inside)
-        minus = np.zeros_like(inside)
-        src = [slice(None)] * n
-        dst = [slice(None)] * n
-        src[ax] = slice(1, None)
-        dst[ax] = slice(None, -1)
-        plus[tuple(dst)] = inside[tuple(src)]
-        minus[tuple(src)] = inside[tuple(dst)]
-        interior &= plus & minus
+    for ax in range(inside.ndim):
+        for step in (1, -1):
+            sel = [slice(1, -1)] * inside.ndim
+            sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
+            interior &= padded[tuple(sel)]
     mask = np.where(inside, CAP_BOUNDARY, OUTSIDE).astype(np.int8)
     mask[interior] = INTERIOR
     if kind == HALF_BALL and flat_row is not None:
-        sel = [slice(None)] * n
-        sel[0] = flat_row
-        plane = tuple(sel)
-        mask[plane] = np.where(inside[plane], FLAT_BOUNDARY, OUTSIDE)
+        mask[flat_row] = np.where(inside[flat_row], FLAT_BOUNDARY, OUTSIDE)
     return mask
 
 
@@ -389,26 +444,15 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
     if metric is not None and metric.trivial:
         metric = None
 
-    pad = 1.0
-    if metric is not None:
-        pad += 2.0 * metric.declared_deviation
+    pad = 1.0 + (2.0 * metric.declared_deviation if metric is not None else 0.0)
     half = int(np.ceil(pad * r / h)) + 1
     origin = center - half * h
     shape = (2 * half + 1,) * n
 
-    mesh = np.meshgrid(*[origin[i] + h * np.arange(shape[i]) for i in range(n)],
-                       indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-
+    domain = Domain(BALL, center, float(r), float(h), n, origin, shape, metric)
     if metric is not None:
-        _check_positive_definite(metric, pts)
-
-    dist = segment_distance(metric, center, pts).reshape(shape)
-    inside = dist < r
-    mask = _classify(BALL, inside, None)
-    domain = Domain(BALL, center, float(r), float(h), n, origin, shape, mask, metric)
-    if metric is not None:
-        measured = metric_deviation(metric, domain)
+        _check_positive_definite(metric, domain.points())
+        measured = domain.measured_deviation
         if measured > metric.declared_deviation + 1e-9 + 10.0 * h**2:
             raise MVLabError(
                 f"metric deviates by {measured:.4g}, above the declared "
@@ -444,15 +488,7 @@ def make_half_ball_domain(y: Sequence[float], r: float, h: float, n: int) -> Dom
     origin[0] -= down * h
     origin[1:] -= half * h
     shape = (down + half + 1,) + (2 * half + 1,) * (n - 1)
-
-    mesh = np.meshgrid(*[origin[i] + h * np.arange(shape[i]) for i in range(n)],
-                       indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    dist = np.linalg.norm(pts - y, axis=-1).reshape(shape)
-    inside = dist < r
-    flat_row = 0 if steps <= half else None
-    mask = _classify(HALF_BALL, inside, flat_row)
-    return Domain(HALF_BALL, y, float(r), float(h), n, origin, shape, mask, None)
+    return Domain(HALF_BALL, y, float(r), float(h), n, origin, shape, None)
 
 
 def metric_deviation(metric: MetricSpec, domain: Domain) -> float:

@@ -80,10 +80,9 @@ class _PrefixSup:
 
     def __init__(self, e: ScalarField, center: np.ndarray):
         dom = e.domain
-        dist = dom.distance(dom.points(), center)
         inside = dom.in_mask.ravel()
         vals = e.values.ravel()[inside]
-        dist = dist[inside]
+        dist = dom.distance(dom.in_mask_points(), center)
         order = np.argsort(dist, kind="stable")
         self.dist_sorted = dist[order]
         self.vals_sorted = vals[order]

@@ -168,10 +168,8 @@ class ConcentrationReport:
 
 def _allowed_mask(domain, exclusions) -> np.ndarray:
     allowed = domain.in_mask.ravel().copy()
-    if exclusions:
-        pts = domain.points()
-        for center, radius in exclusions:
-            allowed &= np.linalg.norm(pts - center, axis=-1) > radius
+    for center, radius in exclusions:
+        allowed &= np.linalg.norm(domain.points() - center, axis=-1) > radius
     return allowed
 
 

@@ -22,7 +22,7 @@ from .errors import (
     MVLabError,
     RadiusOutOfRange,
 )
-from .grid import BALL, HALF_BALL, ScalarField, metric_deviation
+from .grid import BALL, HALF_BALL, ScalarField
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -71,9 +71,9 @@ def _grid_summary(e: ScalarField) -> dict:
         "center": [float(c) for c in dom.center],
         "node_count": dom.node_count,
     }
-    if dom.metric is not None and not dom.metric.trivial:
+    if dom.measured_deviation is not None:
         out["metric"] = dom.metric.name
-        out["measured_metric_deviation"] = metric_deviation(dom.metric, dom)
+        out["measured_metric_deviation"] = dom.measured_deviation
     return out
 
 
@@ -133,9 +133,8 @@ def _bound_margin(e: ScalarField, params: BoundParams,
     if not np.any(finite):
         raise MVLabError(empty)
     k = int(np.argmax(np.where(finite, resid, -np.inf)))
-    node = (tuple(int(x) for x in bv.indices[k]) if flat
-            else np.unravel_index(k, dom.shape))
-    return float(resid[k]), node
+    node = bv.indices[k] if flat else np.unravel_index(k, dom.shape)
+    return float(resid[k]), tuple(int(x) for x in node)
 
 
 # reason labels of the Laplacian and normal-derivative checks: the sign
@@ -231,7 +230,9 @@ def verify_morrey(e: ScalarField, c: float, tol_k: float = 10.0) -> Verification
     return _check("morrey", e, BoundParams(e.domain.dimension), c, tol_k)
 
 
-def _check_ledger_match(params: BoundParams, ledger: ConstantLedger) -> None:
+def _check_params(e: ScalarField, params: BoundParams, ledger: ConstantLedger) -> None:
+    if params.n != e.domain.dimension:
+        raise MVLabError("params dimension differs from the domain")
     if params.a + params.b > 0 or ledger.a + ledger.b > 0:
         if params.a != ledger.a or params.b != ledger.b:
             raise MVLabError(
@@ -245,9 +246,7 @@ def verify_interior_mvi(e: ScalarField, params: BoundParams,
     dom = e.domain
     if dom.kind != BALL:
         raise MVLabError("interior inequality lives on ball domains")
-    if params.n != dom.dimension:
-        raise MVLabError("params dimension differs from the domain")
-    _check_ledger_match(params, ledger)
+    _check_params(e, params, ledger)
     if dom.radius > 1.0:
         raise RadiusOutOfRange(f"the interior inequality is stated for radii r <= 1, got {dom.radius}")
     return _check("interior-mvi", e, params, ledger.c_master, tol_k, ledger)
@@ -259,9 +258,7 @@ def verify_boundary_mvi(e: ScalarField, params: BoundParams,
     dom = e.domain
     if dom.kind != HALF_BALL:
         raise MVLabError("boundary inequality lives on half-ball domains")
-    if params.n != dom.dimension:
-        raise MVLabError("params dimension differs from the domain")
-    _check_ledger_match(params, ledger)
+    _check_params(e, params, ledger)
     return _check("boundary-mvi", e, params, ledger.c_master, tol_k, ledger)
 
 

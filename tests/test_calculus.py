@@ -402,3 +402,111 @@ def test_default_test_set_count_is_a_minimum(n):
     assert len(default_test_set(dom, count=1)) == 15
     assert len(default_test_set(dom, count=15)) == 15
     assert len(default_test_set(dom)) == 30
+
+
+def _integrate_reference(e, subregion=None):
+    """The clipped-cell integral with the 4^n subcell sample of every
+    straddling cell redrawn on each call, geometry recomputed from scratch."""
+    dom = e.domain
+    n, h = dom.dimension, dom.spacing
+    pts = dom.points()
+    sel = dom.in_mask.ravel().copy()
+    if subregion is not None:
+        sub_center = np.asarray(subregion[0], dtype=float)
+        sub_radius = float(subregion[1])
+        d_sub = np.linalg.norm(pts - sub_center, axis=-1)
+        sel &= d_sub < sub_radius
+    if not np.any(sel):
+        return 0.0
+    margin = 0.5 * math.sqrt(n) * h
+    straddle = np.abs(dom.distance(pts) - dom.radius) <= margin
+    if dom.kind == "half_ball":
+        straddle |= pts[:, 0] < 0.5 * h
+    if subregion is not None:
+        straddle |= np.abs(d_sub - sub_radius) <= margin
+    if dom.metric is None:
+        weights = np.ones(len(pts))
+    else:
+        weights = np.sqrt(np.linalg.det(dom.metric(pts)))
+    vals = e.values.ravel()
+    inner = sel & ~straddle
+    total = float(np.sum(vals[inner] * weights[inner]))
+    bdry = np.flatnonzero(sel & straddle)
+    if bdry.size:
+        offs = (np.arange(4) + 0.5) / 4.0 - 0.5
+        grid = np.meshgrid(*([offs] * n), indexing="ij")
+        sub = np.stack([g.ravel() for g in grid], axis=-1) * h
+        flat_pts = (pts[bdry][:, None, :] + sub[None, :, :]).reshape(-1, n)
+        keep = dom.region_contains(flat_pts)
+        if subregion is not None:
+            keep &= np.linalg.norm(flat_pts - sub_center, axis=-1) < sub_radius
+        frac = keep.reshape(bdry.size, -1).mean(axis=1)
+        total += float(np.sum(vals[bdry] * weights[bdry] * frac))
+    return total * h**n
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball", "lifted", "conformal"))
+def test_integrate_bitwise_equals_resampling_reference(n, kind):
+    h = 1 / 16 if n == 2 else 1 / 8
+    center = np.zeros(n)
+    if kind == "ball":
+        dom = make_ball_domain(center, 1.0, h, n)
+    elif kind == "conformal":
+        dom = make_ball_domain(center, 1.0, h, n, conformal_metric(n, 0.01, axis=1))
+    else:
+        center[0] = 0.25 if kind == "lifted" else 0.0
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    # a subregion that crosses the domain's sphere (and the plane)
+    sub_center = center.copy()
+    sub_center[:2] += (0.25, 0.5)
+    full = integrate(e)
+    assert full == _integrate_reference(e)
+    subregion = (sub_center, 0.75)
+    assert integrate(e, subregion) == _integrate_reference(e, subregion)
+    # the cached fractions are reused, not changed, by a later call
+    assert integrate(e) == full
+
+
+def test_weak_test_samples_cells_no_more_than_one_integral(monkeypatch):
+    from mvlab.grid import Domain
+
+    calls = []
+    original = Domain.region_contains
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Domain, "region_contains", counted)
+    integrand = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2).field_from_function(quadratic)
+    integrate(integrand)
+    one_integral = len(calls)
+    assert one_integral > 0
+    calls.clear()
+    e = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2).field_from_function(quadratic)
+    weak_subharmonic_test(e)
+    assert len(calls) <= one_integral
+
+
+def test_metric_laplacian_evaluates_the_metric_once_per_domain():
+    import dataclasses
+
+    calls = []
+    base = conformal_metric(3, 0.01, axis=1)
+
+    def matrix(points):
+        calls.append(len(points))
+        return base.matrix(points)
+
+    dom = make_ball_domain([0.0] * 3, 0.5, 1 / 16, 3, dataclasses.replace(base, matrix=matrix))
+    e = dom.field_from_function(lambda p: 1.0 + quadratic(p))
+    before = len(calls)
+    first = laplacian(e).values
+    once = len(calls)
+    assert once > before
+    second = laplacian(e).values
+    assert len(calls) == once
+    assert np.array_equal(first, second, equal_nan=True)

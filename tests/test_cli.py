@@ -125,6 +125,29 @@ def test_monotonicity_subcommand(tmp_path):
     assert data["limit_kind"] == "full" and data["limit_passed"]
 
 
+def test_monotonicity_default_radii_on_coarse_grids(tmp_path, capsys):
+    # h = 1/16 > r/20: the default radii start at max(4h, (r - 4h)/2) = 0.375
+    coarse = write_config(tmp_path, "coarse.json", {
+        "domain": {**HALF, "spacing": 1 / 16},
+        "generator": {"kind": "constant", "amplitude": 1.0},
+    })
+    assert main(["--config", coarse, "--out", str(tmp_path / "c1"),
+                 "monotonicity"]) == 0
+    data = json.loads(strip_header((tmp_path / "c1" / "monotonicity.txt").read_text()))
+    radii = [s["r"] for s in data["profile"]]
+    assert radii[0] == 0.375 and radii[-1] == 0.75 and data["verdict"] == "Holds"
+
+    # h = r/8 leaves no radius between 4h and r - 4h
+    capsys.readouterr()
+    coarsest = write_config(tmp_path, "coarsest.json", {
+        "domain": {**HALF, "spacing": 1 / 8},
+        "generator": {"kind": "constant", "amplitude": 1.0},
+    })
+    assert main(["--config", coarsest, "--out", str(tmp_path / "c2"),
+                 "monotonicity"]) == 3
+    assert "'radii'" in capsys.readouterr().err
+
+
 def test_detect_bubbles_generator_and_manifest(tmp_path):
     seq_cfg = {
         "domain": {**BALL, "radius": 0.5, "spacing": 1 / 128},

@@ -167,3 +167,22 @@ def test_understated_metric_deviation_rejected():
                               declared_deviation=0.001)
     with pytest.raises(MVLabError):
         make_ball_domain([0, 0], 1.0, 1 / 32, 2, lying)
+
+
+@pytest.mark.parametrize("metric", (None, conformal_metric(2, 0.01, axis=1)))
+def test_domain_arrays_are_read_only(metric):
+    dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2, metric)
+    arrays = [dom.mask, dom.in_mask, dom.points(), dom.center_distances(),
+              dom.sqrt_det_metric(), dom.straddles, dom.cell_fraction]
+    if metric is not None:
+        arrays += [a for face in dom.face_metric for a in face]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
+        with pytest.raises(ValueError):
+            array.ravel()[0] = 1
+    # the caches are kept: a second read hands back the same array
+    assert dom.points() is dom.points() and dom.mask is dom.mask
+    half = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
+    with pytest.raises(ValueError):
+        half.mask[0, 0] = FLAT_BOUNDARY

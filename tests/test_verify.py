@@ -314,3 +314,32 @@ def test_refinement_stability_of_verdicts():
     e2 = gen(GeneratorSpec("constant", amplitude=1.0), fine)
     rep2 = verify_interior_mvi(e2, BoundParams(2), ledger)
     assert rep2.verdict == HOLDS
+
+
+def test_laplacian_reason_prints_plain_ints():
+    import re
+
+    dom = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2)
+    e = dom.field_from_function(lambda p: 1.0 - np.sum(p**2, axis=-1) + 0.01)
+    rep = verify_morrey(e, c=1.0)
+    assert rep.verdict == HYPOTHESIS_VIOLATED
+    assert re.fullmatch(r"laplacian-positive@\(\d+, \d+\)", rep.reason)
+
+
+def test_metric_deviation_measured_once_per_domain(monkeypatch):
+    from mvlab import conformal_metric, grid
+
+    calls = []
+    original = grid.metric_deviation
+
+    def counted(metric, domain):
+        calls.append(domain)
+        return original(metric, domain)
+
+    monkeypatch.setattr(grid, "metric_deviation", counted)
+    dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2, conformal_metric(2, 0.01, axis=1))
+    e = gen(GeneratorSpec("constant", amplitude=1.0), dom)
+    rep = verify_interior_mvi(e, BoundParams(2), make_ledger(2, 0.0, 0.0, 1.0))
+    verify_morrey(e, c=1.0)
+    assert rep.grid["measured_metric_deviation"] == original(dom.metric, dom)
+    assert len(calls) == 1 and calls[0] is dom
