@@ -198,8 +198,8 @@ class Domain:
     """Immutable masked grid over a ball or clipped half-ball.
 
     Geometry that depends on the domain alone (points, centre distances, mask,
-    sqrt(det g) at nodes and faces, straddling-cell fractions, the measured
-    metric deviation) is computed on first use, kept, and handed out read-only."""
+    sqrt(det g) at nodes and faces, quadrature weights, the measured metric
+    deviation) is computed on first use, kept, and handed out read-only."""
 
     kind: str
     center: np.ndarray
@@ -316,24 +316,22 @@ class Domain:
         return tuple(faces)
 
     @cached_property
-    def straddles(self) -> np.ndarray:
-        """Box mask of the nodes whose cell may cross the region boundary:
-        within sqrt(n) h / 2 of the sphere, or on the flat plane."""
-        margin = 0.5 * math.sqrt(self.dimension) * self.spacing
+    def weights(self) -> np.ndarray:
+        """Quadrature weight of every box node, 0 off the mask: h^n sqrt(det g)
+        times the in-region fraction of the node's cell, which ``cell_fractions``
+        samples on the cells within sqrt(n) h / 2 of the sphere or on the flat
+        plane and is 1 elsewhere."""
+        h = self.spacing
+        margin = 0.5 * math.sqrt(self.dimension) * h
         straddles = np.abs(self.center_distances() - self.radius) <= margin
         if self.kind == HALF_BALL:
-            straddles |= self.points()[:, 0].reshape(self.shape) < 0.5 * self.spacing
-        return _read_only(straddles)
-
-    @cached_property
-    def cell_fraction(self) -> np.ndarray:
-        """In-region volume fraction of the cell of each in-mask node: 1 off
-        the straddling nodes, ``cell_fractions`` on them."""
-        fraction = np.ones(self.shape)
-        nodes = self.straddles & self.in_mask
-        fraction[nodes] = cell_fractions(self.points()[nodes.ravel()],
-                                         self.region_contains, self.spacing)
-        return _read_only(fraction)
+            straddles |= self.points()[:, 0].reshape(self.shape) < 0.5 * h
+        straddles &= self.in_mask
+        weights = self.in_mask.astype(float)
+        weights[straddles] = cell_fractions(self.points()[straddles.ravel()],
+                                            self.region_contains, h)
+        weights *= self.sqrt_det_metric() * h ** self.dimension
+        return _read_only(weights)
 
     @cached_property
     def measured_deviation(self) -> float | None:
@@ -361,7 +359,8 @@ class ScalarField:
 
     Values at outside nodes are NaN so that any stencil reaching out of the
     mask poisons its result visibly. Comparison functions reuse the container
-    with ``density=False`` and may be signed.
+    with ``density=False`` and may be signed. ``values`` (the array passed
+    in, not a copy) is made read-only, so the checks below keep holding.
     """
 
     domain: Domain
@@ -373,6 +372,7 @@ class ScalarField:
         if self.values.shape != self.domain.shape:
             raise MVLabError(
                 f"field shape {self.values.shape} != domain shape {self.domain.shape}")
+        _read_only(self.values)
         if self.density:
             # operator outputs (density=False) may carry NaN at in-mask nodes
             # whose stencil exits the mask; densities must be total and >= 0

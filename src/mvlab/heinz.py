@@ -82,7 +82,8 @@ class _PrefixSup:
         dom = e.domain
         inside = dom.in_mask.ravel()
         vals = e.values.ravel()[inside]
-        dist = dom.distance(dom.in_mask_points(), center)
+        dist = (dom.center_distances().ravel()[inside] if np.array_equal(center, dom.center)
+                else dom.distance(dom.in_mask_points(), center))
         order = np.argsort(dist, kind="stable")
         self.dist_sorted = dist[order]
         self.vals_sorted = vals[order]

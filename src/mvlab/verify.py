@@ -77,37 +77,43 @@ def _grid_summary(e: ScalarField) -> dict:
     return out
 
 
+def _operator_pairs(e: ScalarField,
+                    flat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The operator at the nodes it is checked on and the density there.
+
+    Interior: the Laplacian at every box node (C order; NaN where the stencil
+    exits the mask). Flat (``flat=True``): the outer normal derivative at the
+    flat-boundary nodes, whose indices come third (None for the box nodes)."""
+    if flat:
+        bv = calculus.normal_derivative(e)
+        return bv.values, e.values[tuple(bv.indices.T)], bv.indices
+    return calculus.laplacian(e).values.ravel(), e.values.ravel(), None
+
+
+def _fit(e: ScalarField, c0: float, c1: float, flat: bool, e_floor_factor: float) -> float:
+    n = e.domain.dimension
+    op, ev, _ = _operator_pairs(e, flat)
+    floor = e_floor_factor * max(e.sup(), 0.0)
+    mask = np.isfinite(op) & (ev > floor)
+    if not np.any(mask):
+        where = "flat-boundary" if flat else "stencil-valid"
+        raise AllNodesBelowFloor(f"no {where} node above the density floor")
+    ev = ev[mask]
+    ratio = (op[mask] - c0 - c1 * ev) / ev ** ((n + (1 if flat else 2)) / n)
+    return max(0.0, float(np.max(ratio)))
+
+
 def fit_nonlinearity(e: ScalarField, a0: float, a1: float,
                      e_floor_factor: float = 1e-8) -> float:
     """Smallest a with Delta e <= a0 + a1 e + a e^((n+2)/n) over the
     stencil-valid nodes where e clears the division floor; clamped at 0."""
-    dom = e.domain
-    n = dom.dimension
-    lap = calculus.laplacian(e).values
-    valid = np.isfinite(lap)
-    floor = e_floor_factor * max(e.sup(), 0.0)
-    mask = valid & (e.values > floor)
-    if not np.any(mask):
-        raise AllNodesBelowFloor("no stencil-valid node above the density floor")
-    ev = e.values[mask]
-    ratio = (lap[mask] - a0 - a1 * ev) / ev ** ((n + 2) / n)
-    return max(0.0, float(np.max(ratio)))
+    return _fit(e, a0, a1, False, e_floor_factor)
 
 
 def fit_boundary_nonlinearity(e: ScalarField, b0: float, b1: float,
                               e_floor_factor: float = 1e-8) -> float:
     """Boundary analogue on the flat nodes with exponent (n+1)/n."""
-    dom = e.domain
-    n = dom.dimension
-    bv = calculus.normal_derivative(e)
-    lin = np.ravel_multi_index(tuple(bv.indices.T), dom.shape)
-    ev = e.values.ravel()[lin]
-    floor = e_floor_factor * max(e.sup(), 0.0)
-    mask = bv.finite() & (ev > floor)
-    if not np.any(mask):
-        raise AllNodesBelowFloor("no flat-boundary node above the density floor")
-    ratio = (bv.values[mask] - b0 - b1 * ev[mask]) / ev[mask] ** ((n + 1) / n)
-    return max(0.0, float(np.max(ratio)))
+    return _fit(e, b0, b1, True, e_floor_factor)
 
 
 def _bound_margin(e: ScalarField, params: BoundParams,
@@ -117,23 +123,19 @@ def _bound_margin(e: ScalarField, params: BoundParams,
     Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over stencil-valid
     nodes. Flat (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over
     the usable flat-boundary nodes."""
-    dom = e.domain
-    n = dom.dimension
+    n = e.domain.dimension
+    op, ev, nodes = _operator_pairs(e, flat)
     if flat:
-        bv = calculus.normal_derivative(e)
-        ev = e.values[tuple(bv.indices.T)]
-        resid = bv.values - (params.B0 + params.B1 * ev + params.b * ev ** ((n + 1) / n))
+        resid = op - (params.B0 + params.B1 * ev + params.b * ev ** ((n + 1) / n))
         empty = "no usable flat-boundary nodes for the normal bound check"
     else:
-        lap = calculus.laplacian(e).values
-        bound = params.A0 + params.A1 * e.values + params.a * e.values ** ((n + 2) / n)
-        resid = (lap - bound).ravel()
+        resid = op - (params.A0 + params.A1 * ev + params.a * ev ** ((n + 2) / n))
         empty = "no stencil-valid nodes for the interior bound check"
     finite = np.isfinite(resid)
     if not np.any(finite):
         raise MVLabError(empty)
     k = int(np.argmax(np.where(finite, resid, -np.inf)))
-    node = bv.indices[k] if flat else np.unravel_index(k, dom.shape)
+    node = np.unravel_index(k, e.domain.shape) if nodes is None else nodes[k]
     return float(resid[k]), tuple(int(x) for x in node)
 
 

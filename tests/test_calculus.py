@@ -462,12 +462,33 @@ def test_integrate_bitwise_equals_resampling_reference(n, kind):
     # a subregion that crosses the domain's sphere (and the plane)
     sub_center = center.copy()
     sub_center[:2] += (0.25, 0.5)
+    # integrate sums in another order than the reference (one dot product
+    # with the cached weights), so it may differ in the last bits; flipping
+    # a single subcell sample moves these integrals by 1e-7 relative or more
     full = integrate(e)
-    assert full == _integrate_reference(e)
+    assert full == pytest.approx(_integrate_reference(e), rel=1e-12, abs=0)
     subregion = (sub_center, 0.75)
-    assert integrate(e, subregion) == _integrate_reference(e, subregion)
-    # the cached fractions are reused, not changed, by a later call
+    assert integrate(e, subregion) == pytest.approx(_integrate_reference(e, subregion),
+                                                    rel=1e-12, abs=0)
+    # the cached weights are reused, not changed, by a later call
     assert integrate(e) == full
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_weak_test_values_equal_integrals_of_e_times_test_laplacian(n):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    dom = make_half_ball_domain([0.0] * n, 1.0, h, n)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    tests = default_test_set(dom)
+    report = weak_subharmonic_test(e, tests)
+    assert [name for name, _ in report.values] == [fn.name for fn in tests.functions]
+    for fn, (_, value) in zip(tests.functions, report.values):
+        product = e.values * fn.laplacian(dom.points()).reshape(dom.shape)
+        scale = integrate(dom.make_field(np.abs(product), density=False))
+        assert scale > 0
+        expected = integrate(dom.make_field(product, density=False))
+        assert abs(value - expected) <= 1e-12 * scale
 
 
 def test_weak_test_samples_cells_no_more_than_one_integral(monkeypatch):

@@ -173,7 +173,7 @@ def test_understated_metric_deviation_rejected():
 def test_domain_arrays_are_read_only(metric):
     dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2, metric)
     arrays = [dom.mask, dom.in_mask, dom.points(), dom.center_distances(),
-              dom.sqrt_det_metric(), dom.straddles, dom.cell_fraction]
+              dom.sqrt_det_metric(), dom.weights]
     if metric is not None:
         arrays += [a for face in dom.face_metric for a in face]
     for array in arrays:
@@ -186,3 +186,16 @@ def test_domain_arrays_are_read_only(metric):
     half = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
     with pytest.raises(ValueError):
         half.mask[0, 0] = FLAT_BOUNDARY
+
+
+def test_field_values_are_read_only():
+    dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
+    values = np.where(dom.in_mask, 1.0, np.nan)
+    fields = [dom.make_field(values), dom.field_from_function(lambda p: 1.0 + p[:, 0] ** 2),
+              dom.make_field(-values, density=False)]
+    for f in fields:
+        with pytest.raises(ValueError):
+            f.values[dom.node_index([0.0, 0.0])] = -1.0
+    # the array handed in is the field's own, so it is frozen too
+    with pytest.raises(ValueError):
+        values[dom.node_index([0.0, 0.0])] = -1.0

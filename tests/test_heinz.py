@@ -7,12 +7,14 @@ from mvlab import (
     BoundParams,
     comparison_function_boundary,
     comparison_function_interior,
+    conformal_metric,
     heinz_scan,
     laplacian,
     make_ball_domain,
     make_half_ball_domain,
     normal_derivative,
 )
+from mvlab import grid
 from mvlab.errors import EmptyBall
 from mvlab.synth import GeneratorSpec, gen
 
@@ -107,6 +109,26 @@ def test_scan_determinism():
     r1 = heinz_scan(e, [0, 0], 1.0)
     r2 = heinz_scan(e, [0, 0], 1.0)
     assert r1.as_dict() == r2.as_dict()
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_scan_about_the_domain_centre_reuses_its_distances(monkeypatch, n):
+    dom = make_ball_domain([0.0] * n, 1.0, 1 / 16, n, conformal_metric(n, 0.01, axis=1))
+    # off-centre peak, so the neighbourhood check about x_bar needs new distances
+    e = dom.field_from_function(lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1)))
+    assert np.array_equal(dom.center_distances()[dom.in_mask],
+                          dom.distance(dom.in_mask_points()))
+    calls = []
+    original = grid.segment_distance
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(grid, "segment_distance", counted)
+    rep = heinz_scan(e, dom.center, 1.0)
+    assert rep.x_bar != tuple(dom.center)
+    assert len(calls) == 1
 
 
 def test_interior_comparison_pure_quadratic():
