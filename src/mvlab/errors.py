@@ -26,6 +26,10 @@ class CenterOffGrid(MVLabError):
     pass
 
 
+class GridTooLarge(MVLabError):
+    """The grid box would not fit in memory; raised before it is allocated."""
+
+
 # calculus
 class DomainHasNoFlatBoundary(MVLabError):
     pass

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     CenterBelowBoundary,
     CenterOffGrid,
+    GridTooLarge,
     MetricNotPositiveDefinite,
     MVLabError,
     ResolutionTooCoarse,
@@ -42,6 +43,8 @@ _GL_T = 0.5 * (_GL_T + 1.0)
 _GL_W = 0.5 * _GL_W
 
 _CHUNK = 1 << 17
+
+_MAX_POINTS_BYTES = 1 << 31  # largest ``Domain.points()``; a larger box raises GridTooLarge
 
 
 def _blocks(rows: np.ndarray, size: int = _CHUNK):
@@ -210,6 +213,14 @@ class Domain:
     shape: tuple[int, ...]
     metric: MetricSpec | None = None
 
+    def __post_init__(self):
+        nodes = math.prod(self.shape)
+        need = nodes * self.dimension * 8  # ``points()`` alone, checked before any allocation
+        if need > _MAX_POINTS_BYTES:
+            raise GridTooLarge(f"grid box {'x'.join(map(str, self.shape))} has {nodes:,} "
+                               f"nodes; its node coordinates alone would take {need:,} "
+                               f"bytes (limit {_MAX_POINTS_BYTES:,})")
+
     # -- geometry ---------------------------------------------------------
 
     @cached_property
@@ -260,6 +271,16 @@ class Domain:
             inside &= points[..., 0] >= 0.0
         return inside
 
+    def window(self, center: Sequence[float], radius: float) -> tuple[slice, ...]:
+        """Box slices covering every node within Euclidean distance ``radius`` of
+        ``center``, clipped to the box (a node outside is farther along some axis)."""
+        rel = (np.asarray(center, dtype=float) - self.origin) / self.spacing
+        reach = radius / self.spacing
+        lo = np.floor(rel - reach - 1e-9).astype(int)
+        hi = np.floor(rel + reach + 1e-9).astype(int) + 1
+        return tuple(slice(min(max(a, 0), k), min(max(b, 0), k))
+                     for a, b, k in zip(lo, hi, self.shape))
+
     def node_index(self, point: Sequence[float]) -> tuple[int, ...]:
         rel = (np.asarray(point, dtype=float) - self.origin) / self.spacing
         idx = np.rint(rel).astype(int)
@@ -300,19 +321,21 @@ class Domain:
 
     @cached_property
     def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per axis a, at the faces x + h/2 e_a: sqrt(det g), box-shaped, and
-        the rows g^{aj} of the inverse metric, shape (n,) + box."""
+        """Per axis a, at the faces x + h/2 e_a of the in-mask nodes x: sqrt(det g),
+        box-shaped, and the rows g^{aj} of g^-1, shape (n,) + box; NaN off the mask,
+        where the field is NaN too, so every flux through such a face is NaN anyway."""
         faces = []
         for ax in range(self.dimension):
-            sqrt_det, rows = [], []
-            for block in _blocks(self.points()):
+            parts = []
+            for block in _blocks(self.in_mask_points()):
                 face_pts = block.copy()
                 face_pts[:, ax] += 0.5 * self.spacing
                 g = self.metric(face_pts)
-                sqrt_det.append(np.sqrt(np.linalg.det(g)))
-                rows.append(np.linalg.inv(g)[:, ax, :])
-            faces.append((_read_only(np.concatenate(sqrt_det).reshape(self.shape)),
-                          _read_only(np.concatenate(rows).T.copy().reshape((-1,) + self.shape))))
+                parts.append(np.column_stack([np.sqrt(np.linalg.det(g)),
+                                              np.linalg.inv(g)[:, ax, :]]))
+            face = np.full((self.dimension + 1,) + self.shape, np.nan)
+            face[:, self.in_mask] = np.concatenate(parts).T
+            faces.append((_read_only(face)[0], face[1:]))
         return tuple(faces)
 
     @cached_property
@@ -387,9 +410,6 @@ class ScalarField:
 
     def sup(self) -> float:
         return float(np.nanmax(self.values))
-
-    def in_mask_values(self) -> np.ndarray:
-        return self.values[self.domain.in_mask]
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if other.domain is not self.domain:

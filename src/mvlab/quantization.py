@@ -167,10 +167,13 @@ class ConcentrationReport:
 
 
 def _allowed_mask(domain, exclusions) -> np.ndarray:
-    allowed = domain.in_mask.ravel().copy()
+    """Flat in-mask nodes outside every exclusion ball, cleared window by window."""
+    allowed = domain.in_mask.copy()
+    pts = domain.points().reshape(domain.shape + (-1,))
     for center, radius in exclusions:
-        allowed &= np.linalg.norm(domain.points() - center, axis=-1) > radius
-    return allowed
+        win = domain.window(center, radius)
+        allowed[win] &= np.linalg.norm(pts[win] - center, axis=-1) > radius
+    return allowed.ravel()
 
 
 def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,

@@ -531,3 +531,69 @@ def test_metric_laplacian_evaluates_the_metric_once_per_domain():
     second = laplacian(e).values
     assert len(calls) == once
     assert np.array_equal(first, second, equal_nan=True)
+
+
+def _subregion_integrate_full_box(e, sub_center, sub_radius):
+    """A subregion integral that measures the distance to the subregion
+    centre at every box node and picks its nodes from the whole box."""
+    from mvlab.grid import cell_fractions
+
+    dom = e.domain
+    n, h = dom.dimension, dom.spacing
+    sub_center = np.asarray(sub_center, dtype=float)
+    d_sub = np.linalg.norm(dom.points() - sub_center, axis=-1)
+    nodes = np.flatnonzero(dom.in_mask.ravel() & (d_sub < sub_radius))
+    weights = dom.weights.ravel()[nodes]
+    cut = np.abs(d_sub[nodes] - sub_radius) <= 0.5 * math.sqrt(n) * h
+    joint = cell_fractions(dom.points()[nodes[cut]], lambda s: dom.region_contains(s)
+                           & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
+    weights[cut] = joint * dom.sqrt_det_metric().ravel()[nodes[cut]] * h**n
+    return float(np.dot(e.values.ravel()[nodes], weights))
+
+
+# the window is metric-free (subregions are Euclidean balls), so the costly
+# n = 4 metric-ball weights add nothing to the conformal cases at n = 2, 3
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
+                                    for n in (2, 3, 4)] + [("conformal", 2), ("conformal", 3)])
+def test_subregion_integral_equals_full_box_reference(kind, n):
+    h = 1 / 16 if n == 2 else 1 / 8
+    center = np.zeros(n)
+    if kind == "ball":
+        dom = make_ball_domain(center, 1.0, h, n)
+    elif kind == "conformal":
+        dom = make_ball_domain(center, 1.0, h, n, conformal_metric(n, 0.01, axis=1))
+    else:
+        center[0] = 0.25 if kind == "lifted" else 0.0
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    box_edge = dom.center.copy()
+    box_edge[-1] = dom.origin[-1] + 0.5 * h
+    across_plane = np.zeros(n)
+    across_plane[:2] = (0.05, 0.3)
+    subregions = [
+        (box_edge, 0.6),                    # at the box edge
+        (dom.center + 0.6, 0.5),            # crossing the domain's sphere
+        (across_plane, 0.35),               # crossing the flat plane
+        (dom.center, 0.5),                  # about the (lifted) centre
+        (dom.center + 0.3 * h, 0.2),        # centre off the grid
+        (dom.center, 3.0),                  # larger than the domain
+    ]
+    for sub_center, sub_radius in subregions:
+        assert integrate(e, (sub_center, sub_radius)) == _subregion_integrate_full_box(
+            e, sub_center, sub_radius)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("y0", (0.0, 0.25))
+def test_test_function_laplacian_vanishes_outside_its_support(n, y0):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    dom = make_half_ball_domain([y0] + [0.0] * (n - 1), 1.0, h, n)
+    pts = dom.in_mask_points()
+    for fn in default_test_set(dom).functions:
+        centre, radius = fn.support
+        outside = np.linalg.norm(pts - centre, axis=-1) >= radius
+        assert 0 < np.count_nonzero(outside) < len(pts)
+        assert np.all(fn.laplacian(pts[outside]) == 0.0)
+        assert np.all(fn.value(pts[outside]) == 0.0)
+        assert np.any(fn.laplacian(pts[~outside]) != 0.0)

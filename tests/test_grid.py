@@ -17,6 +17,7 @@ from mvlab import (
 from mvlab.errors import (
     CenterBelowBoundary,
     CenterOffGrid,
+    GridTooLarge,
     MetricNotPositiveDefinite,
     MVLabError,
     ResolutionTooCoarse,
@@ -199,3 +200,69 @@ def test_field_values_are_read_only():
     # the array handed in is the field's own, so it is frozen too
     with pytest.raises(ValueError):
         values[dom.node_index([0.0, 0.0])] = -1.0
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_window_covers_every_node_within_its_radius(n):
+    dom = make_half_ball_domain([0.25] + [0.0] * (n - 1), 1.0, 1 / 8, n)
+    pts = dom.points().reshape(dom.shape + (n,))
+    rng = np.random.default_rng(n)
+    # on a node, at the box edge, beyond the box, larger than the box, random
+    balls = [(dom.center, 0.5), (dom.origin, 0.3), (dom.origin - 0.5, 0.2),
+             (dom.center, 10.0), (dom.center + 0.375, 0.25)]
+    balls += [(dom.center + rng.uniform(-1.5, 1.5, n), rng.uniform(0.0, 1.0))
+              for _ in range(20)]
+    for center, radius in balls:
+        win = dom.window(center, radius)
+        outside = np.ones(dom.shape, dtype=bool)
+        outside[win] = False
+        assert np.all(np.linalg.norm(pts[outside] - center, axis=-1) > radius)
+        assert all(0 <= w.start <= w.stop <= k for w, k in zip(win, dom.shape))
+
+
+@pytest.mark.parametrize("metric", (conformal_metric(3, 0.01, axis=1),
+                                    sine_metric(3, 0.02, entry=(0, 1), axis=1)))
+def test_face_metric_evaluates_the_metric_at_in_mask_nodes_only(metric):
+    import dataclasses
+
+    calls = []
+
+    def matrix(points):
+        calls.append(len(points))
+        return metric.matrix(points)
+
+    dom = make_ball_domain([0.0] * 3, 0.5, 1 / 16, 3, dataclasses.replace(metric, matrix=matrix))
+    dom.in_mask  # the mask's geodesic distances evaluate the metric too
+    calls.clear()
+    faces = dom.face_metric
+    assert sum(calls) == 3 * dom.node_count
+    for sqrt_det, rows in faces:
+        assert np.array_equal(np.isfinite(sqrt_det), dom.in_mask)
+        assert np.array_equal(np.isfinite(rows), np.broadcast_to(dom.in_mask, rows.shape))
+
+
+def test_oversized_box_raises_before_allocating():
+    import math
+    import tracemalloc
+
+    # n = 4, h = 1/64, r = 1: a 131^4 ball box, about 294M nodes, whose node
+    # coordinates alone would take about 9.4 GB; the conformal ball's box is
+    # padded to 143^4, the half-ball's is 66 x 131^3
+    cases = [(lambda: make_ball_domain([0.0] * 4, 1.0, 1 / 64, 4), (131,) * 4),
+             (lambda: make_ball_domain([0.0] * 4, 1.0, 1 / 64, 4,
+                                       conformal_metric(4, 0.01, axis=1)), (143,) * 4),
+             (lambda: make_half_ball_domain([0.0] * 4, 1.0, 1 / 64, 4), (66,) + (131,) * 3)]
+    tracemalloc.start()
+    try:
+        for build, shape in cases:
+            nodes = math.prod(shape)
+            with pytest.raises(GridTooLarge, match=f"{nodes:,} nodes.*{nodes * 4 * 8:,} bytes"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert math.prod(cases[0][1]) == 294_499_921
+    assert issubclass(GridTooLarge, MVLabError)
+    # the largest box the benchmark builds (n = 4, h = 1/16) stays far below
+    assert make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4).shape == (35,) * 4

@@ -207,3 +207,27 @@ def test_exclusion_overlap_merges_candidates():
     assert rep.count == 1
     assert len(rep.merges) >= 1
     assert rep.points[0].exclusion_radius >= 0.3
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_allowed_mask_equals_full_box_computation(n):
+    from mvlab.quantization import _allowed_mask
+
+    h = 1 / 16 if n == 2 else 1 / 8
+    for dom in (make_ball_domain([0.0] * n, 1.0, h, n),
+                make_half_ball_domain([0.25] + [0.0] * (n - 1), 1.0, h, n)):
+        edge = dom.origin.copy()
+        edge[-1] += 0.5 * h
+        exclusions = [
+            (dom.origin, 0.4),                       # box corner
+            (edge, 0.3),                             # box face, off the grid
+            (dom.center + np.full(n, 1.05), 0.25),  # beyond the box
+            (dom.center, 0.125),                     # on a node, radius h-multiple
+            (dom.center + 0.4, 3.0),                 # covers the box
+        ]
+        for count in range(1, len(exclusions) + 1):
+            chosen = exclusions[:count]
+            reference = dom.in_mask.ravel().copy()
+            for center, radius in chosen:
+                reference &= np.linalg.norm(dom.points() - center, axis=-1) > radius
+            assert np.array_equal(_allowed_mask(dom, chosen), reference)
