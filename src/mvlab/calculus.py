@@ -29,6 +29,7 @@ from .grid import (
     Domain,
     ScalarField,
     cell_fractions,
+    cut_fractions,
 )
 
 _SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
@@ -195,32 +196,46 @@ def integrate(e: ScalarField,
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball): one dot product of the
     in-mask values with ``Domain.weights``. A subregion touches only the
-    nodes of its ``Domain.window``, keeps the weights inside its ball and
-    resamples the joint fraction of the cells its sphere cuts.
+    nodes of its ``Domain.window`` and keeps the weights inside its ball; a
+    cell its sphere cuts takes the fraction under the sphere's tangent half
+    space (``cut_fractions``), or a 4^n sample of both balls where the
+    domain's sphere may cut it too.
     """
     dom = e.domain
+    if subregion is None:
+        sel = dom.in_mask.ravel()
+        return float(np.dot(e.values.ravel()[sel], dom.weights.ravel()[sel]))
     h = dom.spacing
-    win = (slice(None),) * dom.dimension
-    sel = dom.in_mask.ravel()
-    if subregion is not None:
-        sub_center = np.asarray(subregion[0], dtype=float)
-        sub_radius = float(subregion[1])
-        if sub_radius <= 0:
-            raise MVLabError("subregion radius must be positive")
-        center_gap = float(np.linalg.norm(sub_center - dom.center))
-        if center_gap - sub_radius >= dom.radius:
-            raise SubregionOutsideDomain(
-                f"ball of radius {sub_radius} at {sub_center} misses the domain")
-        win = dom.window(sub_center, sub_radius)
-        pts = _window_points(dom, win)
-        d_sub = np.linalg.norm(pts - sub_center, axis=-1)
-        sel = dom.in_mask[win].ravel() & (d_sub < sub_radius)
+    n = dom.dimension
+    sub_center = np.asarray(subregion[0], dtype=float)
+    sub_radius = float(subregion[1])
+    if sub_radius <= 0:
+        raise MVLabError("subregion radius must be positive")
+    center_gap = float(np.linalg.norm(sub_center - dom.center))
+    if center_gap - sub_radius >= dom.radius:
+        raise SubregionOutsideDomain(
+            f"ball of radius {sub_radius} at {sub_center} misses the domain")
+    win = dom.window(sub_center, sub_radius)
+    pts = _window_points(dom, win)
+    d_sub = np.linalg.norm(pts - sub_center, axis=-1)
+    sel = dom.in_mask[win].ravel() & (d_sub < sub_radius)
     weights = dom.weights[win].ravel()[sel]
-    if subregion is not None:
-        cut = np.abs(d_sub[sel] - sub_radius) <= 0.5 * math.sqrt(dom.dimension) * h
-        joint = cell_fractions(pts[sel][cut], lambda s: dom.region_contains(s)
-                               & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
-        weights[cut] = joint * dom.sqrt_det_metric()[win].ravel()[sel][cut] * h**dom.dimension
+    cut = np.flatnonzero(np.abs(d_sub[sel] - sub_radius) <= 0.5 * math.sqrt(n) * h)
+    if cut.size:
+        at = np.flatnonzero(sel)[cut]  # C-order positions in the window
+        pts, d_sub = pts[at], d_sub[at]
+        # cells the domain's sphere may cut too, and the subregion's centre
+        # node, where its sphere has no normal
+        both = (np.abs(dom.center_distances()[win].flat[at] - dom.radius)
+                <= dom.cut_margin) | (d_sub == 0.0)
+        joint = np.empty(cut.size)
+        joint[both] = cell_fractions(pts[both], lambda s: dom.region_contains(s)
+                                     & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
+        one = ~both
+        joint[one] = cut_fractions((pts[one] - sub_center) / d_sub[one, None],
+                                   (sub_radius - d_sub[one]) / h,
+                                   (pts[one, 0] < 0.5 * h) & (dom.kind == HALF_BALL))
+        weights[cut] = joint * dom.sqrt_det_metric()[win].flat[at] * h**n
     return float(np.dot(e.values[win].ravel()[sel], weights))
 
 

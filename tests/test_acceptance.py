@@ -33,6 +33,7 @@ from mvlab import (
     vol_sphere,
 )
 from mvlab.cli import main as cli_main
+from mvlab.cli import measure_c as cli_measure_c
 from mvlab.report import strip_header
 from mvlab.synth import GeneratorSpec, gen, gen_sequence, random_bubble_layout
 
@@ -64,9 +65,10 @@ def test_criterion_1_quadrature_oracle():
     e4 = dom4.field_from_function(lambda p: np.sum(p**2, axis=-1))
     t4 = vol_sphere(3) * 0.25**6 / 6
     rel4 = abs(integrate(e4) - t4) / t4
-    ok = ok and rel3 < 0.02 and rel4 < 0.10
+    ok = ok and rel3 < 0.001 and rel4 < 0.005
     report(1, ok, f"shell-volume integral {value:.6f} vs pi/2={target:.6f} "
-                  f"(rel {rel:.2%} < 0.5%); n=3 rel {rel3:.2%}, n=4 rel {rel4:.2%}")
+                  f"(rel {rel:.2%} < 0.5%); n=3 rel {rel3:.3%} < 0.1%, "
+                  f"n=4 rel {rel4:.3%} < 0.5%")
 
 
 # -- criterion 2: operator convergence --------------------------------------
@@ -196,6 +198,26 @@ def test_criterion_4_morrey_suite():
            f"measured C interior {est_i.value:.5f}, boundary {est_b.value:.5f}; "
            f"constants give {disk_c:.5f} vs 1/pi={1 / math.pi:.5f} and "
            f"{half_c:.5f} vs 2/pi={2 / math.pi:.5f} (within 1%)")
+
+
+def test_criterion_4_sharp_constants_n3_n4():
+    # the builtin family's measured C against the sharp n / |S^(n-1)|,
+    # doubled on the Neumann half-ball, and its error falling about 4x per
+    # halving of h
+    lines, ok = [], True
+    for n, (coarse, fine) in ((3, (1 / 16, 1 / 32)), (4, (1 / 8, 1 / 16))):
+        sharp = n / vol_sphere(n - 1)
+        for kind, target in (("ball", sharp), ("half-ball", 2.0 * sharp)):
+            errors = []
+            for h in (coarse, fine):
+                dom = (make_ball_domain([0.0] * n, 1.0, h, n) if kind == "ball"
+                       else make_half_ball_domain([0.0] * n, 1.0, h, n))
+                errors.append(cli_measure_c(dom, 10.0) / target - 1.0)
+            ok = ok and abs(errors[1]) < 0.005 and abs(errors[0]) >= 3.0 * abs(errors[1])
+            lines.append(f"n={n} {kind} {errors[1]:+.3%} (h={fine:.4g}; "
+                         f"{errors[0]:+.3%} at h={coarse:.4g})")
+    report(4, ok, "sharp constants within 0.5%, error down >= 3x per halving: "
+                  + "; ".join(lines))
 
 
 # -- criterion 5: monotonicity suite ----------------------------------------

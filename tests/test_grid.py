@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvlab import (
     FLAT_BOUNDARY,
@@ -266,3 +268,182 @@ def test_oversized_box_raises_before_allocating():
     assert issubclass(GridTooLarge, MVLabError)
     # the largest box the benchmark builds (n = 4, h = 1/16) stays far below
     assert make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4).shape == (35,) * 4
+
+
+# -- closed-form cut cells -----------------------------------------------------
+
+
+def _exact_cube_fraction(a, t):
+    """Vol{u in [0, 1]^n : a . u <= t} in exact rational arithmetic, with
+    every nonzero component kept."""
+    import itertools
+    import math
+    from fractions import Fraction
+
+    a = [Fraction(float(x)) for x in a]
+    t = Fraction(float(t)) - sum(x for x in a if x < 0)
+    a = [abs(x) for x in a if x != 0]
+    if not a:
+        return float(t >= 0)
+    total = Fraction(0)
+    for v in itertools.product((0, 1), repeat=len(a)):
+        x = t - sum(x for x, bit in zip(a, v) if bit)
+        if x > 0:
+            total += (-1) ** sum(v) * x ** len(a)
+    return float(min(max(total / (math.factorial(len(a)) * math.prod(a)), 0), 1))
+
+
+def _cube_fraction(a, t):
+    from mvlab.grid import cube_fraction
+
+    return float(cube_fraction(np.asarray([a], dtype=float), np.asarray([t], dtype=float))[0])
+
+
+# rounding of the vertex sum with every kept component at least 1e-5 of the
+# largest (``grid._DROP``): about 200 u / (m! prod of the kept components but
+# the smallest, over the largest); largest at n = 4 with two of them small
+_ROUNDING = {2: 1e-13, 3: 1e-9, 4: 1e-5}
+
+
+def test_cube_fraction_known_volumes():
+    for n in (2, 3, 4):
+        axis = np.eye(n)[0]
+        assert _cube_fraction(axis, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert _cube_fraction(-np.eye(n)[-1], -0.3) == pytest.approx(0.7, abs=1e-15)
+        assert _cube_fraction(axis, 1.7) == 1.0 and _cube_fraction(axis, -0.1) == 0.0
+    # the corner simplex t^n / n!, and halves by symmetry on the diagonal
+    for t, volume in ((0.5, 1 / 8), (1.0, 1 / 2), (1.5, 7 / 8)):
+        assert _cube_fraction([1.0, 1.0], t) == pytest.approx(volume, abs=1e-15)
+    for t, volume in ((1.0, 1 / 6), (1.5, 1 / 2), (2.0, 5 / 6), (0.5, 1 / 48)):
+        assert _cube_fraction([1.0, 1.0, 1.0], t) == pytest.approx(volume, abs=1e-15)
+    assert _cube_fraction([1.0] * 4, 1.0) == pytest.approx(1 / 24, abs=1e-15)
+    assert _cube_fraction([1.0] * 4, 2.0) == pytest.approx(1 / 2, abs=1e-15)
+    assert _cube_fraction([-1.0, 1.0], 0.0) == pytest.approx(1 / 2, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), st.floats(-0.2, 1.2))))
+def test_cube_fraction_complement_symmetry(case):
+    a, share = case
+    a = np.asarray(a)
+    assume(np.max(np.abs(a)) >= 1e-3)
+    # t from below the cube's lowest vertex to above its highest
+    t = share * np.sum(np.abs(a)) + np.sum(np.minimum(a, 0.0))
+    total = _cube_fraction(a, t) + _cube_fraction(-a, -t)
+    assert abs(total - 1.0) <= 2 * _ROUNDING[len(a)]
+
+
+def test_cube_fraction_axis_aligned_and_near_zero_normals_n4():
+    rng = np.random.default_rng(4)
+    normals = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [1.0, 1e-12, 0.0, -1e-12],
+               [0.6, 0.8, 1e-12, -1e-12], [0.5, -0.5, 0.5, 1e-12], [0.6, -0.8, 0.0, 0.0],
+               [1.0, 0.99e-5, 0.5, 0.3], [1.0, -2e-5, 0.5, 0.3], [1.0, 0.4, -1e-3, 2e-3]]
+    for a in map(np.asarray, normals):
+        low, high = np.sum(np.minimum(a, 0.0)), np.sum(np.maximum(a, 0.0))
+        for t in np.concatenate([rng.uniform(low - 0.1, high + 0.1, 40), [low, high, 0.0]]):
+            # dropping a component below 1e-5 of the largest moves the
+            # fraction by at most |a_i| / (4 max |a|)
+            dropped = np.sum(np.abs(a)[np.abs(a) < 1e-5 * np.max(np.abs(a))])
+            bound = dropped / (4.0 * np.max(np.abs(a))) + _ROUNDING[4]
+            assert abs(_cube_fraction(a, t) - _exact_cube_fraction(a, t)) <= bound
+    # components near 1e-12 give the lower-dimensional fraction
+    for t in np.linspace(-0.2, 1.6, 19):
+        assert _cube_fraction([0.6, 0.8, 1e-12, -1e-12], t) == pytest.approx(
+            _cube_fraction([0.6, 0.8], t), abs=1e-12)
+        assert _cube_fraction([1.0, 1e-12, 1e-12, 1e-12], t) == pytest.approx(
+            min(max(t - 1.5e-12, 0.0), 1.0), abs=1e-12)
+
+
+def test_cut_fractions_clip_flat_row_cells_to_the_half_box():
+    from mvlab.grid import cut_fractions
+
+    def frac(normal, offset, flat):
+        normal = np.asarray([normal], dtype=float)
+        return float(cut_fractions(normal / np.linalg.norm(normal), np.array([offset]),
+                                   np.array([flat]))[0])
+
+    for n in (2, 3, 4):
+        up = np.eye(n)[0]
+        # x0 <= s on [0, 1/2] x [-1/2, 1/2]^(n-1)
+        assert frac(up, 0.25, True) == pytest.approx(0.25, abs=1e-15)
+        assert frac(up, 0.7, True) == 0.5 and frac(up, -0.1, True) == 0.0
+        assert frac(-up, -0.2, True) == pytest.approx(0.3, abs=1e-15)
+        assert frac(np.eye(n)[1], 0.1, True) == pytest.approx(0.3, abs=1e-15)
+        assert frac(up, 0.25, False) == pytest.approx(0.75, abs=1e-15)
+    # x0 + x1 <= 0 on [0, 1/2] x [-1/2, 1/2]: the triangle below x1 = -x0
+    assert frac([1.0, 1.0], 0.0, True) == pytest.approx(0.125, abs=1e-15)
+    assert frac([1.0, 1.0], 0.0, False) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
+                                    for n in (2, 3, 4)] + [("conformal", 2), ("conformal", 3),
+                                                           ("sine", 2), ("low", 3)])
+def test_cut_cells_hand_every_out_of_mask_cell_to_an_in_mask_neighbour(kind, n):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    center = np.zeros(n)
+    if kind == "ball":
+        dom = make_ball_domain(center, 1.1, h, n)  # a radius off the grid
+    elif kind == "conformal":
+        dom = make_ball_domain(center, 1.0, h, n, conformal_metric(n, 0.01, axis=1))
+    elif kind == "sine":
+        dom = make_ball_domain(center, 1.0, h, n, sine_metric(n, 0.02, entry=(0, 1), axis=1))
+    else:
+        center[0] = {"half_ball": 0.0, "lifted": 0.25, "low": h}[kind]
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    cut = dom.cut_cells()
+    in_mask = dom.in_mask.ravel()
+    outside = ~in_mask[cut.nodes] & (cut.fractions > 0.0)
+    assert np.count_nonzero(outside) > 0
+    # no cell with mass finds no in-mask neighbour
+    assert np.count_nonzero((cut.receivers < 0) & (cut.fractions > 0.0)) == 0
+    assert np.array_equal(cut.receivers[~outside & in_mask[cut.nodes]],
+                          cut.nodes[~outside & in_mask[cut.nodes]])
+    assert np.all(in_mask[cut.receivers[outside]])
+    # one step toward the centre along one axis or along all of them
+    node = np.stack(np.unravel_index(cut.nodes[outside], dom.shape), axis=-1)
+    receiver = np.stack(np.unravel_index(cut.receivers[outside], dom.shape), axis=-1)
+    centre = np.rint((dom.center - dom.origin) / h).astype(int)
+    step = receiver - node
+    assert np.all(np.abs(step) <= 1)
+    assert np.all((step == 0) | (step == np.sign(centre - node)))
+    # the weights hold every piece once: the moved mass is the out-of-mask one
+    sqrt_det = dom.sqrt_det_metric().ravel()
+    base = dom.in_mask.astype(float)
+    if dom.flat_plane_index is not None:
+        base[dom.flat_plane_index] *= 0.5
+    base = base.ravel()
+    base[cut.nodes] = 0.0
+    moved = dom.weights.ravel() / h**n - base * sqrt_det
+    own = np.zeros_like(moved)
+    own[cut.nodes] = np.where(outside | ~in_mask[cut.nodes], 0.0, cut.fractions)
+    own *= sqrt_det
+    assert np.sum(moved - own) == pytest.approx(
+        np.sum(cut.fractions[outside] * sqrt_det[cut.nodes[outside]]), rel=1e-12)
+    assert np.all(moved - own >= -1e-15)
+
+
+def test_make_field_stores_nan_off_the_mask():
+    from mvlab import laplacian
+
+    # the identity metric through the metric path keeps the Euclidean mask
+    euclid = make_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2)
+    metric = make_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2, polynomial_metric(2, [], 0.0))
+    assert np.array_equal(euclid.mask, metric.mask)
+    laps = []
+    for dom in (euclid, metric):
+        values = 1.0 + np.sum(dom.points() ** 2, axis=-1).reshape(dom.shape)
+        e = dom.make_field(values)
+        assert np.all(np.isnan(e.values[~dom.in_mask]))
+        assert np.array_equal(e.values[dom.in_mask], values[dom.in_mask])
+        lap = laplacian(e).values
+        reference = laplacian(dom.field_from_function(
+            lambda p: 1.0 + np.sum(p**2, axis=-1))).values
+        assert np.array_equal(lap, reference, equal_nan=True)
+        laps.append(lap)
+    finite_euclid, finite_metric = (np.isfinite(lap) for lap in laps)
+    # every node whose axis stencil leaves the mask is NaN in both; the metric
+    # stencil also reads diagonal neighbours, so it is NaN at a few more
+    assert np.array_equal(finite_euclid, euclid.mask == INTERIOR)
+    assert not np.any(finite_metric & ~finite_euclid)
+    assert np.allclose(laps[0][finite_metric], laps[1][finite_metric], atol=1e-9)
