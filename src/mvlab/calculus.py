@@ -28,7 +28,6 @@ from .grid import (
     HALF_BALL,
     Domain,
     ScalarField,
-    cell_fractions,
     cut_fractions,
 )
 
@@ -191,22 +190,38 @@ def _window_points(dom: Domain, win: tuple[slice, ...]) -> np.ndarray:
     return dom.points().reshape(dom.shape + (-1,))[win].reshape(-1, dom.dimension)
 
 
+def _ball_shares(points: np.ndarray, center: np.ndarray, radius: float, h: float,
+                 flat: np.ndarray) -> np.ndarray:
+    """Share of each node's cell (its half cell on the flat row, ``flat``)
+    inside the ball B_radius(center), in as many dimensions as ``points`` has
+    columns: 1 below radius - m, 0 beyond radius + m (m = sqrt(k) h / 2, half
+    the cell diagonal), and between them the fraction under the sphere's
+    tangent half space at the node (``cut_fractions``). The centre node has
+    no normal and takes vol(B_radius) / h^k, which is 1 once radius >= m."""
+    k = points.shape[1]
+    margin = 0.5 * math.sqrt(k) * h
+    d = np.linalg.norm(points - center, axis=-1)
+    share = (d < radius - margin).astype(float)
+    cut = np.flatnonzero((np.abs(d - radius) <= margin) & (d > 0.0))
+    share[cut] = cut_fractions((points[cut] - center) / d[cut, None], (radius - d[cut]) / h,
+                               flat[cut]) / np.where(flat[cut], 0.5, 1.0)
+    share[d == 0.0] = min(1.0, vol_sphere(k - 1) / k * (radius / h) ** k)
+    return share
+
+
 def integrate(e: ScalarField,
               subregion: tuple[Sequence[float], float] | None = None) -> float:
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball): one dot product of the
     in-mask values with ``Domain.weights``. A subregion touches only the
-    nodes of its ``Domain.window`` and keeps the weights inside its ball; a
-    cell its sphere cuts takes the fraction under the sphere's tangent half
-    space (``cut_fractions``), or a 4^n sample of both balls where the
-    domain's sphere may cut it too.
+    in-mask nodes of its ``Domain.window`` and multiplies each weight by the
+    share of the node's cell inside its ball (``_ball_shares``).
     """
     dom = e.domain
     if subregion is None:
         sel = dom.in_mask.ravel()
         return float(np.dot(e.values.ravel()[sel], dom.weights.ravel()[sel]))
     h = dom.spacing
-    n = dom.dimension
     sub_center = np.asarray(subregion[0], dtype=float)
     sub_radius = float(subregion[1])
     if sub_radius <= 0:
@@ -215,28 +230,14 @@ def integrate(e: ScalarField,
     if center_gap - sub_radius >= dom.radius:
         raise SubregionOutsideDomain(
             f"ball of radius {sub_radius} at {sub_center} misses the domain")
-    win = dom.window(sub_center, sub_radius)
-    pts = _window_points(dom, win)
-    d_sub = np.linalg.norm(pts - sub_center, axis=-1)
-    sel = dom.in_mask[win].ravel() & (d_sub < sub_radius)
-    weights = dom.weights[win].ravel()[sel]
-    cut = np.flatnonzero(np.abs(d_sub[sel] - sub_radius) <= 0.5 * math.sqrt(n) * h)
-    if cut.size:
-        at = np.flatnonzero(sel)[cut]  # C-order positions in the window
-        pts, d_sub = pts[at], d_sub[at]
-        # cells the domain's sphere may cut too, and the subregion's centre
-        # node, where its sphere has no normal
-        both = (np.abs(dom.center_distances()[win].flat[at] - dom.radius)
-                <= dom.cut_margin) | (d_sub == 0.0)
-        joint = np.empty(cut.size)
-        joint[both] = cell_fractions(pts[both], lambda s: dom.region_contains(s)
-                                     & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
-        one = ~both
-        joint[one] = cut_fractions((pts[one] - sub_center) / d_sub[one, None],
-                                   (sub_radius - d_sub[one]) / h,
-                                   (pts[one, 0] < 0.5 * h) & (dom.kind == HALF_BALL))
-        weights[cut] = joint * dom.sqrt_det_metric()[win].flat[at] * h**n
-    return float(np.dot(e.values[win].ravel()[sel], weights))
+    win = dom.window(sub_center, sub_radius + 0.5 * math.sqrt(dom.dimension) * h)
+    sel = dom.in_mask[win].ravel()
+    pts = _window_points(dom, win)[sel]
+    flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
+    share = _ball_shares(pts, sub_center, sub_radius, h, flat)
+    keep = share > 0.0
+    weights = dom.weights[win].ravel()[sel][keep] * share[keep]
+    return float(np.dot(e.values[win].ravel()[sel][keep], weights))
 
 
 # ---------------------------------------------------------------------------
@@ -422,30 +423,19 @@ def radial_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
 
 def flat_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
     """int over Z_r (the flat disk of D_r(center)) of the outer normal
-    derivative, with clipped lateral cells."""
+    derivative: each flat node's lateral cell weighted by its share of the
+    disk (``_ball_shares`` in n - 1 dimensions)."""
     dom = e.domain
-    n = dom.dimension
-    h = dom.spacing
     center = np.asarray(center, dtype=float)
     y0 = float(center[0])
     if y0 >= r:
         return 0.0
-    rho = math.sqrt(r**2 - y0**2)
     bv = normal_derivative(e)
     lat = bv.points[:, 1:]
-    d_lat = np.linalg.norm(lat - center[1:], axis=-1)
-    sel = (d_lat < rho) & bv.finite()
-    if not np.any(sel):
-        return 0.0
-    margin = 0.5 * math.sqrt(n - 1) * h
-    inner = sel & (d_lat + margin < rho)
-    total = float(np.sum(bv.values[inner])) * h ** (n - 1)
-    bdry = np.flatnonzero(sel & ~inner)
-    if bdry.size:
-        frac = cell_fractions(lat[bdry],
-                              lambda s: np.linalg.norm(s - center[1:], axis=-1) < rho, h)
-        total += float(np.sum(bv.values[bdry] * frac)) * h ** (n - 1)
-    return total
+    share = _ball_shares(lat, center[1:], math.sqrt(r**2 - y0**2), dom.spacing,
+                         np.zeros(len(lat), dtype=bool))
+    sel = (share > 0.0) & bv.finite()
+    return float(np.dot(bv.values[sel], share[sel])) * dom.spacing ** (dom.dimension - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -50,28 +50,13 @@ _MAX_POINTS_BYTES = 1 << 31  # largest ``Domain.points()``; a larger box raises 
 
 def _blocks(rows: np.ndarray, size: int = _CHUNK):
     """Consecutive blocks of at most ``size`` rows, so that per-node (n, n)
-    metric arrays and subcell samples are built one block at a time."""
+    metric arrays are built one block at a time."""
     return (rows[start:start + size] for start in range(0, len(rows), size))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def cell_fractions(points: np.ndarray, contains: Callable[[np.ndarray], np.ndarray],
-                   h: float) -> np.ndarray:
-    """Fraction of the cube of side h about each point that lies in the
-    region ``contains``, sampled at the 4^n subcell centres, so each fraction
-    is an exact multiple of 4^-n. Only for cells that two curved surfaces cut
-    (``cut_fractions`` handles one)."""
-    n = points.shape[-1]
-    offsets = (np.arange(4) + 0.5) / 4.0 - 0.5
-    sub = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1).reshape(-1, n) * h
-    fractions = [contains((block[:, None, :] + sub[None, :, :]).reshape(-1, n))
-                 .reshape(len(block), -1).mean(axis=1)
-                 for block in _blocks(points, _CHUNK // len(sub))]
-    return np.concatenate(fractions) if fractions else np.zeros(0)
 
 
 # the 2^m vertices of [0, 1]^m and their signs (-1)^|v|, m = 0..3
@@ -140,7 +125,10 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     """Fraction of the cube of side h about each node that lies in the half
     space normal . w <= offset, w the offset from the node in units of h. A
     node on the flat plane (``flat``) keeps the box [0, 1/2] x [-1/2, 1/2]^(n-1)
-    of its cell, so its fraction is at most 1/2."""
+    of its cell, so its fraction is at most 1/2. The lab's only cell rule:
+    every sphere that cuts a cell (the domain's, a subregion's, and the rim of
+    the flat disk in ``calculus.flat_flux``) is replaced by its tangent half
+    space at the node."""
     lower = np.full(normal.shape, -0.5)
     side = np.ones(normal.shape)
     lower[flat, 0] = 0.0

@@ -481,12 +481,80 @@ def test_integrate_error_falls_second_order_n2():
     assert all(coarse >= 3.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
+def _lens_volume(n, big, small, gap):
+    """Volume of B_big(0) n B_small(x) with |x| = gap, at n = 2 and 3."""
+    if n == 2:
+        kite = math.sqrt((small + big - gap) * (gap + small - big) * (gap - small + big)
+                         * (gap + small + big))
+        return (small**2 * math.acos((gap**2 + small**2 - big**2) / (2 * gap * small))
+                + big**2 * math.acos((gap**2 + big**2 - small**2) / (2 * gap * big))
+                - 0.5 * kite)
+    return (math.pi * (big + small - gap) ** 2 / (12 * gap)
+            * (gap**2 + 2 * gap * (small + big) - 3 * (small - big) ** 2))
+
+
+# (domain, subregion, exact area) in the unit disk or half disk: a ball inside
+# the domain, a lens across the domain's sphere, a ball across the flat plane
+_SUBREGION_ORACLES = {
+    "inside": ("ball", ([0.1, 0.05], 0.5), math.pi / 4),
+    "lens": ("ball", ([0.6, 0.3], 0.75), _lens_volume(2, 1.0, 0.75, math.hypot(0.6, 0.3))),
+    "plane": ("half_ball", ([0.0, 0.2], 0.3), 0.045 * math.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUBREGION_ORACLES))
+def test_subregion_integral_error_falls_second_order(case):
+    # a rule that drops the cells of nodes just outside the subregion sphere
+    # is first order: -3e-3 to -1.5e-2 at h = 1/64, falling about 2x a halving
+    kind, subregion, exact = _SUBREGION_ORACLES[case]
+    make = make_ball_domain if kind == "ball" else make_half_ball_domain
+    errors = [abs(integrate(make([0.0, 0.0], 1.0, h, 2).field_from_function(
+        lambda p: np.ones(len(p))), subregion) / exact - 1.0) for h in (1 / 32, 1 / 64, 1 / 128)]
+    assert errors[1] <= 1e-3
+    assert all(coarse >= 3.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
+def test_subregion_lens_n3():
+    dom = make_ball_domain([0.0] * 3, 1.0, 1 / 32, 3)
+    lens = integrate(dom.field_from_function(lambda p: np.ones(len(p))), ([0.6, 0.3, 0.0], 0.75))
+    assert lens == pytest.approx(_lens_volume(3, 1.0, 0.75, math.hypot(0.6, 0.3)), rel=1.5e-3)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_subregion_inside_one_cell_has_the_ball_volume(n):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    ball = make_ball_domain([0.0] * n, 1.0, h, n)
+    half = make_half_ball_domain([0.0] * n, 1.0, h, n)
+    node = np.zeros(n)
+    node[1:] = h * np.arange(1, n)  # on the flat plane of the half ball
+    inner = node + h * (np.arange(n) == 0)  # an interior node of both domains
+    for radius in (0.3 * h, 0.5 * h):
+        volume = vol_sphere(n - 1) / n * radius**n
+        assert integrate(ball.field_from_function(lambda p: np.ones(len(p))),
+                         (inner, radius)) == pytest.approx(volume, rel=1e-12, abs=0)
+        assert integrate(half.field_from_function(lambda p: np.ones(len(p))),
+                         (node, radius)) == pytest.approx(volume / 2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n,h,tol", [(2, 1 / 32, 1e-12), (3, 1 / 16, 5e-3)])
+def test_flat_flux_of_a_linear_field_is_the_flat_disk_area(n, h, tol):
+    # e = 2 - x0 has outer normal derivative 1 on the plane, so the flux is |Z_r|;
+    # at n = 2 the lateral cells are intervals and their shares are exact
+    centre = [0.25] + [0.0] * (n - 1)
+    dom = make_half_ball_domain(centre, 0.75, h, n)
+    e = dom.field_from_function(lambda p: 2.0 - p[:, 0], density=False)
+    rho = math.sqrt(0.5**2 - 0.25**2)
+    area = vol_sphere(n - 2) / (n - 1) * rho ** (n - 1)
+    assert flat_flux(e, centre, 0.5) == pytest.approx(area, rel=tol, abs=0)
+
+
 def _integrate_reference(e, subregion=None):
     """The cut-cell integral with every cut cell redrawn on each call and the
-    geometry recomputed from scratch: the tangent half space of each sphere
-    (the 4^n subcell sample where both spheres may cut a cell), out-of-mask
-    cells handed over node by node."""
-    from mvlab.grid import cell_fractions, cut_fractions
+    geometry recomputed from scratch: the tangent half space of the domain's
+    sphere, out-of-mask cells handed over node by node, then each node's
+    weight times the share of its cell (its half cell on the flat row) under
+    the subregion sphere's tangent half space, node by node."""
+    from mvlab.grid import cut_fractions
 
     dom = e.domain
     n, h = dom.dimension, dom.spacing
@@ -522,22 +590,25 @@ def _integrate_reference(e, subregion=None):
             if in_mask[receiver]:
                 weights[receiver] += part * sqrt_det[node]
                 break
-    sel = in_mask.copy()
     if subregion is not None:
         sub_center = np.asarray(subregion[0], dtype=float)
         sub_radius = float(subregion[1])
-        d_sub = np.linalg.norm(pts - sub_center, axis=-1)
-        sel &= d_sub < sub_radius
-        for node in np.flatnonzero(sel & (np.abs(d_sub - sub_radius) <= 0.5 * math.sqrt(n) * h)):
-            cell = pts[node:node + 1]
-            if abs(dist[node] - dom.radius) <= dom.cut_margin or d_sub[node] == 0.0:
-                part = cell_fractions(cell, lambda s: dom.region_contains(s) & (
-                    np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
+        margin = 0.5 * math.sqrt(n) * h
+        for node in np.flatnonzero(in_mask):
+            d_sub = float(np.linalg.norm(pts[node] - sub_center))
+            cell = 0.5 if flat[node] else 1.0
+            if d_sub < sub_radius - margin:
+                share = 1.0
+            elif d_sub > sub_radius + margin:
+                share = 0.0
+            elif d_sub == 0.0:
+                share = min(1.0, vol_sphere(n - 1) / n * (sub_radius / h) ** n)
             else:
-                part = cut_fractions((cell - sub_center) / d_sub[node],
-                                     np.array([(sub_radius - d_sub[node]) / h]), flat[node:node + 1])
-            weights[node] = part[0] * sqrt_det[node]
-    return float(np.sum(e.values.ravel()[sel] * weights[sel])) * h**n
+                share = cut_fractions((pts[node:node + 1] - sub_center) / d_sub,
+                                      np.array([(sub_radius - d_sub) / h]),
+                                      flat[node:node + 1])[0] / cell
+            weights[node] *= share
+    return float(np.sum(e.values.ravel()[in_mask] * weights[in_mask])) * h**n
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -551,7 +622,7 @@ def test_integrate_bitwise_equals_resampling_reference(n, kind):
     sub_center[:2] += (0.25, 0.5)
     # integrate sums in another order than the reference (one dot product
     # with the cached weights), so it may differ in the last bits; a wrong
-    # receiver, normal or sample moves these integrals by 1e-7 relative or more
+    # receiver, normal or share moves these integrals by 1e-7 relative or more
     full = integrate(e)
     assert full == pytest.approx(_integrate_reference(e), rel=1e-12, abs=0)
     subregion = (sub_center, 0.75)
@@ -623,27 +694,26 @@ def test_metric_laplacian_evaluates_the_metric_once_per_domain():
 def _subregion_integrate_full_box(e, sub_center, sub_radius):
     """A subregion integral that measures the distance to the subregion
     centre at every box node and picks its nodes from the whole box."""
-    from mvlab.grid import cell_fractions, cut_fractions
+    from mvlab.grid import cut_fractions
 
     dom = e.domain
     n, h = dom.dimension, dom.spacing
     pts = dom.points()
     sub_center = np.asarray(sub_center, dtype=float)
     d_sub = np.linalg.norm(pts - sub_center, axis=-1)
-    nodes = np.flatnonzero(dom.in_mask.ravel() & (d_sub < sub_radius))
-    weights = dom.weights.ravel()[nodes]
-    cells = nodes[np.abs(d_sub[nodes] - sub_radius) <= 0.5 * math.sqrt(n) * h]
-    both = ((np.abs(dom.center_distances().ravel()[cells] - dom.radius) <= dom.cut_margin)
-            | (d_sub[cells] == 0.0))
-    joint = np.empty(len(cells))
-    joint[both] = cell_fractions(pts[cells[both]], lambda s: dom.region_contains(s)
-                                 & (np.linalg.norm(s - sub_center, axis=-1) < sub_radius), h)
-    one = cells[~both]
-    flat = (pts[one, 0] < 0.5 * h) & (dom.kind == "half_ball")
-    joint[~both] = cut_fractions((pts[one] - sub_center) / d_sub[one, None],
-                                 (sub_radius - d_sub[one]) / h, flat)
-    weights[np.isin(nodes, cells)] = joint * dom.sqrt_det_metric().ravel()[cells] * h**n
-    return float(np.dot(e.values.ravel()[nodes], weights))
+    margin = 0.5 * math.sqrt(n) * h
+    nodes = np.flatnonzero(dom.in_mask.ravel() & (d_sub <= sub_radius + margin))
+    share = (d_sub[nodes] < sub_radius - margin).astype(float)
+    cut = np.abs(d_sub[nodes] - sub_radius) <= margin
+    centre = d_sub[nodes] == 0.0
+    cells = nodes[cut & ~centre]
+    flat = (pts[cells, 0] < 0.5 * h) & (dom.kind == "half_ball")
+    share[cut & ~centre] = cut_fractions((pts[cells] - sub_center) / d_sub[cells, None],
+                                         (sub_radius - d_sub[cells]) / h,
+                                         flat) / np.where(flat, 0.5, 1.0)
+    share[centre] = min(1.0, vol_sphere(n - 1) / n * (sub_radius / h) ** n)
+    nodes, share = nodes[share > 0.0], share[share > 0.0]
+    return float(np.dot(e.values.ravel()[nodes], dom.weights.ravel()[nodes] * share))
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
