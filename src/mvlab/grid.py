@@ -42,6 +42,9 @@ SUPPORTED_DIMENSIONS = (2, 3, 4)
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_T + 1.0)
 _GL_W = 0.5 * _GL_W
+# the weights summed in order, as ``segment_distance`` sums w_k g_k: where
+# g = I along a whole segment the two agree exactly and its correction is 0
+_GL_W_SUM = np.cumsum(_GL_W)[-1]
 
 _CHUNK = 1 << 17
 
@@ -244,10 +247,79 @@ def sine_metric(n: int, coefficient: float, entry: tuple[int, int] = (0, 0),
                               "declared_deviation": declared_deviation})
 
 
+def _ldl(g: np.ndarray, inverse: bool = False):
+    """Closed-form LDL^T factorization of a stack of symmetric matrices, with
+    no pivoting and no per-matrix LAPACK call: g = L D L^T for the symmetric
+    part (g + g^T)/2 of each (n, n) matrix of ``g`` (m, n, n), n <= 4, worked
+    on one (m,) array per entry. Returns the pivots D (a list of n (m,)
+    arrays; the matrix is positive definite exactly when all are positive),
+    det g = prod D, and, when ``inverse``, g^-1 = L^-T D^-1 L^-1 as n lists
+    of n (m,) arrays (entries (i, j) and (j, i) are one array), else None."""
+    n = g.shape[-1]
+    # fresh arrays, worked in place below; bitwise g where g is symmetric
+    sym = [[0.5 * (g[:, i, j] + g[:, j, i]) for j in range(i + 1)] for i in range(n)]
+    low = [[None] * n for _ in range(n)]  # L below the unit diagonal
+    pivots = []
+    for j in range(n):
+        scaled = [low[j][k] * pivots[k] for k in range(j)]  # L_jk D_k
+        pivot = sym[j][j]
+        for k in range(j):
+            pivot -= low[j][k] * scaled[k]
+        pivots.append(pivot)
+        for i in range(j + 1, n):
+            entry = sym[i][j]
+            for k in range(j):
+                entry -= low[i][k] * scaled[k]
+            low[i][j] = entry / pivot
+    det = math.prod(pivots)
+    if not inverse:
+        return pivots, det, None
+    solve = [[None] * n for _ in range(n)]  # L^-1 below the unit diagonal
+    for j in range(n):
+        for i in range(j + 1, n):
+            entry = -low[i][j]
+            for k in range(j + 1, i):
+                entry -= low[i][k] * solve[k][j]
+            solve[i][j] = entry
+    recip = [1.0 / pivot for pivot in pivots]
+    inv = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1):  # sum over k >= j of (L^-1)_ki (L^-1)_kj / D_k
+            entry = recip[j].copy() if i == j else solve[j][i] * recip[j]
+            for k in range(j + 1, n):
+                entry += solve[k][i] * solve[k][j] * recip[k]
+            inv[i][j] = inv[j][i] = entry
+    return pivots, det, inv
+
+
+def _gated_sqrt_det(g: np.ndarray) -> np.ndarray:
+    """sqrt(det g) for a block of metric matrices, after the gate every box
+    node of a metric ball passes: g symmetric as ``np.allclose(g, g^T,
+    atol=1e-10)`` has it (run only when an off-diagonal pair differs), and
+    every LDL^T pivot positive. ``np.linalg.eigvalsh`` runs only on the
+    matrices that fail, so that the error names the smallest eigenvalue."""
+    n = g.shape[-1]
+    exact = all(np.array_equal(g[:, i, j], g[:, j, i])
+                for i, j in itertools.combinations(range(n), 2))
+    if not exact and not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-10):
+        raise MetricNotPositiveDefinite("metric is not symmetric")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot fails below
+        pivots, det, _ = _ldl(g)
+    positive = np.minimum.reduce(pivots) > 0.0  # False at a NaN pivot too
+    if not positive.all():
+        bad = g[~positive]
+        if not np.allclose(bad, np.swapaxes(bad, -1, -2), atol=1e-10):  # NaN on the diagonal
+            raise MetricNotPositiveDefinite("metric is not symmetric")
+        lowest = np.min(np.linalg.eigvalsh(bad))
+        raise MetricNotPositiveDefinite(f"metric has eigenvalue {lowest} <= 0 on the grid box")
+    return np.sqrt(det)
+
+
 def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from ``base`` to each point: Euclidean, corrected to first
     order in (g - identity) along the straight segment when a nontrivial
-    metric is present."""
+    metric is present. The Gauss-Legendre sum of g along each segment is
+    taken first, then one quadratic form per point."""
     points = np.asarray(points, dtype=float)
     base = np.asarray(base, dtype=float)
     v = points - base
@@ -258,15 +330,16 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
     nz = np.flatnonzero(length.reshape(-1) > 0)
     flat_v = v.reshape(-1, v.shape[-1])
     flat_len = length.reshape(-1)
+    diagonal = np.arange(v.shape[-1])
     for sel in _blocks(nz):
         vv = flat_v[sel]
         ll = flat_len[sel]
         vhat = vv / ll[:, None]
-        corr = np.zeros(sel.size)
-        for t, w in zip(_GL_T, _GL_W):
-            g = metric(base + t * vv)
-            g = g - np.eye(g.shape[-1])
-            corr += w * np.einsum("mij,mi,mj->m", g, vhat, vhat)
+        mean = _GL_W[0] * metric(base + _GL_T[0] * vv)
+        for t, w in zip(_GL_T[1:], _GL_W[1:]):
+            mean += w * metric(base + t * vv)
+        mean[:, diagonal, diagonal] -= _GL_W_SUM
+        corr = np.einsum("mij,mi,mj->m", mean, vhat, vhat)
         out.reshape(-1)[sel] = ll * (1.0 + 0.5 * corr)
     return out
 
@@ -391,11 +464,13 @@ class Domain:
     def _sqrt_det_metric(self) -> np.ndarray:
         if self._euclidean:
             return _read_only(np.ones(self.shape))
-        roots = [np.sqrt(np.linalg.det(self.metric(block))) for block in _blocks(self.points())]
+        roots = [_gated_sqrt_det(self.metric(block)) for block in _blocks(self.points())]
         return _read_only(np.concatenate(roots).reshape(self.shape))
 
     def sqrt_det_metric(self) -> np.ndarray:
-        """sqrt(det g) at every box node (ones for Euclidean domains)."""
+        """sqrt(det g) at every box node (ones for Euclidean domains). On metric
+        balls this pass is also the gate: MetricNotPositiveDefinite unless g is
+        symmetric and positive definite at every box node."""
         return self._sqrt_det_metric
 
     @cached_property
@@ -409,9 +484,8 @@ class Domain:
             for block in _blocks(self.in_mask_points()):
                 face_pts = block.copy()
                 face_pts[:, ax] += 0.5 * self.spacing
-                g = self.metric(face_pts)
-                parts.append(np.column_stack([np.sqrt(np.linalg.det(g)),
-                                              np.linalg.inv(g)[:, ax, :]]))
+                _, det, inv = _ldl(self.metric(face_pts), inverse=True)
+                parts.append(np.column_stack([np.sqrt(det)] + inv[ax]))
             face = np.full((self.dimension + 1,) + self.shape, np.nan)
             face[:, self.in_mask] = np.concatenate(parts).T
             faces.append((_read_only(face)[0], face[1:]))
@@ -568,16 +642,6 @@ def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray
     return mask
 
 
-def _check_positive_definite(metric: MetricSpec, points: np.ndarray) -> None:
-    for g in map(metric, _blocks(points)):
-        if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-10):
-            raise MetricNotPositiveDefinite("metric is not symmetric")
-        eigs = np.linalg.eigvalsh(g)
-        if np.min(eigs) <= 0.0:
-            raise MetricNotPositiveDefinite(
-                f"metric has eigenvalue {np.min(eigs)} <= 0 on the grid box")
-
-
 def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
                      metric: MetricSpec | None = None) -> Domain:
     """Masked grid over the geodesic ball B_r(center).
@@ -604,7 +668,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
 
     domain = Domain(BALL, center, float(r), float(h), n, origin, shape, metric)
     if metric is not None:
-        _check_positive_definite(metric, domain.points())
+        domain.sqrt_det_metric()  # the positive-definite gate
         measured = domain.measured_deviation
         if measured > metric.declared_deviation + 1e-9 + 10.0 * h**2:
             raise MVLabError(

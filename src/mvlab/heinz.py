@@ -76,19 +76,27 @@ class HeinzReport:
 
 
 class _PrefixSup:
-    """Running sup of field values by distance from the scan center."""
+    """Running sup of field values by distance from the scan center, over the
+    in-mask nodes, or over those of ``Domain.window(center, reach)`` when a
+    Euclidean ``reach`` is given."""
 
-    def __init__(self, e: ScalarField, center: np.ndarray):
+    def __init__(self, e: ScalarField, center: np.ndarray, reach: float | None = None):
         dom = e.domain
-        inside = dom.in_mask.ravel()
-        vals = e.values.ravel()[inside]
-        dist = (dom.center_distances().ravel()[inside] if np.array_equal(center, dom.center)
-                else dom.distance(dom.in_mask_points(), center))
+        if reach is None:
+            nodes = np.flatnonzero(dom.in_mask)
+        else:
+            win = dom.window(center, reach)
+            local = np.nonzero(dom.in_mask[win])
+            nodes = np.ravel_multi_index(tuple(k + s.start for k, s in zip(local, win)),
+                                         dom.shape)
+        vals = e.values.ravel()[nodes]
+        dist = (dom.center_distances().ravel()[nodes] if np.array_equal(center, dom.center)
+                else dom.distance(dom.points()[nodes], center))
         order = np.argsort(dist, kind="stable")
         self.dist_sorted = dist[order]
         self.vals_sorted = vals[order]
         self.running_max = np.maximum.accumulate(self.vals_sorted)
-        self.flat_index = np.flatnonzero(inside)[order]
+        self.flat_index = nodes[order]
         self.tol = 1e-12 * max(1.0, float(self.dist_sorted[-1]))
 
     def sup(self, radius: float) -> float:
@@ -105,6 +113,18 @@ class _PrefixSup:
         hits = self.flat_index[:k][self.vals_sorted[:k] == best]
         multis = [np.unravel_index(int(i), domain.shape) for i in hits]
         return min(multis)  # lexicographically smallest on value ties
+
+
+def _window_reach(dom: Domain, radius: float) -> float | None:
+    """Euclidean radius that covers the ball of distance ``radius`` (plus one
+    spacing, for ``_PrefixSup.tol``): the segment distance is L (1 + corr/2)
+    with |corr| <= |g - I|_2 <= n delta, delta the larger of the declared and
+    measured deviations. None (scan every node) when n delta / 2 >= 1."""
+    shrink = 1.0
+    if dom.metric is not None and not dom.metric.trivial:
+        delta = max(dom.metric.declared_deviation, dom.measured_deviation)
+        shrink -= 0.5 * dom.dimension * delta
+    return radius / shrink + dom.spacing if shrink > 0.0 else None
 
 
 def heinz_scan(e: ScalarField, center, r: float,
@@ -165,7 +185,7 @@ def heinz_scan(e: ScalarField, center, r: float,
 
     e_center = e.at(center)
     scale = 2.0**n * eps**n
-    around = _PrefixSup(e, x_bar)
+    around = _PrefixSup(e, x_bar, _window_reach(dom, eps * r))
     sup_eps_ball = around.sup(eps * r)
     checks = (
         HeinzCheck("center_bound", e_center, scale * c_bar),

@@ -34,6 +34,7 @@ from mvlab.errors import (
     ShellExitsDomain,
     SubregionOutsideDomain,
 )
+from mvlab.grid import _ldl
 
 
 def quadratic(p):
@@ -70,6 +71,44 @@ def test_laplacian_second_order_convergence():
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for rate in rates:
         assert 1.8 <= rate <= 2.2, rates
+
+
+def _conformal_lap_error(n, h, c=0.01):
+    """Max error of the metric Laplacian over d <= 0.8 on the unit ball with
+    g = f I, f = 1 + c x1, against the exact
+    Delta_g u = -sum_i u_ii / f - (n - 2) c u_1 / (2 f^2)."""
+    dom = make_ball_domain([0.0] * n, 1.0, h, n, conformal_metric(n, c, axis=1))
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(p[:, 0]) * np.cosh(p[:, 1]) + 0.3 * p[:, 1] ** 2)
+    pts = dom.points()
+    f = 1.0 + c * pts[:, 1]
+    du1 = np.cos(pts[:, 0]) * np.sinh(pts[:, 1]) + 0.6 * pts[:, 1]
+    exact = (-0.6 / f - (n - 2) * c * du1 / (2.0 * f**2)).reshape(dom.shape)
+    lap = laplacian(e).values
+    sel = np.isfinite(lap) & (dom.center_distances() <= 0.8)
+    return float(np.max(np.abs(lap[sel] - exact[sel])))
+
+
+def test_metric_laplacian_known_answer_converges_n3():
+    errs = [_conformal_lap_error(3, h) for h in (1 / 8, 1 / 16, 1 / 32)]
+    assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0, errs
+
+
+def test_metric_laplacian_known_answer_converges_n4():
+    errs = [_conformal_lap_error(4, h) for h in (1 / 8, 1 / 12)]
+    assert errs[0] / errs[1] >= 1.8, errs
+
+
+def test_metric_ball_needs_no_batched_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("batched LAPACK call on the metric-ball path")
+
+    for name in ("det", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    dom = make_ball_domain([0.0] * 3, 1.0, 1 / 8, 3, conformal_metric(3, 0.01, axis=1))
+    e = dom.field_from_function(lambda p: 1.0 + quadratic(p))
+    assert np.isfinite(laplacian(e).values[dom.center_distances() <= 0.8]).all()
+    assert integrate(e) > 0.0
 
 
 def test_metric_laplacian_matches_euclidean_for_small_perturbation():
@@ -356,15 +395,15 @@ def _laplacian_reference(e):
                     + _shift_reference(v, axis(ax, -1)))
         lap = -acc / h**2
     else:
+        # sqrt(det g) and g^-1 from the closed-form factorization the domain uses
         pts = dom.points()
-        sqrt_det_node = np.sqrt(np.linalg.det(dom.metric(pts))).reshape(dom.shape)
+        sqrt_det_node = np.sqrt(_ldl(dom.metric(pts))[1]).reshape(dom.shape)
         div = np.zeros_like(v)
         for ax in range(n):
             face_pts = pts.copy()
             face_pts[:, ax] += 0.5 * h
-            g_face = dom.metric(face_pts)
-            sqrt_det_face = np.sqrt(np.linalg.det(g_face)).reshape(dom.shape)
-            g_inv_face = np.linalg.inv(g_face)
+            _, det_face, g_inv_face = _ldl(dom.metric(face_pts), inverse=True)
+            sqrt_det_face = np.sqrt(det_face).reshape(dom.shape)
             flux = np.zeros_like(v)
             v_plus_ax = _shift_reference(v, axis(ax, 1))
             for j in range(n):
@@ -376,7 +415,7 @@ def _laplacian_reference(e):
                     cj_there = (_shift_reference(v, axis(ax, 1, j, 1))
                                 - _shift_reference(v, axis(ax, 1, j, -1))) / (2.0 * h)
                     dj = 0.5 * (cj_here + cj_there)
-                flux += g_inv_face[:, ax, j].reshape(dom.shape) * dj
+                flux += g_inv_face[ax][j].reshape(dom.shape) * dj
             flux *= sqrt_det_face
             div += (flux - _shift_reference(flux, axis(ax, -1))) / h
         lap = -div / sqrt_det_node

@@ -447,3 +447,140 @@ def test_make_field_stores_nan_off_the_mask():
     assert np.array_equal(finite_euclid, euclid.mask == INTERIOR)
     assert not np.any(finite_metric & ~finite_euclid)
     assert np.allclose(laps[0][finite_metric], laps[1][finite_metric], atol=1e-9)
+
+
+def _exact_ldl(matrix):
+    """Pivots, determinant and inverse of a symmetric rational matrix by exact
+    elimination over ``fractions.Fraction``."""
+    from fractions import Fraction
+
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for j in range(n):  # Gaussian elimination without row swaps: the LDL^T pivots
+        pivots.append(a[j][j])
+        for i in range(j + 1, n):
+            factor = a[i][j] / a[j][j]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[j])]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(matrix)]
+    for j in range(n):  # Gauss-Jordan on [g | I]
+        aug[j] = [x / aug[j][j] for x in aug[j]]
+        for i in range(n):
+            if i != j:
+                aug[i] = [x - aug[i][j] * y for x, y in zip(aug[i], aug[j])]
+    det = Fraction(1)
+    for pivot in pivots:
+        det *= pivot
+    return pivots, det, [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_ldl_matches_exact_rational_elimination(n):
+    from fractions import Fraction
+
+    from mvlab.grid import _ldl
+
+    rng = np.random.default_rng(n)
+    stack = []
+    for _ in range(40):  # symmetric, near the identity, entries exact in binary
+        upper = np.triu(rng.integers(-16, 17, size=(n, n)))
+        stack.append([[Fraction(int(i == j)) + Fraction(int(upper[min(i, j), max(i, j)]), 256)
+                       for j in range(n)] for i in range(n)])
+    g = np.array([[[float(x) for x in row] for row in m] for m in stack])
+    pivots, det, inv = _ldl(g, inverse=True)
+    for k, matrix in enumerate(stack):
+        exact_pivots, exact_det, exact_inv = _exact_ldl(matrix)
+        for got, want in zip(pivots, exact_pivots):
+            assert abs(got[k] - float(want)) <= 1e-14 * abs(float(want))
+        assert abs(det[k] - float(exact_det)) <= 1e-14 * abs(float(exact_det))
+        scale = max(abs(float(x)) for row in exact_inv for x in row)
+        for i in range(n):
+            for j in range(n):
+                assert abs(inv[i][j][k] - float(exact_inv[i][j])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_ldl_matches_lapack_on_random_stacks(n):
+    from mvlab.grid import _ldl
+
+    rng = np.random.default_rng(10 + n)
+    a = rng.normal(size=(500, n, n))
+    near = np.eye(n) + 0.05 * (a + np.swapaxes(a, 1, 2))
+    spread = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(n)  # SPD, far from the identity
+    for g in (near, spread):
+        pivots, det, inv = _ldl(g, inverse=True)
+        assert all(np.all(p > 0) for p in pivots)
+        assert np.allclose(det, np.linalg.det(g), rtol=1e-12, atol=0)
+        assert np.allclose(np.array(inv).transpose(2, 0, 1), np.linalg.inv(g),
+                           rtol=1e-10, atol=1e-12)
+        assert _ldl(g)[2] is None
+
+
+def _smallest_eigenvalue_in(message):
+    import re
+
+    found = re.fullmatch(r"metric has eigenvalue (\S+) <= 0 on the grid box", message)
+    assert found, message
+    return float(found.group(1))
+
+
+@pytest.mark.parametrize("n,terms,lowest", [
+    # positive diagonal, one negative 2x2 minor
+    (3, [(0, 1, 1.5, (0, 0, 0))], -0.5),
+    (4, [(2, 3, 1.5, (0, 0, 0, 0))], -0.5),
+    # every smaller leading minor positive, only the full determinant negative
+    (3, [(i, j, -0.6, (0, 0, 0)) for i in range(3) for j in range(i)], 1 - 2 * 0.6),
+    (4, [(i, j, -0.4, (0, 0, 0, 0)) for i in range(4) for j in range(i)], 1 - 3 * 0.4),
+    # indefinite only where |x0| > 1/3: the box reaches |x0| = 10 h = 0.625
+    (3, [(0, 1, 3.0, (1, 0, 0))], 1 - 3 * 0.625),
+    (4, [(0, 3, 3.0, (1, 0, 0, 0))], 1 - 3 * 0.625),
+    # singular: a zero pivot, which the factorization divides by
+    (3, [(0, 1, 1.0, (0, 0, 0))], 0.0),
+])
+@pytest.mark.filterwarnings("error")
+def test_metric_gate_rejects_indefinite_metrics_with_positive_diagonal(n, terms, lowest):
+    # the declared deviation is understated on purpose: the positive-definite
+    # gate runs before the deviation check, and a small one keeps the box small
+    bad = polynomial_metric(n, terms, 0.01)
+    with pytest.raises(MetricNotPositiveDefinite) as caught:
+        make_ball_domain([0.0] * n, 0.5, 1 / 16, n, bad)
+    assert _smallest_eigenvalue_in(str(caught.value)) == pytest.approx(lowest, abs=1e-12)
+
+
+def _lopsided_metric(n, below):
+    """g = identity with 0.01 above the diagonal at (0, 1) and ``below`` under it."""
+    from mvlab.grid import MetricSpec
+
+    def matrix(points):
+        out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
+        out[..., 0, 1] += 0.01
+        out[..., 1, 0] += below
+        return out
+
+    return MetricSpec(n, matrix, 0.02, name="lopsided")
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_metric_gate_keeps_the_allclose_symmetry_test(n):
+    # |g01 - g10| <= 1e-10 + 1e-5 min(|g01|, |g10|) passes, as np.allclose has it
+    make_ball_domain([0.0] * n, 0.5, 1 / 16, n, _lopsided_metric(n, 0.01 + 1e-8))
+    for below in (0.01 + 1e-6, 0.0, np.nan):
+        with pytest.raises(MetricNotPositiveDefinite, match="metric is not symmetric"):
+            make_ball_domain([0.0] * n, 0.5, 1 / 16, n, _lopsided_metric(n, below))
+
+
+def test_segment_distance_is_euclidean_where_the_metric_is_the_identity():
+    from mvlab.grid import segment_distance
+
+    # g = (1 + c x1) I is the identity on x1 = 0, so segments from the origin
+    # in that plane keep their Euclidean length bitwise; (8, 0, 8, -4)/12 has
+    # length exactly 1 and must stay off the unit ball's mask
+    metric = conformal_metric(4, 0.01, axis=1)
+    rng = np.random.default_rng(4)
+    points = rng.integers(-12, 13, size=(2000, 4)) / 12.0
+    points[:, 1] = 0.0
+    assert np.array_equal(segment_distance(metric, np.zeros(4), points),
+                          np.linalg.norm(points, axis=-1))
+    dom = make_ball_domain([0.0] * 4, 1.0, 1 / 12, 4, metric)
+    assert not dom.in_mask[dom.node_index([8 / 12, 0.0, 8 / 12, -4 / 12])]

@@ -200,3 +200,35 @@ def test_v_dominates_e_pointwise():
     res = comparison_function_boundary(e, [0.0, 0.0], a_bound=1.0, b_bound=1.0)
     inside = dom.in_mask
     assert np.all(res.field.values[inside] >= e.values[inside] - 1e-12)
+
+
+@pytest.mark.parametrize("n,metric", [(2, None), (3, None), (2, "conformal"), (3, "conformal")])
+def test_neighbourhood_window_matches_the_full_scan(monkeypatch, n, metric):
+    from mvlab import heinz
+
+    spec = conformal_metric(n, 0.01, axis=1) if metric else None
+    dom = make_ball_domain([0.0] * n, 1.0, 1 / 16, n, spec)
+    rng = np.random.default_rng(n)
+    # a rough field, so the sup changes with almost every node taken in
+    e = dom.make_field(rng.uniform(0.0, 1.0, dom.shape))
+    h = dom.spacing
+    axis_steps = np.concatenate([k * h * np.eye(n) for k in range(-7, 8) if k])
+    for x_bar in ([0.25] + [0.0] * (n - 1), [-0.5, -0.375] + [0.125] * (n - 2)):
+        x_bar = np.asarray(x_bar)
+        full = heinz._PrefixSup(e, x_bar)
+        # node distances as radii, the worst case for the tolerance; those of
+        # the nodes on the axes through x_bar reach the window's faces, and
+        # where x1 < 0 the metric distance is shorter than the Euclidean one
+        radii = np.concatenate([full.dist_sorted[full.dist_sorted <= 0.45][::7],
+                                dom.distance(x_bar + axis_steps, x_bar)])
+        for radius in radii:
+            windowed = heinz._PrefixSup(e, x_bar, heinz._window_reach(dom, radius))
+            taken = full.flat_index[full.dist_sorted <= radius + full.tol]
+            assert np.isin(taken, windowed.flat_index).all()
+            assert windowed.sup(radius) == full.sup(radius)
+            assert windowed.argmax_node(radius, dom) == full.argmax_node(radius, dom)
+    # and whole scans, peaked off the centre so x_bar moves
+    e = dom.field_from_function(lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1)))
+    windowed = heinz_scan(e, dom.center, 1.0).as_dict()
+    monkeypatch.setattr(heinz, "_window_reach", lambda dom, radius: None)
+    assert heinz_scan(e, dom.center, 1.0).as_dict() == windowed
