@@ -209,8 +209,7 @@ def run(cfg: RunConfig) -> int:
     if sub == "heinz-scan":
         center = cfg.raw.get("center", [float(x) for x in domain.center])
         r = float(cfg.raw.get("radius", domain.radius))
-        res = int(cfg.raw.get("rho_resolution", 256))
-        rep = heinz.heinz_scan(e, center, r, res)
+        rep = heinz.heinz_scan(e, center, r)
         record = rep.as_dict()
         report.write_records(cfg.out_dir / "heinz.txt", [record])
         ok = rep.all_passed()

@@ -113,7 +113,6 @@ def generator_from_config(cfg: dict) -> GeneratorSpec:
         axis=int(cfg.get("axis", 1)),
         pole=tuple(float(x) for x in cfg["pole"]) if "pole" in cfg else None,
         parts=parts,
-        seed=int(cfg["seed"]) if "seed" in cfg else None,
     )
 
 

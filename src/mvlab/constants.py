@@ -8,8 +8,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import BothLinearTermsZero, BothNonlinearitiesZero, MVLabError, RadiusOutOfRange
-
-SUPPORTED_DIMENSIONS = (2, 3, 4)
+from .grid import SUPPORTED_DIMENSIONS
 
 
 @dataclass(frozen=True)

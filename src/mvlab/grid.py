@@ -642,13 +642,9 @@ def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray
     return mask
 
 
-def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
-                     metric: MetricSpec | None = None) -> Domain:
-    """Masked grid over the geodesic ball B_r(center).
-
-    The mask marks nodes whose first-order-corrected geodesic distance to the
-    center is < r. The center is a grid node.
-    """
+def _grid_center(kind: str, center: Sequence[float], r: float, h: float,
+                 n: int) -> np.ndarray:
+    """The center as an array, after the checks both domain builders share."""
     center = np.asarray(center, dtype=float)
     if n not in SUPPORTED_DIMENSIONS:
         raise MVLabError(f"dimension {n} not in {SUPPORTED_DIMENSIONS}")
@@ -656,8 +652,21 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
         raise MVLabError(f"center must have {n} components")
     if r <= 0 or h <= 0:
         raise MVLabError("radius and spacing must be positive")
+    if kind == HALF_BALL and center[0] < 0:
+        raise CenterBelowBoundary(f"half-ball center has y0={center[0]} < 0")
     if h > r / 8 + 1e-12:
         raise ResolutionTooCoarse(f"spacing h={h} exceeds r/8={r / 8}")
+    return center
+
+
+def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
+                     metric: MetricSpec | None = None) -> Domain:
+    """Masked grid over the geodesic ball B_r(center).
+
+    The mask marks nodes whose first-order-corrected geodesic distance to the
+    center is < r. The center is a grid node.
+    """
+    center = _grid_center(BALL, center, r, h, n)
     if metric is not None and metric.trivial:
         metric = None
 
@@ -683,17 +692,7 @@ def make_half_ball_domain(y: Sequence[float], r: float, h: float, n: int) -> Dom
     Requires y0 >= 0 and y0 a multiple of h so the plane x0 = 0 is a grid
     plane; the in-mask nodes on it are classified as flat boundary.
     """
-    y = np.asarray(y, dtype=float)
-    if n not in SUPPORTED_DIMENSIONS:
-        raise MVLabError(f"dimension {n} not in {SUPPORTED_DIMENSIONS}")
-    if y.shape != (n,):
-        raise MVLabError(f"center must have {n} components")
-    if r <= 0 or h <= 0:
-        raise MVLabError("radius and spacing must be positive")
-    if y[0] < 0:
-        raise CenterBelowBoundary(f"half-ball center has y0={y[0]} < 0")
-    if h > r / 8 + 1e-12:
-        raise ResolutionTooCoarse(f"spacing h={h} exceeds r/8={r / 8}")
+    y = _grid_center(HALF_BALL, y, r, h, n)
     steps = y[0] / h
     if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
         raise CenterOffGrid(f"y0={y[0]} is not an integer multiple of h={h}")

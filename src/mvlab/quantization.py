@@ -177,9 +177,7 @@ def _allowed_mask(domain, exclusions) -> np.ndarray:
 
 
 def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
-                         divergence_threshold: float,
-                         cluster_radius: float | None = None,
-                         exclusion_floor: float | None = None) -> ConcentrationReport:
+                         divergence_threshold: float) -> ConcentrationReport:
     """Iteratively extract concentration points.
 
     Each round: find the largest cluster of above-threshold argmax nodes over
@@ -197,10 +195,8 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     dom = seq.domain
     n = dom.dimension
     h = dom.spacing
-    if cluster_radius is None:
-        cluster_radius = 4.0 * h
-    if exclusion_floor is None:
-        exclusion_floor = 8.0 * h
+    cluster_radius = 4.0 * h    # argmaxes this close join one cluster
+    exclusion_floor = 8.0 * h   # smallest radius an extraction or dismissal clears
     hbar = ledger.hbar
     budget = int(math.floor(seq.energy_bound / hbar))
     need = int(math.ceil(math.sqrt(len(seq))))

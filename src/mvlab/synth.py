@@ -35,7 +35,6 @@ class GeneratorSpec:
     axis: int = 1                        # lateral axis for products/linears
     pole: tuple[float, ...] | None = None  # harmonic peak pole (outside domain)
     parts: tuple["GeneratorSpec", ...] = ()
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -236,21 +235,24 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
                                  fitted=tuple(fitted) if fitted else None)
 
 
+_LAYOUT_REGION_FRACTION = 0.6  # bubble centers within this share of the radius
+_LAYOUT_MAX_TRIES = 10_000
+
+
 def random_bubble_layout(domain: Domain, count: int, min_separation: float,
-                         seed: int, region_fraction: float = 0.6,
-                         max_tries: int = 10_000) -> list[tuple[float, ...]]:
+                         seed: int) -> list[tuple[float, ...]]:
     """Deterministic seeded placement of bubble centers on grid nodes inside
     the shrunken domain, pairwise separated by at least ``min_separation``."""
     rng = np.random.default_rng(seed)
     pts = domain.in_mask_points()
     dist = domain.distance(pts)
-    candidates = pts[dist <= region_fraction * domain.radius]
+    candidates = pts[dist <= _LAYOUT_REGION_FRACTION * domain.radius]
     if domain.kind == HALF_BALL:
         candidates = candidates[candidates[:, 0] >= 0.0]
     if candidates.shape[0] == 0:
         raise MVLabError("no candidate nodes for bubble placement")
     chosen: list[np.ndarray] = []
-    for _ in range(max_tries):
+    for _ in range(_LAYOUT_MAX_TRIES):
         if len(chosen) == count:
             break
         pick = candidates[rng.integers(candidates.shape[0])]

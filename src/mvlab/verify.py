@@ -28,6 +28,12 @@ HOLDS = "Holds"
 FAILS = "Fails"
 HYPOTHESIS_VIOLATED = "HypothesisViolated"
 
+# nodes with e at or below this share of sup e are left out of the
+# nonlinearity fits, which divide by a power of e
+_E_FLOOR_FACTOR = 1e-8
+# relative tolerance of the monotonicity suite's small-radius limit
+_LIMIT_REL_TOL = 0.02
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -90,10 +96,10 @@ def _operator_pairs(e: ScalarField,
     return calculus.laplacian(e).values.ravel(), e.values.ravel(), None
 
 
-def _fit(e: ScalarField, c0: float, c1: float, flat: bool, e_floor_factor: float) -> float:
+def _fit(e: ScalarField, c0: float, c1: float, flat: bool) -> float:
     n = e.domain.dimension
     op, ev, _ = _operator_pairs(e, flat)
-    floor = e_floor_factor * max(e.sup(), 0.0)
+    floor = _E_FLOOR_FACTOR * max(e.sup(), 0.0)
     mask = np.isfinite(op) & (ev > floor)
     if not np.any(mask):
         where = "flat-boundary" if flat else "stencil-valid"
@@ -103,17 +109,15 @@ def _fit(e: ScalarField, c0: float, c1: float, flat: bool, e_floor_factor: float
     return max(0.0, float(np.max(ratio)))
 
 
-def fit_nonlinearity(e: ScalarField, a0: float, a1: float,
-                     e_floor_factor: float = 1e-8) -> float:
+def fit_nonlinearity(e: ScalarField, a0: float, a1: float) -> float:
     """Smallest a with Delta e <= a0 + a1 e + a e^((n+2)/n) over the
     stencil-valid nodes where e clears the division floor; clamped at 0."""
-    return _fit(e, a0, a1, False, e_floor_factor)
+    return _fit(e, a0, a1, False)
 
 
-def fit_boundary_nonlinearity(e: ScalarField, b0: float, b1: float,
-                              e_floor_factor: float = 1e-8) -> float:
+def fit_boundary_nonlinearity(e: ScalarField, b0: float, b1: float) -> float:
     """Boundary analogue on the flat nodes with exponent (n+1)/n."""
-    return _fit(e, b0, b1, True, e_floor_factor)
+    return _fit(e, b0, b1, True)
 
 
 def _bound_margin(e: ScalarField, params: BoundParams,
@@ -313,8 +317,7 @@ class MonotonicityReport:
 
 
 def monotonicity_suite(e: ScalarField, center, radii,
-                       tol_k: float = 10.0, limit_rel_tol: float = 0.02,
-                       limit_abs_tol: float | None = None,
+                       tol_k: float = 10.0, limit_abs_tol: float | None = None,
                        hypothesis_mode: str = "pointwise") -> MonotonicityReport:
     """Shell-average checks for a Neumann-subharmonic field on a half-ball:
     monotonicity of M(r) on the unclipped range, the small-radius limit, and
@@ -375,7 +378,7 @@ def monotonicity_suite(e: ScalarField, center, radii,
         limit_passed = None
     else:
         limit_passed = bool(abs(limit_value - target)
-                            <= max(limit_rel_tol * abs(target), limit_abs_tol))
+                            <= max(_LIMIT_REL_TOL * abs(target), limit_abs_tol))
 
     # (iv): large-radius inequality, closed clipping constant
     big_r = float(rs[-1])

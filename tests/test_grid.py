@@ -97,6 +97,24 @@ def test_half_ball_errors():
         make_half_ball_domain([0.013, 0.0], 1.0, 1 / 64, 2)
 
 
+@pytest.mark.parametrize("make", (make_ball_domain, make_half_ball_domain))
+@pytest.mark.parametrize("args,error,message", [
+    (([0.0] * 5, 1.0, 1 / 64, 5), MVLabError, r"dimension 5 not in \(2, 3, 4\)"),
+    (([0.0] * 3, 1.0, 1 / 64, 2), MVLabError, "center must have 2 components"),
+    (([0.0, 0.0], -1.0, 1 / 64, 2), MVLabError, "radius and spacing must be positive"),
+    (([0.0, 0.0], 1.0, 0.0, 2), MVLabError, "radius and spacing must be positive"),
+    (([0.0, 0.0], 1.0, 1 / 4, 2), ResolutionTooCoarse, r"spacing h=0.25 exceeds r/8=0.125"),
+])
+def test_both_domain_builders_check_the_grid_arguments_alike(make, args, error, message):
+    with pytest.raises(error, match=message):
+        make(*args)
+
+
+def test_half_ball_center_below_the_plane_is_reported_before_coarse_spacing():
+    with pytest.raises(CenterBelowBoundary):
+        make_half_ball_domain([-0.25, 0.0], 1.0, 1 / 4, 2)
+
+
 def test_interior_nodes_have_full_neighborhoods():
     dom = make_half_ball_domain([0.25, 0.0], 0.5, 1 / 16, 2)
     inside = dom.in_mask

@@ -1,5 +1,7 @@
 """Heinz scan and comparison functions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from mvlab import (
     normal_derivative,
 )
 from mvlab import grid
-from mvlab.errors import EmptyBall
+from mvlab.cli import main
+from mvlab.errors import EmptyBall, MVLabError
 from mvlab.synth import GeneratorSpec, gen
 
 
@@ -32,6 +35,20 @@ def test_constant_field_scan():
     assert rep.all_passed()
 
 
+def _bruteforce_rho_bar(e, center, r):
+    """Smallest maximizer d/r, over the in-mask node distances d < r, of
+    (1 - d/r)^n times the sup over the nodes at distance <= d."""
+    dom = e.domain
+    dist = dom.distance(dom.in_mask_points(), np.asarray(center, dtype=float))
+    vals = e.values[dom.in_mask]
+    best_rho, best_f = None, -np.inf
+    for d in np.unique(dist[dist < r]):
+        f = (1.0 - d / r) ** dom.dimension * vals[dist <= d].max()
+        if f > best_f:
+            best_rho, best_f = d / r, f
+    return best_rho
+
+
 def test_spike_scan_matches_bruteforce():
     h = 1 / 64
     dom = make_ball_domain([0, 0], 1.0, h, 2)
@@ -39,27 +56,69 @@ def test_spike_scan_matches_bruteforce():
     spike_at = dom.node_index([0.375, 0.0])
     values[spike_at] = 50.0
     e = dom.make_field(values)
-    res = 256
-    rep = heinz_scan(e, [0, 0], 1.0, rho_resolution=res)
+    rep = heinz_scan(e, [0, 0], 1.0)
 
-    # independent brute force over the same rho grid
-    pts = dom.in_mask_points()
-    vals = e.values[dom.in_mask]
-    dist = np.linalg.norm(pts, axis=-1)
-    best_k, best_f = 0, -np.inf
-    for k in range(res):
-        rho = k / res
-        ball = vals[dist <= rho + 1e-12]
-        if ball.size == 0:
-            continue
-        f = (1 - rho) ** 2 * ball.max()
-        if f > best_f:
-            best_f, best_k = f, k
-    assert abs(rep.rho_bar - best_k / res) <= 1.5 / res
+    assert rep.rho_bar == _bruteforce_rho_bar(e, [0, 0], 1.0)
     assert rep.c_bar == 50.0
     assert rep.x_bar == pytest.approx((0.375, 0.0))
-    # spike dominates once rho r >= d when it beats the (1-rho)^n decay
-    assert abs(rep.rho_bar - 0.375) <= 2 / res
+    # the spike beats the (1-rho)^n decay, so the scan stops exactly on it
+    assert rep.rho_bar == 0.375
+
+
+def test_two_spike_field_passes_both_checks():
+    # a step the old sampled rho grid stepped over: the far spike's f is the
+    # larger by 0.8%, and stopping on the near one breaks neighborhood_bound
+    h = 1 / 256
+    dom = make_ball_domain([0, 0], 1.0, h, 2)
+    values = np.where(dom.in_mask, 1e-3, np.nan)
+    values[dom.node_index([63 * h, 0.0])] = 1.0
+    values[dom.node_index([159 * h, -9 * h])] = 4.01
+    rep = heinz_scan(dom.make_field(values), [0, 0], 1.0)
+    assert rep.c_bar == 4.01
+    assert rep.x_bar == (159 * h, -9 * h)
+    assert rep.rho_bar == np.hypot(159 * h, -9 * h)
+    assert rep.check("center_bound").passed
+    assert rep.check("neighborhood_bound").passed
+
+
+def _family(dom):
+    return [
+        gen(GeneratorSpec("constant", amplitude=1.0), dom),
+        gen(GeneratorSpec("quadratic", amplitude=1.0, offset=0.2), dom),
+        gen(GeneratorSpec("bubble", center=(0.25, -0.125), scale=1 / 8), dom),
+        gen(GeneratorSpec("harmonic_product", scale=1.2, offset=0.1), dom),
+    ]
+
+
+def test_rho_bar_is_the_bruteforce_maximum_over_node_distances():
+    fields = _family(make_ball_domain([0, 0], 1.0, 1 / 64, 2))
+    dom = make_ball_domain([0.0] * 3, 1.0, 1 / 16, 3, conformal_metric(3, 0.01, axis=1))
+    fields.append(dom.field_from_function(
+        lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1))))
+    for e in fields:
+        center = e.domain.center
+        for r in (1.0, 0.5):
+            rep = heinz_scan(e, center, r)
+            assert rep.rho_bar == _bruteforce_rho_bar(e, center, r), (e.facts, r)
+
+
+@pytest.mark.parametrize("r", (0.0, -0.5, np.nan, np.inf))
+def test_scan_radius_must_be_positive_and_finite(tmp_path, r):
+    dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
+    e = gen(GeneratorSpec("constant"), dom)
+    with pytest.raises(MVLabError, match="scan radius"):
+        heinz_scan(e, [0, 0], r)
+    if r == 0.0:
+        cfg = tmp_path / "heinz.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0,
+                       "spacing": 1 / 32, "dimension": 2},
+            "generator": {"kind": "constant"},
+            "radius": 0,
+        }), encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "heinz-scan"]) == 3
+        assert not (tmp_path / "out" / "heinz.txt").exists()
 
 
 def test_bubble_scan_peak_at_center():
@@ -72,15 +131,7 @@ def test_bubble_scan_peak_at_center():
 
 
 def test_scan_invariants_hold_on_family():
-    h = 1 / 64
-    dom = make_ball_domain([0, 0], 1.0, h, 2)
-    fields = [
-        gen(GeneratorSpec("constant", amplitude=1.0), dom),
-        gen(GeneratorSpec("quadratic", amplitude=1.0, offset=0.2), dom),
-        gen(GeneratorSpec("bubble", center=(0.25, -0.125), scale=1 / 8), dom),
-        gen(GeneratorSpec("harmonic_product", scale=1.2, offset=0.1), dom),
-    ]
-    for e in fields:
+    for e in _family(make_ball_domain([0, 0], 1.0, 1 / 64, 2)):
         rep = heinz_scan(e, [0, 0], 1.0)
         assert rep.all_passed(), (e.facts, rep.as_dict())
         assert rep.rho_bar < 1.0 and rep.eps <= 0.5
