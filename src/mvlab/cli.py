@@ -36,8 +36,18 @@ EXIT_INPUT = 3
 OUT_ENV = "MVLAB_OUT"
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors (a bad value, an unknown flag, a missing
+    subcommand) exiting EXIT_INPUT, not argparse's 2, which means a violated
+    hypothesis here; -h still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvlab",
         description="Mean value inequality and energy quantization lab on masked grids.")
     parser.add_argument("--config", type=str, default=None,
@@ -54,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verdict tolerance multiplier K (tol = K*h, default 10)")
     parser.add_argument("--out", type=str, default=None,
                         help=f"output directory (default ${OUT_ENV} or ./mvlab-out)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized generator placement")
     parser.add_argument("--a", type=float, default=None,
                         help="nonlinearity a (constants subcommand shortcut)")
     parser.add_argument("--b", type=float, default=None,
@@ -74,7 +82,6 @@ class RunConfig:
         self.subcommand = args.subcommand
         self.tol_k = (args.tolerance_k if args.tolerance_k is not None
                       else float(self.raw.get("tolerance_k", 10.0)))
-        self.seed = args.seed if args.seed is not None else self.raw.get("seed", 0)
         out = args.out or self.raw.get("out") or os.environ.get(OUT_ENV) or "mvlab-out"
         self.out_dir = Path(out)
         self.c_override = args.c_constant

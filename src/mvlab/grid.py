@@ -348,9 +348,11 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
 class Domain:
     """Immutable masked grid over a ball or clipped half-ball.
 
-    Geometry that depends on the domain alone (points, centre distances, mask,
-    sqrt(det g) at nodes and faces, quadrature weights, the measured metric
-    deviation) is computed on first use, kept, and handed out read-only."""
+    Geometry that depends on the domain alone (the coordinate axes, centre
+    distances, mask, sqrt(det g) at nodes and faces, quadrature weights, the
+    measured metric deviation) is computed on first use, kept, and handed out
+    read-only. Node coordinates are gathered from the axes where they are
+    needed; ``points()`` builds the whole box's on request, uncached."""
 
     kind: str
     center: np.ndarray
@@ -386,17 +388,44 @@ class Domain:
         return int(np.count_nonzero(self.mask))
 
     @cached_property
-    def _points(self) -> np.ndarray:
-        mesh = np.meshgrid(*[o + self.spacing * np.arange(k)
-                             for o, k in zip(self.origin, self.shape)], indexing="ij")
-        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates along each axis, origin[k] + h * arange(shape[k]):
+        the node with multi-index i sits at (axes[0][i_0], ..., axes[n-1][i_(n-1)]).
+        Every coordinate below is gathered from these; none is cached box-sized."""
+        return tuple(_read_only(o + self.spacing * np.arange(k))
+                     for o, k in zip(self.origin, self.shape))
+
+    def coordinates(self, index: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinates of the nodes with multi-index arrays ``index`` (n arrays
+        of m entries, as ``np.nonzero`` gives them), shape (m, n)."""
+        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=-1)
 
     def points(self) -> np.ndarray:
-        """All box node coordinates, shape (prod(shape), n), C-order."""
-        return self._points
+        """All box node coordinates, shape (prod(shape), n), C-order. Built on
+        each call (nodes x n floats) and not cached; no lab routine calls it."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
+
+    def _columns(self, win: tuple[slice, ...] | None = None) -> list[np.ndarray]:
+        """Each axis, cut to ``win`` (default: the whole box), shaped
+        (len, 1, ..., 1) to broadcast over the box or window."""
+        if win is None:
+            win = (slice(None),) * self.dimension
+        return [ax[part].reshape((-1,) + (1,) * (self.dimension - 1 - k))
+                for k, (ax, part) in enumerate(zip(self.axes, win))]
+
+    def masked_points(self, mask: np.ndarray,
+                      win: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Coordinates of the nodes where ``mask`` (box-shaped, or shaped as
+        the window ``win``) is True, C-order, shape (m, n): each column is
+        its broadcast axis gathered through the mask, with no index arrays."""
+        out = np.empty((np.count_nonzero(mask), self.dimension))
+        for k, column in enumerate(self._columns(win)):
+            out[:, k] = np.broadcast_to(column, mask.shape)[mask]
+        return out
 
     def in_mask_points(self) -> np.ndarray:
-        return self.points()[self.in_mask.ravel()]
+        return self.masked_points(self.in_mask)
 
     def distance(self, points: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
         """Distance used by the mask: geodesic-corrected for metric balls."""
@@ -404,9 +433,38 @@ class Domain:
             base = self.center
         return segment_distance(self.metric, base, points)
 
+    def squared_distances(self, point: Sequence[float],
+                          win: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Euclidean |x - point|^2 at every node of ``win`` (default: the whole
+        box), window-shaped: the squared axis offsets broadcast and summed in
+        axis order, as ``np.linalg.norm`` sums a row, so the result is bitwise
+        the one a coordinate array would give."""
+        total = 0.0
+        for k, column in enumerate(self._columns(win)):
+            gap = column - point[k]
+            total = total + gap * gap
+        return total
+
+    def box_distances(self, base: np.ndarray) -> np.ndarray:
+        """``distance`` from ``base`` to every box node, box-shaped. On metric
+        balls the coordinates are built one block of nodes at a time."""
+        if self._euclidean:
+            squared = self.squared_distances(base)
+            return np.sqrt(squared, out=squared)
+        return self._over_box(lambda block: self.distance(block, base))
+
+    def _over_box(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``fn`` of the coordinates of each C-order block of at most ``_CHUNK``
+        box nodes (built from the block's indices), gathered box-shaped."""
+        out = np.empty(math.prod(self.shape))
+        for start in range(0, out.size, _CHUNK):
+            rows = np.arange(start, min(start + _CHUNK, out.size))
+            out[rows] = fn(self.coordinates(np.unravel_index(rows, self.shape)))
+        return out.reshape(self.shape)
+
     @cached_property
     def _center_distances(self) -> np.ndarray:
-        return _read_only(self.distance(self.points()).reshape(self.shape))
+        return _read_only(self.box_distances(self.center))
 
     def center_distances(self) -> np.ndarray:
         """Distance from the center to every box node, box-shaped."""
@@ -464,8 +522,7 @@ class Domain:
     def _sqrt_det_metric(self) -> np.ndarray:
         if self._euclidean:
             return _read_only(np.ones(self.shape))
-        roots = [_gated_sqrt_det(self.metric(block)) for block in _blocks(self.points())]
-        return _read_only(np.concatenate(roots).reshape(self.shape))
+        return _read_only(self._over_box(lambda block: _gated_sqrt_det(self.metric(block))))
 
     def sqrt_det_metric(self) -> np.ndarray:
         """sqrt(det g) at every box node (ones for Euclidean domains). On metric
@@ -479,9 +536,10 @@ class Domain:
         box-shaped, and the rows g^{aj} of g^-1, shape (n,) + box; NaN off the mask,
         where the field is NaN too, so every flux through such a face is NaN anyway."""
         faces = []
+        points = self.in_mask_points()
         for ax in range(self.dimension):
             parts = []
-            for block in _blocks(self.in_mask_points()):
+            for block in _blocks(points):
                 face_pts = block.copy()
                 face_pts[:, ax] += 0.5 * self.spacing
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
@@ -517,7 +575,7 @@ class Domain:
             block = nodes[start:start + size]
             part = slice(start, start + len(block))
             index = np.stack(np.unravel_index(block, self.shape), axis=-1)
-            points = self.points()[block]
+            points = self.coordinates(index.T)
             d = dist.ravel()[block]
             if self._euclidean:
                 normal = (points - self.center) / d[:, None]
@@ -554,12 +612,15 @@ class Domain:
         weights = self.in_mask.astype(float)
         if self.flat_plane_index is not None:
             weights[self.flat_plane_index] *= 0.5
-        sqrt_det = self.sqrt_det_metric().ravel()
         raveled = weights.reshape(-1)
         raveled[cut.nodes] = 0.0
-        raveled *= sqrt_det
         kept = cut.receivers >= 0
-        np.add.at(raveled, cut.receivers[kept], cut.fractions[kept] * sqrt_det[cut.nodes[kept]])
+        shares = cut.fractions[kept]
+        if not self._euclidean:  # else sqrt(det g) = 1, and no box of ones is built
+            sqrt_det = self.sqrt_det_metric().ravel()
+            raveled *= sqrt_det
+            shares = shares * sqrt_det[cut.nodes[kept]]
+        np.add.at(raveled, cut.receivers[kept], shares)
         weights *= self.spacing ** self.dimension
         return _read_only(weights)
 
@@ -584,8 +645,10 @@ class Domain:
 
     def field_from_function(self, fn: Callable[[np.ndarray], np.ndarray],
                             density: bool = True, facts: dict | None = None) -> "ScalarField":
-        values = np.asarray(fn(self.points()), dtype=float).reshape(self.shape)
-        values = np.where(self.in_mask, values, np.nan)
+        """A field holding ``fn`` evaluated at the in-mask nodes ((m, n)
+        coordinates in, m values out) and NaN off the mask."""
+        values = np.full(self.shape, np.nan)
+        values[self.in_mask] = np.asarray(fn(self.in_mask_points()), dtype=float)
         return ScalarField(self, values, density, facts)
 
 
@@ -635,7 +698,7 @@ def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray
             sel = [slice(1, -1)] * inside.ndim
             sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
             interior &= padded[tuple(sel)]
-    mask = np.where(inside, CAP_BOUNDARY, OUTSIDE).astype(np.int8)
+    mask = np.where(inside, np.int8(CAP_BOUNDARY), np.int8(OUTSIDE))
     mask[interior] = INTERIOR
     if kind == HALF_BALL and flat_row is not None:
         mask[flat_row] = np.where(inside[flat_row], FLAT_BOUNDARY, OUTSIDE)

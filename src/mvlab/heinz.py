@@ -89,7 +89,7 @@ class _PrefixSup:
                                          dom.shape)
         vals = e.values.ravel()[nodes]
         dist = (dom.center_distances().ravel()[nodes] if np.array_equal(center, dom.center)
-                else dom.distance(dom.points()[nodes], center))
+                else dom.distance(dom.coordinates(np.unravel_index(nodes, dom.shape)), center))
         order = np.argsort(dist, kind="stable")
         self.dist_sorted = dist[order]
         self.vals_sorted = vals[order]
@@ -181,8 +181,8 @@ def _check_region(v: ScalarField, center: np.ndarray | None, radius: float | Non
     dom = v.domain
     lap = calculus.laplacian(v).values
     if center is not None and radius is not None:
-        dist = dom.distance(dom.points(), np.asarray(center, dtype=float))
-        lap = np.where(dist.reshape(dom.shape) <= radius, lap, np.nan)
+        dist = dom.box_distances(np.asarray(center, dtype=float))
+        lap = np.where(dist <= radius, lap, np.nan)
     finite = np.isfinite(lap)
     max_lap = float(np.max(lap[finite])) if np.any(finite) else -math.inf
     max_nd = None
@@ -202,8 +202,7 @@ def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
     n = dom.dimension
     x_bar = np.asarray(x_bar, dtype=float)
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
-    sq = np.sum((dom.points() - x_bar) ** 2, axis=-1).reshape(dom.shape)
-    values = np.where(dom.in_mask, e.values + k * sq, np.nan)
+    values = np.where(dom.in_mask, e.values + k * dom.squared_distances(x_bar), np.nan)
     v = ScalarField(dom, values, density=False)
     return _check_region(v, x_bar, check_radius, tol_k * dom.spacing,
                          check_boundary=False)
@@ -223,12 +222,10 @@ def comparison_function_boundary(e: ScalarField, y, a_bound: float, b_bound: flo
     n = dom.dimension
     y = np.asarray(y, dtype=float)
     y0 = float(y[0])
-    pts = dom.points()
-    sq = np.sum((pts - y) ** 2, axis=-1).reshape(dom.shape)
-    values = e.values + a_bound / (2.0 * n) * sq
+    values = e.values + a_bound / (2.0 * n) * dom.squared_distances(y)
     use_x0_term = dom.radius > y0
     if use_x0_term:
-        x0 = pts[:, 0].reshape(dom.shape)
+        x0 = dom.axes[0].reshape((-1,) + (1,) * (n - 1))
         values = values + (b_bound + a_bound * y0 / n) * x0
     values = np.where(dom.in_mask, values, np.nan)
     v = ScalarField(dom, values, density=False)

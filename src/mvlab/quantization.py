@@ -169,10 +169,9 @@ class ConcentrationReport:
 def _allowed_mask(domain, exclusions) -> np.ndarray:
     """Flat in-mask nodes outside every exclusion ball, cleared window by window."""
     allowed = domain.in_mask.copy()
-    pts = domain.points().reshape(domain.shape + (-1,))
     for center, radius in exclusions:
         win = domain.window(center, radius)
-        allowed[win] &= np.linalg.norm(pts[win] - center, axis=-1) > radius
+        allowed[win] &= np.sqrt(domain.squared_distances(center, win)) > radius
     return allowed.ravel()
 
 
@@ -201,7 +200,6 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     budget = int(math.floor(seq.energy_bound / hbar))
     need = int(math.ceil(math.sqrt(len(seq))))
 
-    pts = dom.points()
     active = list(range(len(seq)))
     excluded: list[tuple[np.ndarray, float]] = []
     dismissed: list[tuple[np.ndarray, float]] = []
@@ -218,7 +216,7 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
         for i in active:
             vals = np.where(allowed, seq.fields[i].values.ravel(), -np.inf)
             k = int(np.argmax(vals))
-            argmaxes[i] = (pts[k], float(vals[k]))
+            argmaxes[i] = (dom.coordinates(np.unravel_index(k, dom.shape)), float(vals[k]))
         witnesses = [i for i in active if argmaxes[i][1] > divergence_threshold]
         if len(witnesses) < need:
             break

@@ -61,9 +61,9 @@ def bubble_critical_ratio(n: int, amplitude: float) -> float:
     return 2.0 * n * n * amplitude ** (-2.0 / n)
 
 
-def _values_and_facts(spec: GeneratorSpec, domain: Domain):
+def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
+    """The generator's values at the nodes ``pts`` (m, n) and its facts."""
     n = domain.dimension
-    pts = domain.points()
     kind = spec.kind
 
     if kind == "constant":
@@ -89,7 +89,7 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain):
         ax = spec.axis
         if not 1 <= ax < n:
             raise MVLabError(f"harmonic_product axis {ax} out of range for n={n}")
-        x0_max = float(np.max(np.abs(pts[:, 0][domain.in_mask.ravel()])))
+        x0_max = float(np.max(np.abs(pts[:, 0])))
         if k * x0_max >= 0.5 * math.pi:
             raise SpecOutOfDomain(
                 f"cos({k} x0) changes sign on the domain (k*max|x0| = {k * x0_max:.3g})")
@@ -154,7 +154,7 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain):
         merged: dict = {"laplacian_const": 0.0, "neumann_const": 0.0,
                         "harmonic": True, "subharmonic": True}
         for part in spec.parts:
-            vals, facts = _values_and_facts(part, domain)
+            vals, facts = _values_and_facts(part, domain, pts)
             total += vals
             if "laplacian_const" in facts and "laplacian_const" in merged:
                 merged["laplacian_const"] += facts["laplacian_const"]
@@ -174,14 +174,14 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain):
 
 
 def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
-    """Sample the generator on the domain nodes, with analytic facts attached."""
-    vals, facts = _values_and_facts(spec, domain)
-    vals = vals.reshape(domain.shape)
-    inside = domain.in_mask
-    low = float(np.min(vals[inside]))
-    if low < -1e-12 * max(1.0, float(np.max(np.abs(vals[inside])))):
+    """Sample the generator at the in-mask nodes, with analytic facts
+    attached; the field is NaN off the mask."""
+    vals, facts = _values_and_facts(spec, domain, domain.in_mask_points())
+    low = float(np.min(vals))
+    if low < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
         raise SpecOutOfDomain(f"generator {spec.kind} goes negative (min {low:.3g})")
-    values = np.where(inside, np.maximum(vals, 0.0), np.nan)
+    values = np.full(domain.shape, np.nan)
+    values[domain.in_mask] = np.maximum(vals, 0.0)
     facts["spec"] = spec
     return ScalarField(domain, values, density=True, facts=facts)
 

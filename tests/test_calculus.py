@@ -57,18 +57,24 @@ def test_laplacian_constant_zero():
     assert np.allclose(lap[np.isfinite(lap)], 0.0, atol=1e-12)
 
 
-def _lap_error(h):
-    dom = make_ball_domain([0, 0], 1.0, h, 2)
-    e = dom.field_from_function(lambda p: np.cos(p[:, 0]) * np.cosh(p[:, 1]))
+def _lap_error(n, h):
+    """Max |Delta u| over d <= 0.8 on the unit ball for the harmonic
+    u = sum_k cos(x_k) cosh(x_(k+1)), which varies along every axis."""
+    dom = make_ball_domain([0.0] * n, 1.0, h, n)
+    e = dom.field_from_function(
+        lambda p: sum(np.cos(p[:, k]) * np.cosh(p[:, k + 1]) for k in range(n - 1)))
     lap = laplacian(e).values
     dist = dom.center_distances()
     sel = np.isfinite(lap) & (dist <= 0.8)
     return float(np.max(np.abs(lap[sel])))
 
 
-def test_laplacian_second_order_convergence():
-    errs = [_lap_error(h) for h in (1 / 16, 1 / 32, 1 / 64)]
-    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+@pytest.mark.parametrize("n, spacings", [(2, (1 / 16, 1 / 32, 1 / 64)),
+                                         (3, (1 / 8, 1 / 16, 1 / 32)),
+                                         (4, (1 / 8, 1 / 16))], ids=("2", "3", "4"))
+def test_laplacian_second_order_convergence(n, spacings):
+    errs = [_lap_error(n, h) for h in spacings]
+    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     for rate in rates:
         assert 1.8 <= rate <= 2.2, rates
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mvlab.cli import main
 from mvlab.report import strip_header
 
@@ -65,6 +67,22 @@ def test_input_error_exit_code(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"domain": BALL})
     assert main(["--config", bad, "--out", str(tmp_path / "o4"),
                  "verify-morrey"]) == 3  # no input source
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--spacing", "abc", "verify-morrey"], 3),   # a bad float
+    (["--no-such-flag", "verify-morrey"], 3),     # an unknown flag
+    (["--seed", "1", "verify-morrey"], 3),        # the removed seed flag
+    (["verify-everything"], 3),                   # an unknown subcommand
+    ([], 3),                                      # no subcommand
+    (["-h"], 0),
+])
+def test_usage_errors_exit_3_and_help_exits_0(argv, code, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == (code != 0)
 
 
 def test_measure_c_flag(tmp_path, capsys):

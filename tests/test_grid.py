@@ -194,7 +194,7 @@ def test_understated_metric_deviation_rejected():
 def test_domain_arrays_are_read_only(metric):
     dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2, metric)
     arrays = [dom.mask, dom.in_mask, dom.points(), dom.center_distances(),
-              dom.sqrt_det_metric(), dom.weights]
+              dom.sqrt_det_metric(), dom.weights, *dom.axes]
     if metric is not None:
         arrays += [a for face in dom.face_metric for a in face]
     for array in arrays:
@@ -202,8 +202,9 @@ def test_domain_arrays_are_read_only(metric):
             array.flat[0] = 1
         with pytest.raises(ValueError):
             array.ravel()[0] = 1
-    # the caches are kept: a second read hands back the same array
-    assert dom.points() is dom.points() and dom.mask is dom.mask
+    # the caches are kept: a second read hands back the same array; points()
+    # is built on each call, from the kept axes
+    assert dom.axes is dom.axes and dom.mask is dom.mask
     half = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
     with pytest.raises(ValueError):
         half.mask[0, 0] = FLAT_BOUNDARY
@@ -602,3 +603,77 @@ def test_segment_distance_is_euclidean_where_the_metric_is_the_identity():
                           np.linalg.norm(points, axis=-1))
     dom = make_ball_domain([0.0] * 4, 1.0, 1 / 12, 4, metric)
     assert not dom.in_mask[dom.node_index([8 / 12, 0.0, 8 / 12, -4 / 12])]
+
+
+def _meshgrid_points(dom):
+    """Every box node's coordinates from a full meshgrid, as a cached
+    coordinate array used to hold them: shape (nodes, n), C-order."""
+    axes = [o + dom.spacing * np.arange(k) for o, k in zip(dom.origin, dom.shape)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball", "lifted_half_ball", "conformal"))
+def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n):
+    from mvlab.calculus import _window_points
+    from mvlab.grid import segment_distance
+
+    h = 1 / 8
+    dom = {"ball": lambda: make_ball_domain([0.0] * n, 1.0, h, n),
+           "half_ball": lambda: make_half_ball_domain([0.0] * n, 1.0, h, n),
+           "lifted_half_ball": lambda: make_half_ball_domain([2 * h] + [0.0] * (n - 1),
+                                                             1.0, h, n),
+           "conformal": lambda: make_ball_domain([0.0] * n, 1.0, h, n,
+                                                 conformal_metric(n, 0.01, axis=1))}[kind]()
+    ref = _meshgrid_points(dom)
+    grid = ref.reshape(dom.shape + (n,))
+    assert np.array_equal(dom.points(), ref)
+    assert np.array_equal(dom.in_mask_points(), ref[dom.in_mask.ravel()])
+    # the centre distances, Euclidean or block by block on the metric ball
+    assert np.array_equal(dom.center_distances(),
+                          segment_distance(dom.metric, dom.center, ref).reshape(dom.shape))
+    off = dom.center + np.array([0.3] + [-0.2] * (n - 1))
+    assert np.array_equal(dom.box_distances(off),
+                          segment_distance(dom.metric, off, ref).reshape(dom.shape))
+    rng = np.random.default_rng(n)
+    for center, radius in [(dom.center, 0.5), (dom.origin, 0.3), (dom.center, 10.0)] + [
+            (dom.center + rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 0.6)) for _ in range(5)]:
+        win = dom.window(center, radius)
+        inside = dom.in_mask[win].ravel()
+        window_ref = grid[win].reshape(-1, n)
+        assert np.array_equal(_window_points(dom, win), window_ref[inside])
+        assert np.array_equal(np.sqrt(dom.squared_distances(center, win)),
+                              np.linalg.norm(grid[win] - center, axis=-1))
+
+
+def test_euclidean_n4_pipeline_allocates_no_coordinate_box():
+    import math
+    import tracemalloc
+
+    from mvlab import GeneratorSpec, gen
+    from mvlab.calculus import laplacian
+
+    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. Each step may keep box-sized
+    # scalar arrays (centre distances, weights, the field, the Laplacian),
+    # but none may allocate, over what was traced when it began, as much as
+    # one (nodes x n) float64 coordinate array.
+    limit = 35**4 * 4 * 8
+    over = {}
+
+    def step(name, work):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = work()
+        over[name] = tracemalloc.get_traced_memory()[1] - start
+        return result
+
+    tracemalloc.start()
+    try:
+        dom = step("domain", lambda: make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4))
+        step("weights", lambda: dom.weights)
+        field = step("gen", lambda: gen(GeneratorSpec("quadratic"), dom))
+        step("laplacian", lambda: laplacian(field))
+    finally:
+        tracemalloc.stop()
+    assert math.prod(dom.shape) * dom.dimension * 8 == limit
+    assert all(peak < limit for peak in over.values()), over
