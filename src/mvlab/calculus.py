@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .errors import (
     DomainHasNoFlatBoundary,
@@ -47,21 +46,9 @@ def clipping_angle(y0: float, r: float) -> float:
     return math.acos(-y0 / r)
 
 
-def t_integral(n: int, upper: float) -> float:
-    """The clipping integral int_1^upper t^-2 (1 - t^-2)^((n-3)/2) dt."""
-    if upper <= 1.0:
-        return 0.0
-    power = 0.5 * (n - 3)
-
-    def integrand(t: float) -> float:
-        return t**-2 * (1.0 - t**-2) ** power
-
-    value, _ = _quad(integrand, 1.0, upper, limit=200)
-    return value
-
-
 def t_integral_bound(n: int) -> float:
-    """Closed upper bound for the clipping integral: pi/2 at n=2, 1 above."""
+    """Closed upper bound for the clipping integral
+    int_1^U t^-2 (1 - t^-2)^((n-3)/2) dt over U > 1: pi/2 at n=2, 1 above."""
     return 0.5 * math.pi if n == 2 else 1.0
 
 
@@ -104,7 +91,7 @@ def laplacian(e: ScalarField) -> ScalarField:
     n = dom.dimension
     h = dom.spacing
     v = e.values
-    if dom.metric is None or dom.metric.trivial:
+    if dom.metric is None:
         # (v[+1] - 2 v) + v[-1] per axis, worked in one buffer, so that three
         # box arrays are live, not five
         padded = _pad(v)

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import heinz, quantization, report, synth, verify
 from .config import (
+    config_value,
     domain_from_config,
+    floats,
     generator_from_config,
     ledger_from_config,
     load_json,
@@ -81,8 +83,9 @@ class RunConfig:
         self.raw = load_json(args.config) if args.config else {}
         self.subcommand = args.subcommand
         self.tol_k = (args.tolerance_k if args.tolerance_k is not None
-                      else float(self.raw.get("tolerance_k", 10.0)))
-        out = args.out or self.raw.get("out") or os.environ.get(OUT_ENV) or "mvlab-out"
+                      else config_value(self.raw, "tolerance_k", "config", float, 10.0))
+        out = (args.out or config_value(self.raw, "out", "config", str, None)
+               or os.environ.get(OUT_ENV) or "mvlab-out")
         self.out_dir = Path(out)
         self.c_override = args.c_constant
         self.measure_c = bool(args.measure_c)
@@ -90,9 +93,8 @@ class RunConfig:
         self.b_flag = args.b
         self._args = args
 
-        dom_cfg = self.raw.get("domain")
+        dom_cfg = config_value(self.raw, "domain", "config", dict, None)
         if dom_cfg is not None:
-            dom_cfg = dict(dom_cfg)
             if args.spacing is not None:
                 dom_cfg["spacing"] = args.spacing
             if args.dimension is not None:
@@ -114,10 +116,10 @@ class RunConfig:
             raise ConfigError("exactly one of 'generator' or 'field_file' is required")
         if gen_cfg is not None:
             return synth.gen(generator_from_config(gen_cfg), domain)
-        return read_field(file_cfg, domain)
+        return read_field(config_value(self.raw, "field_file", "config", str), domain)
 
     def params(self, n):
-        cfg = dict(self.raw.get("params", {}))
+        cfg = config_value(self.raw, "params", "config", dict, {})
         if self.a_flag is not None:
             cfg["a"] = self.a_flag
         if self.b_flag is not None:
@@ -126,7 +128,7 @@ class RunConfig:
 
     def ledger(self, domain, params):
         """The run's ledger; C is measured on ``domain`` only when asked for."""
-        cfg = dict(self.raw.get("ledger", {}))
+        cfg = config_value(self.raw, "ledger", "config", dict, {})
         if self.c_override is not None:
             cfg["C"] = self.c_override
         if self.measure_c:
@@ -179,17 +181,19 @@ def run(cfg: RunConfig) -> int:
     sub = cfg.subcommand
 
     if sub == "constants":
-        n = int(cfg.raw.get("dimension",
-                            cfg.domain_cfg["dimension"] if cfg.domain_cfg else 2))
+        n = config_value(cfg.raw, "dimension", "config", int,
+                         config_value(cfg.domain_cfg, "dimension", "domain", int)
+                         if cfg.domain_cfg else 2)
         if cfg._args.dimension is not None:
             n = cfg._args.dimension
         params = cfg.params(n)
+        ledger_cfg = config_value(cfg.raw, "ledger", "config", dict, {})
         c_value = cfg.c_override if cfg.c_override is not None else \
-            float(cfg.raw.get("ledger", {}).get("C", 1.0))
+            config_value(ledger_cfg, "C", "ledger", float, 1.0)
         ledger = make_ledger(n, params.a, params.b, c_value,
-                             delta=float(cfg.raw.get("ledger", {}).get("delta", 0.05)))
+                             delta=config_value(ledger_cfg, "delta", "ledger", float, 0.05))
         if params.A1 + params.B1 > 0 and ledger.eps_ab is not None:
-            r = float(cfg.raw.get("radius", 1.0))
+            r = config_value(cfg.raw, "radius", "config", float, 1.0)
             eps_cap = min(0.5, ledger.eps_ab) if ledger.eps_ab else 0.5
             ep = epsilon_prime(params, r, ledger.c_master, eps_cap)
             ledger = ledger.with_eps_prime(ep.value)
@@ -214,8 +218,9 @@ def run(cfg: RunConfig) -> int:
     n = domain.dimension
 
     if sub == "heinz-scan":
-        center = cfg.raw.get("center", [float(x) for x in domain.center])
-        r = float(cfg.raw.get("radius", domain.radius))
+        center = config_value(cfg.raw, "center", "config", floats,
+                              [float(x) for x in domain.center])
+        r = config_value(cfg.raw, "radius", "config", float, domain.radius)
         rep = heinz.heinz_scan(e, center, r)
         record = rep.as_dict()
         report.write_records(cfg.out_dir / "heinz.txt", [record])
@@ -252,8 +257,9 @@ def run(cfg: RunConfig) -> int:
         return _verdict_exit([rep.verdict])
 
     if sub == "monotonicity":
-        center = cfg.raw.get("center", [float(x) for x in domain.center])
-        radii = cfg.raw.get("radii")
+        center = config_value(cfg.raw, "center", "config", floats,
+                              [float(x) for x in domain.center])
+        radii = config_value(cfg.raw, "radii", "config", floats, None)
         if radii is None:
             h = domain.spacing
             r_max = domain.radius - 4.0 * h
@@ -288,21 +294,22 @@ def _run_detect(cfg: RunConfig) -> int:
         raise ConfigError("detect-bubbles needs exactly one of 'sequence' or 'manifest'")
 
     if manifest is not None:
-        paths = manifest.get("fields")
+        paths = config_value(manifest, "fields", "manifest", lambda v: [str(p) for p in v],
+                             None)
         if not paths:
             raise ConfigError("manifest: 'fields' must list at least one field file")
         first = read_field(paths[0])
         fields = [first] + [read_field(p, first.domain) for p in paths[1:]]
         domain = first.domain
         params = params_from_config(manifest.get("params"), domain.dimension)
-        energy_bound = manifest.get("energy_bound")
         seq = quantization.make_density_sequence(
-            fields, params, float(energy_bound) if energy_bound is not None else None)
-        threshold = float(manifest["divergence_threshold"])
+            fields, params, config_value(manifest, "energy_bound", "manifest", float, None))
+        threshold = config_value(manifest, "divergence_threshold", "manifest")
     else:
         domain = cfg.domain()
-        bubbles = [generator_from_config(b) for b in seq_cfg["bubbles"]]
-        schedule = [float(x) for x in seq_cfg["schedule"]]
+        bubbles = [generator_from_config(b)
+                   for b in config_value(seq_cfg, "bubbles", "sequence", list)]
+        schedule = config_value(seq_cfg, "schedule", "sequence", floats)
         background = (generator_from_config(seq_cfg["background"])
                       if "background" in seq_cfg else None)
         params_cfg = raw.get("params")
@@ -310,7 +317,7 @@ def _run_detect(cfg: RunConfig) -> int:
                   if params_cfg is not None else None)
         seq = synth.gen_sequence(bubbles, schedule, domain, background, params)
         params = seq.params
-        threshold = float(seq_cfg["divergence_threshold"])
+        threshold = config_value(seq_cfg, "divergence_threshold", "sequence")
 
     ledger = cfg.ledger(seq.domain, params)
     try:

@@ -29,40 +29,69 @@ from .synth import GeneratorSpec
 def load_json(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _need(cfg: dict, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"{where}: missing key {key!r}")
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def config_value(cfg: dict, key: str, where: str, convert=float, default=_REQUIRED):
+    """``convert(cfg[key])``; ``default`` as it is when the key is absent and
+    a default is given. ``convert`` reads nothing but the value, so a
+    TypeError, ValueError or LookupError from it means a malformed value and
+    becomes a ConfigError naming the key."""
+    if default is not _REQUIRED and isinstance(cfg, dict) and key not in cfg:
+        return default
+    raw = _need(cfg, key, where)
+    try:
+        return convert(raw)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
+
+
+def floats(value) -> list[float]:
+    return [float(x) for x in value]
+
+
+def _terms(value) -> list:
+    return [(int(i), int(j), float(c), [int(p) for p in pw]) for i, j, c, pw in value]
+
+
 def metric_from_config(cfg: dict | None, n: int) -> MetricSpec | None:
     if cfg is None:
         return None
-    preset = cfg.get("preset")
+    preset = config_value(cfg, "preset", "metric", str, None)
+    deviation = config_value(cfg, "declared_deviation", "metric", float, None)
     if preset == "identity":
         return identity_metric(n)
     if preset == "conformal":
-        return conformal_metric(n, float(_need(cfg, "coefficient", "metric")),
-                                axis=int(cfg.get("axis", 1)),
-                                declared_deviation=cfg.get("declared_deviation"))
+        return conformal_metric(n, config_value(cfg, "coefficient", "metric"),
+                                axis=config_value(cfg, "axis", "metric", int, 1),
+                                declared_deviation=deviation)
     if preset == "sine":
-        entry = cfg.get("entry", [0, 0])
-        return sine_metric(n, float(_need(cfg, "coefficient", "metric")),
-                           entry=(int(entry[0]), int(entry[1])),
-                           axis=int(cfg.get("axis", 1)),
-                           declared_deviation=cfg.get("declared_deviation"))
+        return sine_metric(n, config_value(cfg, "coefficient", "metric"),
+                           entry=config_value(cfg, "entry", "metric",
+                                              lambda e: (int(e[0]), int(e[1])), (0, 0)),
+                           axis=config_value(cfg, "axis", "metric", int, 1),
+                           declared_deviation=deviation)
     if preset == "polynomial" or "terms" in cfg:
-        terms = [(int(i), int(j), float(c), [int(p) for p in pw])
-                 for i, j, c, pw in _need(cfg, "terms", "metric")]
-        return polynomial_metric(n, terms,
-                                 float(_need(cfg, "declared_deviation", "metric")))
+        return polynomial_metric(n, config_value(cfg, "terms", "metric", _terms),
+                                 config_value(cfg, "declared_deviation", "metric"))
     raise ConfigError(f"metric: unknown preset {preset!r}")
 
 
@@ -76,10 +105,10 @@ def metric_to_config(metric: MetricSpec | None) -> dict | None:
 
 def domain_from_config(cfg: dict) -> Domain:
     kind = _need(cfg, "kind", "domain")
-    n = int(_need(cfg, "dimension", "domain"))
-    center = [float(x) for x in _need(cfg, "center", "domain")]
-    radius = float(_need(cfg, "radius", "domain"))
-    spacing = float(_need(cfg, "spacing", "domain"))
+    n = config_value(cfg, "dimension", "domain", int)
+    center = config_value(cfg, "center", "domain", floats)
+    radius = config_value(cfg, "radius", "domain")
+    spacing = config_value(cfg, "spacing", "domain")
     if kind == BALL:
         metric = metric_from_config(cfg.get("metric"), n)
         return make_ball_domain(center, radius, spacing, n, metric)
@@ -103,30 +132,26 @@ def domain_to_config(domain: Domain) -> dict:
 
 def generator_from_config(cfg: dict) -> GeneratorSpec:
     kind = _need(cfg, "kind", "generator")
-    parts = tuple(generator_from_config(p) for p in cfg.get("parts", []))
+    parts = tuple(generator_from_config(p)
+                  for p in config_value(cfg, "parts", "generator", list, []))
+    center = config_value(cfg, "center", "generator", floats, None)
+    pole = config_value(cfg, "pole", "generator", floats, None)
     return GeneratorSpec(
         kind=kind,
-        amplitude=float(cfg.get("amplitude", 1.0)),
-        center=tuple(float(x) for x in cfg["center"]) if "center" in cfg else None,
-        scale=float(cfg["scale"]) if "scale" in cfg else None,
-        offset=float(cfg.get("offset", 0.0)),
-        axis=int(cfg.get("axis", 1)),
-        pole=tuple(float(x) for x in cfg["pole"]) if "pole" in cfg else None,
+        amplitude=config_value(cfg, "amplitude", "generator", float, 1.0),
+        center=tuple(center) if center is not None else None,
+        scale=config_value(cfg, "scale", "generator", float, None),
+        offset=config_value(cfg, "offset", "generator", float, 0.0),
+        axis=config_value(cfg, "axis", "generator", int, 1),
+        pole=tuple(pole) if pole is not None else None,
         parts=parts,
     )
 
 
 def params_from_config(cfg: dict | None, n: int) -> BoundParams:
     cfg = cfg or {}
-    return BoundParams(
-        n,
-        A0=float(cfg.get("A0", 0.0)),
-        A1=float(cfg.get("A1", 0.0)),
-        a=float(cfg.get("a", 0.0)),
-        B0=float(cfg.get("B0", 0.0)),
-        B1=float(cfg.get("B1", 0.0)),
-        b=float(cfg.get("b", 0.0)),
-    )
+    return BoundParams(n, **{key: config_value(cfg, key, "params", float, 0.0)
+                             for key in ("A0", "A1", "a", "B0", "B1", "b")})
 
 
 def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,
@@ -134,8 +159,8 @@ def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,
     """Build the ledger; ``C`` may be a number or the string "measure", in
     which case the caller must supply the measured value."""
     cfg = cfg or {}
+    delta = config_value(cfg, "delta", "ledger", float, 0.05)
     c_raw = cfg.get("C", "measure")
-    delta = float(cfg.get("delta", 0.05))
     if isinstance(c_raw, str):
         if c_raw != "measure":
             raise ConfigError(f"ledger: C must be a number or 'measure', got {c_raw!r}")
@@ -143,5 +168,5 @@ def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,
             raise ConfigError("ledger: C='measure' but no measured constant supplied")
         return make_ledger(n, params.a, params.b, measured_c, delta,
                            c_provenance="measured")
-    return make_ledger(n, params.a, params.b, float(c_raw), delta,
+    return make_ledger(n, params.a, params.b, config_value(cfg, "C", "ledger"), delta,
                        c_provenance="configured")

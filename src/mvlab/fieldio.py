@@ -4,6 +4,7 @@ encoded mask, and in-mask node values in lexicographic (C) order."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,25 @@ def write_field(e: ScalarField, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def _malformed(path):
+    """Parse errors in the field file ``path`` as a ConfigError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing header line {exc.args[0]}=") from exc
+    except (ValueError, OverflowError, MVLabError) as exc:
+        raise ConfigError(f"{path}: malformed field file: {exc}") from exc
+
+
 def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
     """Read a field file. Passing an existing ``domain`` skips rebuilding the
     grid (useful for sequences sharing one domain) but still verifies the
     stored header against it."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the field file ({exc})") from exc
     if not text or not text[0].startswith(f"# {FORMAT_TAG}"):
         raise ConfigError(f"{path}: not a {FORMAT_TAG} file")
     header: dict[str, str] = {}
@@ -70,21 +85,27 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
     if value_start is None:
         raise ConfigError(f"{path}: missing values section")
 
-    dom_cfg = json.loads(header["domain"])
+    with _malformed(path):
+        dom_cfg = json.loads(header["domain"])
+        stored_shape = tuple(int(s) for s in header["shape"].split(","))
+        stored_origin = np.array([float(x) for x in header["origin"].split(",")])
+        rle = header["mask_rle"]
+        vals_flat = np.array([v for v in text[value_start:] if v], dtype=float)
     if domain is None:
-        domain = domain_from_config(dom_cfg)
-    stored_shape = tuple(int(s) for s in header["shape"].split(","))
+        try:
+            domain = domain_from_config(dom_cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if stored_shape != domain.shape:
         raise ConfigError(f"{path}: stored shape {stored_shape} != rebuilt "
                           f"shape {domain.shape}")
-    stored_origin = np.array([float(x) for x in header["origin"].split(",")])
     if not np.allclose(stored_origin, domain.origin, atol=1e-12):
         raise ConfigError(f"{path}: stored origin differs from the rebuilt grid")
-    stored_mask = mask_from_rle(header["mask_rle"], domain.shape)
+    with _malformed(path):
+        stored_mask = mask_from_rle(rle, domain.shape)
     if not np.array_equal(stored_mask, domain.mask):
         raise ConfigError(f"{path}: stored mask differs from the rebuilt grid")
 
-    vals_flat = np.array([float(v) for v in text[value_start:] if v])
     in_mask = domain.in_mask.ravel()
     if vals_flat.size != int(np.count_nonzero(in_mask)):
         raise ConfigError(f"{path}: {vals_flat.size} values for "

@@ -164,7 +164,7 @@ class MetricSpec:
     matrix: Callable[[np.ndarray], np.ndarray]
     declared_deviation: float = 0.0
     name: str = "custom"
-    trivial: bool = False  # identity fast path
+    trivial: bool = False  # make_ball_domain builds no metric for it
     config: dict | None = field(default=None, compare=False)  # round-trip recipe
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -317,14 +317,15 @@ def _gated_sqrt_det(g: np.ndarray) -> np.ndarray:
 
 def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from ``base`` to each point: Euclidean, corrected to first
-    order in (g - identity) along the straight segment when a nontrivial
-    metric is present. The Gauss-Legendre sum of g along each segment is
-    taken first, then one quadratic form per point."""
+    order in (g - identity) along the straight segment when a metric is
+    present (on the identity the correction is exactly 0). The
+    Gauss-Legendre sum of g along each segment is taken first, then one
+    quadratic form per point."""
     points = np.asarray(points, dtype=float)
     base = np.asarray(base, dtype=float)
     v = points - base
     length = np.linalg.norm(v, axis=-1)
-    if metric is None or metric.trivial:
+    if metric is None:
         return length
     out = length.copy()
     nz = np.flatnonzero(length.reshape(-1) > 0)
@@ -516,7 +517,7 @@ class Domain:
 
     @property
     def _euclidean(self) -> bool:
-        return self.metric is None or self.metric.trivial
+        return self.metric is None
 
     @cached_property
     def _sqrt_det_metric(self) -> np.ndarray:
@@ -713,8 +714,8 @@ def _grid_center(kind: str, center: Sequence[float], r: float, h: float,
         raise MVLabError(f"dimension {n} not in {SUPPORTED_DIMENSIONS}")
     if center.shape != (n,):
         raise MVLabError(f"center must have {n} components")
-    if r <= 0 or h <= 0:
-        raise MVLabError("radius and spacing must be positive")
+    if not (0 < r < math.inf and 0 < h < math.inf):
+        raise MVLabError("radius and spacing must be positive and finite")
     if kind == HALF_BALL and center[0] < 0:
         raise CenterBelowBoundary(f"half-ball center has y0={center[0]} < 0")
     if h > r / 8 + 1e-12:

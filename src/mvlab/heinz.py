@@ -119,7 +119,7 @@ def _window_reach(dom: Domain, radius: float) -> float | None:
     with |corr| <= |g - I|_2 <= n delta, delta the larger of the declared and
     measured deviations. None (scan every node) when n delta / 2 >= 1."""
     shrink = 1.0
-    if dom.metric is not None and not dom.metric.trivial:
+    if dom.metric is not None:
         delta = max(dom.metric.declared_deviation, dom.measured_deviation)
         shrink -= 0.5 * dom.dimension * delta
     return radius / shrink + dom.spacing if shrink > 0.0 else None

@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from . import calculus, verify
 from .constants import BoundParams
 from .errors import MVLabError, SpecOutOfDomain, UnresolvableScale
 from .grid import HALF_BALL, Domain, ScalarField
-from .quantization import DensitySequence
+from .quantization import DensitySequence, make_density_sequence
 
 KINDS = ("constant", "quadratic", "harmonic_product", "poisson_peak",
          "bubble", "reflected_bubble", "linear_x0", "sum")
@@ -48,11 +47,21 @@ class GeneratorSpec:
 def bubble_mass(n: int, lam: float, amplitude: float = 1.0,
                 rho: float | None = None) -> float:
     """Mass of the bubble profile amplitude * lam^-n (1 + |x|^2/lam^2)^-n
-    inside B_rho (whole space when rho is None). The total is lam-invariant."""
-    upper = math.inf if rho is None else rho / lam
-    value, _ = _quad(lambda t: t ** (n - 1) * (1.0 + t * t) ** (-n), 0.0, upper,
-                     limit=200)
-    return calculus.vol_sphere(n - 1) * amplitude * value
+    inside B_rho (whole space when rho is None). The total is lam-invariant.
+    The radial integral int_0^T t^(n-1) (1 + t^2)^-n dt, T = rho/lam, is taken
+    in closed form, at n = 4 in a form where nothing cancels at small T."""
+    if rho is None:
+        radial = {2: 0.5, 3: math.pi / 16.0, 4: 1.0 / 12.0}[n]
+    else:
+        t = rho / lam
+        u = t * t
+        if n == 2:
+            radial = u / (2.0 * (1.0 + u))
+        elif n == 3:
+            radial = (math.atan(t) + t * (u - 1.0) / (1.0 + u) ** 2) / 8.0
+        else:
+            radial = u * u * (u + 3.0) / (12.0 * (1.0 + u) ** 3)
+    return calculus.vol_sphere(n - 1) * amplitude * radial
 
 
 def bubble_critical_ratio(n: int, amplitude: float) -> float:
@@ -200,6 +209,8 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
         if s.kind not in ("bubble", "reflected_bubble"):
             raise MVLabError("planted specs must be bubbles")
     schedule = [float(lam) for lam in schedule]
+    if not schedule:
+        raise MVLabError("bubble schedule is empty")
     if any(l2 >= l1 for l1, l2 in zip(schedule, schedule[1:])):
         raise MVLabError("bubble schedule must be strictly decreasing")
     if schedule[-1] < 4.0 * domain.spacing:
@@ -229,8 +240,6 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
         a_max = max(f[0] for f in fitted) if fitted else 0.0
         b_max = max(f[1] for f in fitted) if fitted else 0.0
         params = BoundParams(n, a=a_max, b=b_max)
-    from .quantization import make_density_sequence
-
     return make_density_sequence(fields, params,
                                  fitted=tuple(fitted) if fitted else None)
 

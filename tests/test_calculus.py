@@ -25,7 +25,6 @@ from mvlab.calculus import (
     flat_flux,
     radial_flux,
     shell_nodes,
-    t_integral,
     t_integral_bound,
 )
 from mvlab.errors import (
@@ -289,15 +288,25 @@ def test_green_identity_half_ball():
 
 
 def test_t_integral_closed_forms():
-    # n = 2: the clipping integral equals arccos(y0/r) and stays below pi/2
-    for ratio in (1.5, 3.0, 10.0):
-        val = t_integral(2, ratio)
-        assert abs(val - math.acos(1.0 / ratio)) < 1e-7
-        assert val < t_integral_bound(2)
-    for n in (3, 4):
-        for ratio in (1.5, 3.0, 10.0):
-            val = t_integral(n, ratio)
-            assert val < t_integral_bound(n) + 1e-12
+    # the clipping integral int_1^U t^-2 (1 - t^-2)^((n-3)/2) dt is, with
+    # s = 1/t, int_(1/U)^1 (1 - s^2)^((n-3)/2) ds; its sup over U > 1 is
+    # pi/2 at n = 2, 1 at n = 3 and pi/4 at n = 4, all within the bound
+    from scipy.integrate import quad
+
+    def closed(n, upper):
+        theta = math.acos(1.0 / upper)
+        return {2: theta, 3: 1.0 - 1.0 / upper,
+                4: 0.5 * (theta - math.sin(theta) * math.cos(theta))}[n]
+
+    for n, sup in ((2, 0.5 * math.pi), (3, 1.0), (4, 0.25 * math.pi)):
+        assert sup <= t_integral_bound(n)
+        for upper in (1.0001, 1.5, 3.0, 10.0, 100.0):
+            val = closed(n, upper)
+            ref = quad(lambda t: t**-2 * (1.0 - t**-2) ** (0.5 * (n - 3)), 1.0, upper,
+                       epsabs=0.0, epsrel=1e-9, limit=200)[0]
+            assert val == pytest.approx(ref, rel=1e-8)
+            assert 0.0 < val < sup
+        assert closed(n, 1e12) == pytest.approx(sup, rel=1e-6)
 
 
 def test_cap_constant_values():

@@ -69,6 +69,77 @@ def test_input_error_exit_code(tmp_path):
                  "verify-morrey"]) == 3  # no input source
 
 
+COARSE = {**BALL, "spacing": 1 / 16}
+MORREY = {"domain": COARSE, "generator": {"kind": "constant"}, "ledger": {"C": 1.0}}
+SEQUENCE = {"bubbles": [{"kind": "bubble", "center": [0.0, 0.0]}],
+            "schedule": [0.5, 0.25], "divergence_threshold": 50.0}
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+def _field_file(tmp_path, edit=lambda lines: lines):
+    """A field file on COARSE, with ``edit`` applied to its lines."""
+    from mvlab.config import domain_from_config
+    from mvlab.fieldio import write_field
+    from mvlab.synth import GeneratorSpec, gen
+
+    path = tmp_path / "field.txt"
+    write_field(gen(GeneratorSpec("constant"), domain_from_config(COARSE)), path)
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _field_morrey(edit):
+    return lambda tmp_path: {"domain": COARSE, "field_file": _field_file(tmp_path, edit),
+                             "ledger": {"C": 1.0}}
+
+
+def _replace(prefix, line):
+    return lambda lines: [line if x.startswith(prefix) else x for x in lines]
+
+
+@pytest.mark.parametrize("subcommand, make_config, needle", [
+    ("verify-morrey",
+     _field_morrey(lambda lines: [x for x in lines if not x.startswith("shape=")]),
+     "field.txt"),
+    ("verify-morrey", _field_morrey(_replace("domain=", "domain={")), "field.txt"),
+    ("verify-morrey", _field_morrey(lambda lines: lines[:-1] + ["one"]), "field.txt"),
+    ("verify-morrey", _field_morrey(_replace("mask_rle=", "mask_rle=1y5")), "field.txt"),
+    ("verify-morrey", lambda _: {**MORREY, "domain": {**COARSE, "spacing": "fine"}},
+     "'spacing'"),
+    ("verify-morrey",
+     lambda _: {**MORREY, "generator": {"kind": "constant", "amplitude": "big"}},
+     "'amplitude'"),
+    ("verify-morrey", lambda _: {**MORREY, "params": {"a": "small"}}, "'a'"),
+    ("constants", lambda _: {"dimension": 2, "params": {"A1": 1.0, "a": 2.0},
+                             "ledger": {"C": 1.0}, "radius": "one"}, "'radius'"),
+    ("verify-morrey", lambda _: {**MORREY, "tolerance_k": "ten"}, "'tolerance_k'"),
+    ("verify-morrey", lambda _: {**MORREY, "ledger": {"C": [1.0]}}, "'C'"),
+    ("verify-morrey", lambda _: [MORREY], "top level"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": _without(SEQUENCE, "schedule"),
+                "ledger": {"C": 3.0}}, "'schedule'"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": _without(SEQUENCE, "divergence_threshold"),
+                "ledger": {"C": 3.0}}, "'divergence_threshold'"),
+    ("detect-bubbles",
+     lambda tmp_path: {"manifest": {"fields": [_field_file(tmp_path)]},
+                       "ledger": {"C": 3.0}}, "'divergence_threshold'"),
+], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
+        "string-spacing", "string-amplitude", "string-params-a", "string-radius",
+        "string-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
+        "sequence-no-threshold", "manifest-no-threshold"])
+def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
+    cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), subcommand]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--spacing", "abc", "verify-morrey"], 3),   # a bad float
     (["--no-such-flag", "verify-morrey"], 3),     # an unknown flag
@@ -287,6 +358,17 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict=Holds" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mvlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_detect_bubbles_quantization_violated_exit(tmp_path):

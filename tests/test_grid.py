@@ -1,5 +1,7 @@
 """Grid construction, masks, and metric handling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +106,8 @@ def test_half_ball_errors():
     (([0.0, 0.0], -1.0, 1 / 64, 2), MVLabError, "radius and spacing must be positive"),
     (([0.0, 0.0], 1.0, 0.0, 2), MVLabError, "radius and spacing must be positive"),
     (([0.0, 0.0], 1.0, 1 / 4, 2), ResolutionTooCoarse, r"spacing h=0.25 exceeds r/8=0.125"),
+    (([0.0, 0.0], 1.0, math.nan, 2), MVLabError, "must be positive and finite"),
+    (([0.0, 0.0], math.inf, 1 / 64, 2), MVLabError, "must be positive and finite"),
 ])
 def test_both_domain_builders_check_the_grid_arguments_alike(make, args, error, message):
     with pytest.raises(error, match=message):
@@ -603,6 +607,12 @@ def test_segment_distance_is_euclidean_where_the_metric_is_the_identity():
                           np.linalg.norm(points, axis=-1))
     dom = make_ball_domain([0.0] * 4, 1.0, 1 / 12, 4, metric)
     assert not dom.in_mask[dom.node_index([8 / 12, 0.0, 8 / 12, -4 / 12])]
+    # the identity itself, which no domain carries, takes the metric path
+    # and adds a correction of exactly 0 anywhere
+    base = np.array([0.3, -0.2, 0.1, 0.7])
+    points = rng.normal(size=(2000, 4))
+    assert np.array_equal(segment_distance(identity_metric(4), base, points),
+                          np.linalg.norm(points - base, axis=-1))
 
 
 def _meshgrid_points(dom):

@@ -108,9 +108,21 @@ def test_bubble_profile_facts():
 
 
 def test_bubble_mass_lambda_invariance():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         masses = [bubble_mass(n, lam) for lam in (1 / 4, 1 / 8, 1 / 16)]
         assert max(masses) - min(masses) < 1e-9 * masses[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 8.0, 128.0, None])
+def test_bubble_mass_closed_forms_match_quad(n, ratio):
+    lam, amplitude = 0.15, 1.7
+    upper = np.inf if ratio is None else ratio
+    radial = quad(lambda t: t ** (n - 1) * (1.0 + t * t) ** (-n), 0.0, upper,
+                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    rho = None if ratio is None else ratio * lam
+    assert bubble_mass(n, lam, amplitude, rho) == pytest.approx(
+        vol_sphere(n - 1) * amplitude * radial, rel=1e-9, abs=0.0)
 
 
 def test_bubble_total_masses_match_closed_forms():
@@ -179,6 +191,8 @@ def test_gen_sequence_guardrails():
         gen_sequence(specs, [1 / 8, 1 / 64], dom)
     with pytest.raises(MVLabError):
         gen_sequence(specs, [1 / 8, 1 / 8], dom)  # not strictly decreasing
+    with pytest.raises(MVLabError, match="empty"):
+        gen_sequence(specs, [], dom)
 
 
 def test_three_bubbles_mass_additivity():
