@@ -109,6 +109,15 @@ class RunConfig:
             raise ConfigError("this subcommand needs a 'domain' entry in the config")
         return domain_from_config(self.domain_cfg)
 
+    def center(self, domain) -> list[float]:
+        """The config's "center" (default: the domain's), one coordinate per dimension."""
+        center = config_value(self.raw, "center", "config", floats,
+                              [float(x) for x in domain.center])
+        if len(center) != domain.dimension:
+            raise ConfigError(f"config: 'center' needs {domain.dimension} coordinates, "
+                              f"got {center}")
+        return center
+
     def field(self, domain):
         gen_cfg = self.raw.get("generator")
         file_cfg = self.raw.get("field_file")
@@ -218,8 +227,7 @@ def run(cfg: RunConfig) -> int:
     n = domain.dimension
 
     if sub == "heinz-scan":
-        center = config_value(cfg.raw, "center", "config", floats,
-                              [float(x) for x in domain.center])
+        center = cfg.center(domain)
         r = config_value(cfg.raw, "radius", "config", float, domain.radius)
         rep = heinz.heinz_scan(e, center, r)
         record = rep.as_dict()
@@ -257,8 +265,7 @@ def run(cfg: RunConfig) -> int:
         return _verdict_exit([rep.verdict])
 
     if sub == "monotonicity":
-        center = config_value(cfg.raw, "center", "config", floats,
-                              [float(x) for x in domain.center])
+        center = cfg.center(domain)
         radii = config_value(cfg.raw, "radii", "config", floats, None)
         if radii is None:
             h = domain.spacing

@@ -9,6 +9,7 @@ from enum import Enum
 
 from .errors import BothLinearTermsZero, BothNonlinearitiesZero, MVLabError, RadiusOutOfRange
 from .grid import SUPPORTED_DIMENSIONS
+from .report import record
 
 
 @dataclass(frozen=True)
@@ -241,18 +242,7 @@ class ConstantLedger:
         return math.inf if self.mu_ab is None else self.mu_ab
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c_master": self.c_master,
-            "delta": self.delta,
-            "a": self.a,
-            "b": self.b,
-            "eps_ab": self.eps_ab,
-            "mu_ab": self.mu_ab,
-            "hbar": self.hbar,
-            "eps_prime": self.eps_prime,
-            "provenance": dict(sorted(self.provenance.items())),
-        }
+        return record(self)
 
     def with_eps_prime(self, value: float) -> "ConstantLedger":
         prov = dict(self.provenance)

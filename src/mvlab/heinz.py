@@ -26,6 +26,7 @@ import numpy as np
 from .constants import BoundParams
 from .errors import DomainNotHalfBall, EmptyBall, MVLabError
 from .grid import HALF_BALL, Domain, ScalarField
+from .report import record
 from . import calculus
 
 @dataclass(frozen=True)
@@ -59,18 +60,10 @@ class HeinzReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "r": self.r,
-            "rho_bar": self.rho_bar,
-            "c_bar": self.c_bar,
-            "x_bar": list(self.x_bar),
-            "eps": self.eps,
-            "checks": [
-                {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                for c in self.checks
-            ],
-        }
+        out = record(self)
+        for check, c in zip(out["checks"], self.checks):
+            check["passed"] = c.passed
+        return out
 
 
 class _PrefixSup:

@@ -12,7 +12,7 @@ must exceed the quantum hbar) or is consistent with boundedness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import calculus
 from .constants import BoundParams, ConstantLedger, quantization_dichotomy
 from .errors import MVLabError, QuantizationViolated
 from .grid import HALF_BALL, ScalarField
+from .report import record
 
 
 @dataclass(frozen=True)
@@ -126,44 +127,8 @@ class ConcentrationReport:
         return len(self.points)
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "max_points": self.max_points,
-            "energy_bound": self.energy_bound,
-            "hbar": self.hbar,
-            "divergence_threshold": self.divergence_threshold,
-            "cluster_radius": self.cluster_radius,
-            "budget_exhausted": self.budget_exhausted,
-            "surviving_indices": list(self.surviving_indices),
-            "residual_bounds": {str(k): v for k, v in sorted(self.residual_bounds.items())},
-            "points": [
-                {
-                    "location": list(p.location),
-                    "witness_indices": list(p.witness_indices),
-                    "onset_index": p.onset_index,
-                    "certified_energy": p.certified_energy,
-                    "exclusion_radius": p.exclusion_radius,
-                    "near_flat_boundary": p.near_flat_boundary,
-                    "steps": [
-                        {"index": s.index, "z": list(s.z), "R": s.R,
-                         "delta": s.delta, "energy": s.energy, "branch": s.branch}
-                        for s in p.steps
-                    ],
-                }
-                for p in self.points
-            ],
-            "bounded_candidates": [
-                {"location": list(c.location),
-                 "witness_indices": list(c.witness_indices),
-                 "max_value": c.max_value}
-                for c in self.bounded_candidates
-            ],
-            "merges": [
-                {"location": list(m.location), "merged_into": m.merged_into,
-                 "distance": m.distance}
-                for m in self.merges
-            ],
-        }
+        return {**record(self), "count": self.count,
+                "residual_bounds": {str(k): v for k, v in sorted(self.residual_bounds.items())}}
 
 
 def _allowed_mask(domain, exclusions) -> np.ndarray:
@@ -282,10 +247,7 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
                 merges.append(MergeEvent(tuple(location), idx, gap))
                 grown = max(existing.exclusion_radius, gap + delta_excl)
                 excluded[idx] = (np.asarray(existing.location), grown)
-                points[idx] = ConcentrationPoint(
-                    existing.location, existing.witness_indices, existing.steps,
-                    existing.onset_index, existing.certified_energy, grown,
-                    existing.near_flat_boundary)
+                points[idx] = replace(existing, exclusion_radius=grown)
                 merged = True
                 break
         if merged:

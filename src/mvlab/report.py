@@ -8,13 +8,18 @@ line, so byte-level comparisons can drop headers and match exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .constants import ConstantLedger
-
 HEADER_PREFIX = "# generated"
+
+
+def record(report) -> dict:
+    """``dataclasses.asdict(report)`` with tuple fields as lists, as JSON writes them."""
+    return dataclasses.asdict(report, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
 
 
 def canonical_json(record: dict) -> str:
@@ -37,8 +42,8 @@ def strip_header(text: str) -> str:
                      if not line.startswith(HEADER_PREFIX))
 
 
-def ledger_block(ledger: ConstantLedger) -> str:
-    """Flat key=value text block with provenance tags."""
+def ledger_block(ledger) -> str:
+    """Flat key=value text block of a ``ConstantLedger`` with provenance tags."""
     data = ledger.as_dict()
     prov = data.pop("provenance")
     lines = []
@@ -48,30 +53,26 @@ def ledger_block(ledger: ConstantLedger) -> str:
     return "\n".join(lines)
 
 
-def write_shell_csv(path: str | Path, profile) -> None:
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["r", "M_r", "quadrature_node_count", "clipped_flag"])
-        for s in profile.samples:
-            writer.writerow([repr(s.r), repr(s.m), s.node_count, int(s.clipped)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_shell_csv(path: str | Path, profile) -> None:
+    _write_csv(path, ["r", "M_r", "quadrature_node_count", "clipped_flag"],
+               ([repr(s.r), repr(s.m), s.node_count, int(s.clipped)]
+                for s in profile.samples))
 
 
 def write_weak_csv(path: str | Path, report) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["test_function", "value", "tol"])
-        for name, value in report.values:
-            writer.writerow([name, repr(value), repr(report.tol)])
+    _write_csv(path, ["test_function", "value", "tol"],
+               ([name, repr(value), repr(report.tol)] for name, value in report.values))
 
 
 def write_detection_csv(path: str | Path, report) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["point", "i", "z", "R", "delta",
-                         "concentrated_energy", "branch"])
-        for pi, point in enumerate(report.points):
-            for s in point.steps:
-                writer.writerow([pi, s.index,
-                                 ";".join(repr(x) for x in s.z),
-                                 repr(s.R), repr(s.delta), repr(s.energy),
-                                 s.branch])
+    _write_csv(path, ["point", "i", "z", "R", "delta", "concentrated_energy", "branch"],
+               ([pi, s.index, ";".join(repr(x) for x in s.z),
+                 repr(s.R), repr(s.delta), repr(s.energy), s.branch]
+                for pi, point in enumerate(report.points) for s in point.steps))

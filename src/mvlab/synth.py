@@ -49,7 +49,10 @@ def bubble_mass(n: int, lam: float, amplitude: float = 1.0,
     """Mass of the bubble profile amplitude * lam^-n (1 + |x|^2/lam^2)^-n
     inside B_rho (whole space when rho is None). The total is lam-invariant.
     The radial integral int_0^T t^(n-1) (1 + t^2)^-n dt, T = rho/lam, is taken
-    in closed form, at n = 4 in a form where nothing cancels at small T."""
+    in closed form, at n = 4 in a form where nothing cancels at small T. At
+    n = 3 the closed form cancels below T = 1/4, where the alternating series
+    sum_k (-1)^k C(k+2, 2) T^(2k+3) / (2k+3) takes over (20 terms reach full
+    precision there)."""
     if rho is None:
         radial = {2: 0.5, 3: math.pi / 16.0, 4: 1.0 / 12.0}[n]
     else:
@@ -57,6 +60,9 @@ def bubble_mass(n: int, lam: float, amplitude: float = 1.0,
         u = t * t
         if n == 2:
             radial = u / (2.0 * (1.0 + u))
+        elif n == 3 and t < 0.25:
+            radial = sum((-1) ** k * (k + 1) * (k + 2) // 2 * t ** (2 * k + 3) / (2 * k + 3)
+                         for k in reversed(range(20)))
         elif n == 3:
             radial = (math.atan(t) + t * (u - 1.0) / (1.0 + u) ** 2) / 8.0
         else:
@@ -182,15 +188,22 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
     raise MVLabError(f"unhandled generator kind {kind!r}")
 
 
-def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
-    """Sample the generator at the in-mask nodes, with analytic facts
-    attached; the field is NaN off the mask."""
-    vals, facts = _values_and_facts(spec, domain, domain.in_mask_points())
+def _sample(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
+    """The generator's values at the in-mask nodes ``pts``, checked
+    nonnegative up to rounding and clamped at 0, and its facts."""
+    vals, facts = _values_and_facts(spec, domain, pts)
     low = float(np.min(vals))
     if low < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
         raise SpecOutOfDomain(f"generator {spec.kind} goes negative (min {low:.3g})")
+    return np.maximum(vals, 0.0), facts
+
+
+def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
+    """Sample the generator at the in-mask nodes, with analytic facts
+    attached; the field is NaN off the mask."""
+    vals, facts = _sample(spec, domain, domain.in_mask_points())
     values = np.full(domain.shape, np.nan)
-    values[domain.in_mask] = np.maximum(vals, 0.0)
+    values[domain.in_mask] = vals
     facts["spec"] = spec
     return ScalarField(domain, values, density=True, facts=facts)
 
@@ -217,16 +230,15 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
         raise UnresolvableScale(
             f"lambda_min = {schedule[-1]} below the 4h = {4 * domain.spacing} guardrail")
 
-    base = gen(background, domain) if background is not None else None
+    pts = domain.in_mask_points()
+    base = _sample(background, domain, pts)[0] if background is not None else 0.0
     fields = []
     fitted = []
     for lam in schedule:
-        total = base.values.copy() if base is not None else np.where(
-            domain.in_mask, 0.0, np.nan)
-        for s in specs:
-            bubble = gen(replace(s, scale=lam), domain)
-            total = total + bubble.values
-        field = ScalarField(domain, total, density=True)
+        values = np.full(domain.shape, np.nan)
+        values[domain.in_mask] = sum((_sample(replace(s, scale=lam), domain, pts)[0]
+                                      for s in specs), base)
+        field = ScalarField(domain, values, density=True)
         fields.append(field)
         if fit_bounds:
             a_req = verify.fit_nonlinearity(field, 0.0, 0.0)

@@ -23,6 +23,7 @@ from .errors import (
     RadiusOutOfRange,
 )
 from .grid import BALL, HALF_BALL, ScalarField
+from .report import record
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -50,20 +51,9 @@ class VerificationReport:
     required_c: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "tol": self.tol,
-            "hypothesis": self.hypothesis,
-            "grid": self.grid,
-            "required_c": self.required_c,
-        }
-        if self.ledger is not None:
-            out["ledger"] = self.ledger.as_dict()
+        out = record(self)
+        if self.ledger is None:
+            del out["ledger"]
         return out
 
 
@@ -294,26 +284,11 @@ class MonotonicityReport:
     weak: calculus.WeakTestReport | None = None  # weak mode only; not a record field
 
     def as_dict(self) -> dict:
-        return {
-            "y0": self.y0,
-            "monotone": self.monotone,
-            "worst_drop": self.worst_drop,
-            "limit_value": self.limit_value,
-            "limit_target": self.limit_target,
-            "limit_kind": self.limit_kind,
-            "limit_passed": self.limit_passed,
-            "large_r": [
-                {"r": c.r, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                for c in self.large_r
-            ],
-            "hypothesis": self.hypothesis,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "profile": [
-                {"r": s.r, "m": s.m, "nodes": s.node_count, "clipped": s.clipped}
-                for s in self.profile.samples
-            ],
-        }
+        out = record(self)
+        del out["monotone_radii"], out["weak"]
+        out["profile"] = [{"r": s.r, "m": s.m, "nodes": s.node_count, "clipped": s.clipped}
+                          for s in self.profile.samples]
+        return out
 
 
 def monotonicity_suite(e: ScalarField, center, radii,
@@ -411,8 +386,7 @@ class ConstantEstimate:
     kind: str
 
     def as_dict(self) -> dict:
-        return {"value": self.value, "argmax_index": self.argmax_index,
-                "kind": self.kind, "ratios": list(self.ratios)}
+        return record(self)
 
 
 def estimate_constant(family: list[ScalarField], kind: str,

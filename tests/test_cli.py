@@ -128,10 +128,15 @@ def _replace(prefix, line):
     ("detect-bubbles",
      lambda tmp_path: {"manifest": {"fields": [_field_file(tmp_path)]},
                        "ledger": {"C": 3.0}}, "'divergence_threshold'"),
+    ("heinz-scan", lambda _: {**MORREY, "center": [0.0]}, "'center'"),
+    ("monotonicity", lambda _: {"domain": {**HALF, "spacing": 1 / 16},
+                                "generator": {"kind": "constant"}, "center": [0.0]},
+     "'center'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "string-spacing", "string-amplitude", "string-params-a", "string-radius",
         "string-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
-        "sequence-no-threshold", "manifest-no-threshold"])
+        "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
+        "monotonicity-short-center"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), subcommand]) == 3
