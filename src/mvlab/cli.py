@@ -99,9 +99,13 @@ class RunConfig:
                 dom_cfg["spacing"] = args.spacing
             if args.dimension is not None:
                 dom_cfg["dimension"] = args.dimension
-                dom_cfg["center"] = list(dom_cfg.get("center", [0.0] * args.dimension))
-                if len(dom_cfg["center"]) != args.dimension:
-                    dom_cfg["center"] = [0.0] * args.dimension
+                center = config_value(dom_cfg, "center", "domain", floats,
+                                      [0.0] * args.dimension)
+                if len(center) != args.dimension:
+                    raise ConfigError(f"domain: 'center' needs {args.dimension} "
+                                      f"coordinates for --dimension {args.dimension}, "
+                                      f"got {center}")
+                dom_cfg["center"] = center
         self.domain_cfg = dom_cfg
 
     def domain(self):

@@ -1,9 +1,12 @@
-"""Field serialization: text tables with a key=value header, run-length
-encoded mask, and in-mask node values in lexicographic (C) order."""
+"""Field serialization: a key=value text header with a run-length encoded
+mask, then the in-mask node values in lexicographic (C) order as one base64
+line of little-endian float64."""
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -13,28 +16,27 @@ from .config import domain_from_config, domain_to_config
 from .errors import ConfigError, MVLabError
 from .grid import Domain, ScalarField
 
-FORMAT_TAG = "mvlab-field v1"
+FORMAT_TAG = "mvlab-field v2"
+_RLE = re.compile(r"[0-9]+x-?[0-9]+(?:,[0-9]+x-?[0-9]+)*")
 
 
 def mask_rle(mask: np.ndarray) -> str:
     flat = mask.ravel()
     change = np.flatnonzero(np.diff(flat)) + 1
     starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [flat.size]])
-    return ",".join(f"{int(flat[s])}x{e - s}" for s, e in zip(starts, ends))
+    counts = np.diff(np.concatenate([starts, [flat.size]]))
+    return ",".join(map("{}x{}".format, flat[starts].tolist(), counts.tolist()))
 
 
 def mask_from_rle(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    out = np.empty(int(np.prod(shape)), dtype=np.int8)
-    pos = 0
-    for token in text.split(","):
-        code, count = token.split("x")
-        count = int(count)
-        out[pos:pos + count] = np.int8(code)
-        pos += count
-    if pos != out.size:
+    if not _RLE.fullmatch(text):
+        raise MVLabError("mask run-length data is not a list of <code>x<count> runs")
+    codes, counts = np.array(re.split("[x,]", text), dtype=np.int64).reshape(-1, 2).T
+    if np.any(counts < 0):
+        raise MVLabError("mask run-length data has a negative count")
+    if counts.sum() != np.prod(shape):
         raise MVLabError("mask run-length data does not fill the grid box")
-    return out.reshape(shape)
+    return np.repeat(codes.astype(np.int8), counts).reshape(shape)
 
 
 def write_field(e: ScalarField, path: str | Path) -> None:
@@ -46,8 +48,8 @@ def write_field(e: ScalarField, path: str | Path) -> None:
     lines.append(f"density={'true' if e.density else 'false'}")
     lines.append(f"mask_rle={mask_rle(dom.mask)}")
     lines.append("values:")
-    vals = e.values.ravel()[dom.in_mask.ravel()]
-    lines.extend(repr(float(v)) for v in vals)
+    vals = e.values[dom.in_mask].astype("<f8")
+    lines.append(base64.b64encode(vals.tobytes()).decode("ascii"))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -90,7 +92,13 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
         stored_shape = tuple(int(s) for s in header["shape"].split(","))
         stored_origin = np.array([float(x) for x in header["origin"].split(",")])
         rle = header["mask_rle"]
-        vals_flat = np.array([v for v in text[value_start:] if v], dtype=float)
+        payload = text[value_start:]
+        if len(payload) != 1:
+            raise ValueError(f"{len(payload)} lines after 'values:', expected one")
+        raw = base64.b64decode(payload[0], validate=True)
+        if len(raw) % 8:
+            raise ValueError(f"{len(raw)} value bytes, not a whole number of float64")
+        vals_flat = np.frombuffer(raw, "<f8")
     if domain is None:
         try:
             domain = domain_from_config(dom_cfg)

@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from mvlab.cli import main
@@ -101,6 +103,20 @@ def _replace(prefix, line):
     return lambda lines: [line if x.startswith(prefix) else x for x in lines]
 
 
+def _as_v1(lines):
+    """The same field in the old text layout: a v1 tag, one float per line."""
+    values = np.frombuffer(base64.b64decode(lines[-1]), "<f8")
+    return ["# mvlab-field v1"] + lines[1:-1] + [repr(float(v)) for v in values]
+
+
+def _drop_last_value(lines):
+    return lines[:-1] + [base64.b64encode(base64.b64decode(lines[-1])[:-8]).decode()]
+
+
+LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
+               "generator": {"kind": "constant"}, "radii": [0.375, 0.5, 0.625]}
+
+
 @pytest.mark.parametrize("subcommand, make_config, needle", [
     ("verify-morrey",
      _field_morrey(lambda lines: [x for x in lines if not x.startswith("shape=")]),
@@ -108,6 +124,12 @@ def _replace(prefix, line):
     ("verify-morrey", _field_morrey(_replace("domain=", "domain={")), "field.txt"),
     ("verify-morrey", _field_morrey(lambda lines: lines[:-1] + ["one"]), "field.txt"),
     ("verify-morrey", _field_morrey(_replace("mask_rle=", "mask_rle=1y5")), "field.txt"),
+    ("verify-morrey", _field_morrey(_as_v1), "field.txt: not a mvlab-field v2 file"),
+    ("verify-morrey", _field_morrey(lambda lines: lines[:-1] + [lines[-1][:-3]]),
+     "field.txt"),
+    ("verify-morrey", _field_morrey(_drop_last_value), "in-mask nodes"),
+    ("verify-morrey", _field_morrey(_replace("mask_rle=", "mask_rle=0x-1")),
+     "negative count"),
     ("verify-morrey", lambda _: {**MORREY, "domain": {**COARSE, "spacing": "fine"}},
      "'spacing'"),
     ("verify-morrey",
@@ -132,14 +154,18 @@ def _replace(prefix, line):
     ("monotonicity", lambda _: {"domain": {**HALF, "spacing": 1 / 16},
                                 "generator": {"kind": "constant"}, "center": [0.0]},
      "'center'"),
+    ("--dimension 3 monotonicity", lambda _: LIFTED_HALF, "'center'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
-        "string-spacing", "string-amplitude", "string-params-a", "string-radius",
+        "field-v1", "field-truncated-payload", "field-one-value-short",
+        "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
+        "string-radius",
         "string-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
-        "monotonicity-short-center"])
+        "monotonicity-short-center", "dimension-short-center"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
+    # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
-    assert main(["--config", cfg, "--out", str(tmp_path / "o"), subcommand]) == 3
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *subcommand.split()]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert needle in err

@@ -13,6 +13,7 @@ from mvlab.config import (
 )
 from mvlab.errors import ConfigError
 from mvlab.fieldio import mask_from_rle, mask_rle, read_field, write_field
+from mvlab.grid import ScalarField
 from mvlab.synth import GeneratorSpec, gen
 
 
@@ -50,6 +51,31 @@ def test_field_roundtrip_metric_ball(tmp_path):
     assert back.domain.metric is not None
     assert back.domain.metric.config["preset"] == "conformal"
     assert np.array_equal(back.values[dom.in_mask], e.values[dom.in_mask])
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["ball", "lifted_half_ball", "conformal_ball"])
+def test_field_roundtrip_is_bitwise(tmp_path, kind, n):
+    origin = [0.0] * n
+    if kind == "ball":
+        dom = make_ball_domain(origin, 0.5, 1 / 16, n)
+    elif kind == "lifted_half_ball":
+        dom = make_half_ball_domain([0.25] + origin[1:], 0.5, 1 / 16, n)
+    else:
+        dom = make_ball_domain(origin, 0.5, 1 / 16, n, conformal_metric(n, 0.02, axis=1))
+    vals = np.random.default_rng(n).random(dom.node_count)
+    vals[:len(EDGE_VALUES)] = EDGE_VALUES
+    values = np.full(dom.shape, np.nan)
+    values[dom.in_mask] = vals
+    path = tmp_path / "field.txt"
+    write_field(ScalarField(dom, values), path)
+    back = read_field(path)
+    assert back.density
+    assert np.array_equal(back.values[dom.in_mask].view(np.uint64), vals.view(np.uint64))
+    assert np.all(np.isnan(back.values[~dom.in_mask]))
 
 
 def test_read_rejects_mismatched_domain(tmp_path):
