@@ -27,6 +27,8 @@ from .grid import (
     HALF_BALL,
     Domain,
     ScalarField,
+    _pad,
+    _shifted,
     cut_fractions,
 )
 
@@ -57,22 +59,9 @@ def cap_constant(n: int) -> float:
     return 2.0 ** (n + 1) * n * vol_sphere(n - 2) / vol_sphere(n - 1) * t_integral_bound(n)
 
 
-# ---------------------------------------------------------------------------
-# shifted views with NaN padding
-
-
-def _pad(values: np.ndarray) -> np.ndarray:
-    """Copy of ``values`` with one NaN layer around the box."""
-    return np.pad(values, 1, constant_values=np.nan)
-
-
-def _shifted(padded: np.ndarray, steps: dict[int, int]) -> np.ndarray:
-    """View of a ``_pad`` array with out[i] = values[i + step] along each
-    axis in ``steps`` (steps of +-1), NaN where that leaves the box."""
-    sel = [slice(1, -1)] * padded.ndim
-    for ax, step in steps.items():
-        sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
-    return padded[tuple(sel)]
+def verdict_tolerance(domain: Domain) -> float:
+    """The discretization tolerance every verdict is judged against: 10h."""
+    return 10.0 * domain.spacing
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +83,7 @@ def laplacian(e: ScalarField) -> ScalarField:
     if dom.metric is None:
         # (v[+1] - 2 v) + v[-1] per axis, worked in one buffer, so that three
         # box arrays are live, not five
-        padded = _pad(v)
+        padded = _pad(v, np.nan)
         lap = np.zeros_like(v)
         term = np.empty_like(v)
         for ax in range(n):
@@ -114,7 +103,7 @@ def _metric_laplacian(e: ScalarField) -> np.ndarray:
     dom = e.domain
     h = dom.spacing
     v = e.values
-    padded = _pad(v)
+    padded = _pad(v, np.nan)
     div = np.zeros_like(v)
     for ax, (sqrt_det_face, inv_rows) in enumerate(dom.face_metric):
         flux = np.zeros_like(v)
@@ -129,7 +118,7 @@ def _metric_laplacian(e: ScalarField) -> np.ndarray:
                 dj = 0.5 * (cj_here + cj_there)
             flux += inv_row * dj
         flux *= sqrt_det_face
-        div += (flux - _shifted(_pad(flux), {ax: -1})) / h
+        div += (flux - _shifted(_pad(flux, np.nan), {ax: -1})) / h
     return -div / dom.sqrt_det_metric()
 
 
@@ -584,18 +573,18 @@ class WeakTestReport:
         return max(v for _, v in self.values)
 
 
-def weak_subharmonic_test(e: ScalarField, tests: WeakTestSet | None = None,
-                          tol_k: float = 10.0) -> WeakTestReport:
+def weak_subharmonic_test(e: ScalarField,
+                          tests: WeakTestSet | None = None) -> WeakTestReport:
     """Evaluate int e * Delta(psi) for every test function (Delta analytic,
     integral by the domain's quadrature weights, as in ``integrate``, at the
     in-mask nodes of the window of psi's support ball); subharmonic when all
-    values stay below the K*h verdict tolerance."""
+    values stay below the verdict tolerance."""
     dom = e.domain
     if dom.kind != HALF_BALL:
         raise DomainNotHalfBall("weak subharmonicity test needs a half-ball")
     if tests is None:
         tests = default_test_set(dom)
-    tol = tol_k * dom.spacing
+    tol = verdict_tolerance(dom)
     values = []
     for fn in tests.functions:
         win = dom.window(*fn.support)

@@ -60,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the domain dimension n")
     parser.add_argument("--c-constant", type=float, default=None,
                         help="master mean-value constant C")
-    parser.add_argument("--measure-c", action="store_true",
-                        help="measure C from the builtin subharmonic family")
-    parser.add_argument("--tolerance-k", type=float, default=None,
-                        help="verdict tolerance multiplier K (tol = K*h, default 10)")
     parser.add_argument("--out", type=str, default=None,
                         help=f"output directory (default ${OUT_ENV} or ./mvlab-out)")
     parser.add_argument("--a", type=float, default=None,
@@ -82,13 +78,14 @@ class RunConfig:
     def __init__(self, args: argparse.Namespace):
         self.raw = load_json(args.config) if args.config else {}
         self.subcommand = args.subcommand
-        self.tol_k = (args.tolerance_k if args.tolerance_k is not None
-                      else config_value(self.raw, "tolerance_k", "config", float, 10.0))
+        if "tolerance_k" in self.raw:
+            # ignored, a key that set the factor below 10 would loosen every check
+            raise ConfigError("config: 'tolerance_k' is not a setting; every verdict "
+                              "uses the fixed tolerance 10h")
         out = (args.out or config_value(self.raw, "out", "config", str, None)
                or os.environ.get(OUT_ENV) or "mvlab-out")
         self.out_dir = Path(out)
         self.c_override = args.c_constant
-        self.measure_c = bool(args.measure_c)
         self.a_flag = args.a
         self.b_flag = args.b
         self._args = args
@@ -144,10 +141,7 @@ class RunConfig:
         cfg = config_value(self.raw, "ledger", "config", dict, {})
         if self.c_override is not None:
             cfg["C"] = self.c_override
-        if self.measure_c:
-            cfg["C"] = "measure"
-        measured = (measure_c(domain, self.tol_k)
-                    if cfg.get("C", "measure") == "measure" else None)
+        measured = measure_c(domain) if cfg.get("C", "measure") == "measure" else None
         return ledger_from_config(cfg, domain.dimension, params, measured_c=measured)
 
 
@@ -176,9 +170,9 @@ def builtin_family(domain) -> list:
     return [synth.gen(s, domain) for s in specs]
 
 
-def measure_c(domain, tol_k: float) -> float:
+def measure_c(domain) -> float:
     kind = "interior" if domain.kind == BALL else "boundary"
-    return verify.estimate_constant(builtin_family(domain), kind, tol_k).value
+    return verify.estimate_constant(builtin_family(domain), kind).value
 
 
 def _verdict_exit(verdicts: list[str]) -> int:
@@ -221,7 +215,7 @@ def run(cfg: RunConfig) -> int:
     domain = cfg.domain()
 
     if sub == "estimate-c":
-        estimate = measure_c(domain, cfg.tol_k)
+        estimate = measure_c(domain)
         print(f"measured_c={estimate!r} kind={domain.kind}")
         report.write_records(cfg.out_dir / "estimate_c.txt",
                              [{"measured_c": estimate, "kind": domain.kind}])
@@ -245,7 +239,7 @@ def run(cfg: RunConfig) -> int:
 
     if sub == "verify-morrey":
         ledger = cfg.ledger(domain, params)
-        rep = verify.verify_morrey(e, ledger.c_master, cfg.tol_k)
+        rep = verify.verify_morrey(e, ledger.c_master)
         rec = rep.as_dict()
         rec["ledger"] = ledger.as_dict()
         report.write_records(cfg.out_dir / "morrey.txt", [rec])
@@ -254,7 +248,7 @@ def run(cfg: RunConfig) -> int:
 
     if sub == "verify-interior":
         ledger = cfg.ledger(domain, params)
-        rep = verify.verify_interior_mvi(e, params, ledger, cfg.tol_k)
+        rep = verify.verify_interior_mvi(e, params, ledger)
         report.write_records(cfg.out_dir / "interior.txt", [rep.as_dict()])
         print(f"interior-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
               f"reason={rep.reason}")
@@ -262,7 +256,7 @@ def run(cfg: RunConfig) -> int:
 
     if sub == "verify-boundary":
         ledger = cfg.ledger(domain, params)
-        rep = verify.verify_boundary_mvi(e, params, ledger, cfg.tol_k)
+        rep = verify.verify_boundary_mvi(e, params, ledger)
         report.write_records(cfg.out_dir / "boundary.txt", [rep.as_dict()])
         print(f"boundary-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
               f"reason={rep.reason}")
@@ -284,8 +278,7 @@ def run(cfg: RunConfig) -> int:
                                   f"h={h}, r={domain.radius}; set 'radii' in the config")
             radii = list(np.linspace(r_min, r_max, 24))
         mode = cfg.raw.get("hypothesis_mode", "pointwise")
-        rep = verify.monotonicity_suite(e, center, radii, cfg.tol_k,
-                                        hypothesis_mode=mode)
+        rep = verify.monotonicity_suite(e, center, radii, hypothesis_mode=mode)
         report.write_records(cfg.out_dir / "monotonicity.txt", [rep.as_dict()])
         report.write_shell_csv(cfg.out_dir / "monotonicity.csv", rep.profile)
         if rep.weak is not None:

@@ -689,16 +689,28 @@ class ScalarField:
         return float(np.nanmax(self.values))
 
 
+def _pad(values: np.ndarray, fill) -> np.ndarray:
+    """Copy of ``values`` with one layer of ``fill`` around the box."""
+    return np.pad(values, 1, constant_values=fill)
+
+
+def _shifted(padded: np.ndarray, steps: dict[int, int]) -> np.ndarray:
+    """View of a ``_pad`` array with out[i] = values[i + step] along each
+    axis in ``steps`` (steps of +-1), the fill where that leaves the box."""
+    sel = [slice(1, -1)] * padded.ndim
+    for ax, step in steps.items():
+        sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
+    return padded[tuple(sel)]
+
+
 def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray:
     """Interior nodes have all 2n axis neighbors inside; flat-plane nodes win
     over the cap classification."""
-    padded = np.pad(inside, 1)  # False beyond the box
+    padded = _pad(inside, False)
     interior = inside.copy()
     for ax in range(inside.ndim):
         for step in (1, -1):
-            sel = [slice(1, -1)] * inside.ndim
-            sel[ax] = slice(1 + step, padded.shape[ax] - 1 + step)
-            interior &= padded[tuple(sel)]
+            interior &= _shifted(padded, {ax: step})
     mask = np.where(inside, np.int8(CAP_BOUNDARY), np.int8(OUTSIDE))
     mask[interior] = INTERIOR
     if kind == HALF_BALL and flat_row is not None:

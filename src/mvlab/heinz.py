@@ -187,8 +187,8 @@ def _check_region(v: ScalarField, center: np.ndarray | None, radius: float | Non
 
 
 def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
-                                 c_bar: float, check_radius: float | None = None,
-                                 tol_k: float = 10.0) -> ComparisonResult:
+                                 c_bar: float,
+                                 check_radius: float | None = None) -> ComparisonResult:
     """v = e + (1/n) (A0 + 2^n c_bar (A1 + 4 a c_bar^(2/n))) |x - x_bar|^2
     with the Euclidean norm; reports max Delta v over the check ball."""
     dom = e.domain
@@ -197,12 +197,12 @@ def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
     values = np.where(dom.in_mask, e.values + k * dom.squared_distances(x_bar), np.nan)
     v = ScalarField(dom, values, density=False)
-    return _check_region(v, x_bar, check_radius, tol_k * dom.spacing,
+    return _check_region(v, x_bar, check_radius, calculus.verdict_tolerance(dom),
                          check_boundary=False)
 
 
-def comparison_function_boundary(e: ScalarField, y, a_bound: float, b_bound: float,
-                                 tol_k: float = 10.0) -> ComparisonResult:
+def comparison_function_boundary(e: ScalarField, y, a_bound: float,
+                                 b_bound: float) -> ComparisonResult:
     """v = e + (1/2n) A |x - y|^2 + (B + A y0 / n) x0 for constant bounds
     Delta e <= A and de/dnu <= B; the x0 term is dropped when the ball stays
     inside the half space (r <= y0). Checks Delta v <= tol and, on the flat
@@ -223,4 +223,5 @@ def comparison_function_boundary(e: ScalarField, y, a_bound: float, b_bound: flo
     values = np.where(dom.in_mask, values, np.nan)
     v = ScalarField(dom, values, density=False)
     has_flat = dom.flat_node_count > 0
-    return _check_region(v, None, None, tol_k * dom.spacing, check_boundary=has_flat)
+    return _check_region(v, None, None, calculus.verdict_tolerance(dom),
+                         check_boundary=has_flat)

@@ -10,7 +10,7 @@ inequality is not claimed, not that it failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,7 +167,7 @@ def _violated(claim: str, reason: str, tol: float, hypothesis: dict, grid: dict,
 
 
 def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
-           tol_k: float, ledger: ConstantLedger | None = None) -> VerificationReport:
+           ledger: ConstantLedger | None = None) -> VerificationReport:
     """The mean value check e(center) <= rhs(params, r, int e, c): interior
     right-hand side on balls, boundary one on half-balls.
 
@@ -175,7 +175,7 @@ def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
     energy are gated against the ledger's delta and smallness threshold."""
     dom = e.domain
     n = dom.dimension
-    tol = tol_k * dom.spacing
+    tol = calculus.verdict_tolerance(dom)
     grid = _grid_summary(e)
     hypothesis: dict = {}
 
@@ -219,11 +219,11 @@ def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
                               required_c)
 
 
-def verify_morrey(e: ScalarField, c: float, tol_k: float = 10.0) -> VerificationReport:
+def verify_morrey(e: ScalarField, c: float) -> VerificationReport:
     """Sub-mean-value check e(center) <= c r^-n int e for fields passing the
     subharmonicity hypothesis (plus the Neumann sign on half-balls): the
     a = b = 0 case of the two mean value inequalities."""
-    return _check("morrey", e, BoundParams(e.domain.dimension), c, tol_k)
+    return _check("morrey", e, BoundParams(e.domain.dimension), c)
 
 
 def _check_params(e: ScalarField, params: BoundParams, ledger: ConstantLedger) -> None:
@@ -237,7 +237,7 @@ def _check_params(e: ScalarField, params: BoundParams, ledger: ConstantLedger) -
 
 
 def verify_interior_mvi(e: ScalarField, params: BoundParams,
-                        ledger: ConstantLedger, tol_k: float = 10.0) -> VerificationReport:
+                        ledger: ConstantLedger) -> VerificationReport:
     """Nonlinear interior mean value inequality on a ball of radius <= 1."""
     dom = e.domain
     if dom.kind != BALL:
@@ -245,17 +245,17 @@ def verify_interior_mvi(e: ScalarField, params: BoundParams,
     _check_params(e, params, ledger)
     if dom.radius > 1.0:
         raise RadiusOutOfRange(f"the interior inequality is stated for radii r <= 1, got {dom.radius}")
-    return _check("interior-mvi", e, params, ledger.c_master, tol_k, ledger)
+    return _check("interior-mvi", e, params, ledger.c_master, ledger)
 
 
 def verify_boundary_mvi(e: ScalarField, params: BoundParams,
-                        ledger: ConstantLedger, tol_k: float = 10.0) -> VerificationReport:
+                        ledger: ConstantLedger) -> VerificationReport:
     """Nonlinear boundary mean value inequality on a half-ball (any r > 0)."""
     dom = e.domain
     if dom.kind != HALF_BALL:
         raise MVLabError("boundary inequality lives on half-ball domains")
     _check_params(e, params, ledger)
-    return _check("boundary-mvi", e, params, ledger.c_master, tol_k, ledger)
+    return _check("boundary-mvi", e, params, ledger.c_master, ledger)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,6 @@ class MonotonicityReport:
     y0: float
     monotone: bool
     worst_drop: float
-    monotone_radii: tuple[float, ...]
     limit_value: float
     limit_target: float | None
     limit_kind: str          # "full" | "half" | "unresolved"
@@ -284,15 +283,15 @@ class MonotonicityReport:
     weak: calculus.WeakTestReport | None = None  # weak mode only; not a record field
 
     def as_dict(self) -> dict:
-        out = record(self)
-        del out["monotone_radii"], out["weak"]
+        out = record(replace(self, profile=None, weak=None))
+        del out["weak"]
         out["profile"] = [{"r": s.r, "m": s.m, "nodes": s.node_count, "clipped": s.clipped}
                           for s in self.profile.samples]
         return out
 
 
-def monotonicity_suite(e: ScalarField, center, radii,
-                       tol_k: float = 10.0, limit_abs_tol: float | None = None,
+def monotonicity_suite(e: ScalarField, center, radii, *,
+                       limit_abs_tol: float | None = None,
                        hypothesis_mode: str = "pointwise") -> MonotonicityReport:
     """Shell-average checks for a Neumann-subharmonic field on a half-ball:
     monotonicity of M(r) on the unclipped range, the small-radius limit, and
@@ -303,21 +302,21 @@ def monotonicity_suite(e: ScalarField, center, radii,
     n = dom.dimension
     center = np.asarray(center, dtype=float)
     y0 = float(center[0])
-    tol = tol_k * dom.spacing
+    tol = calculus.verdict_tolerance(dom)
     hypothesis: dict = {"mode": hypothesis_mode}
     weak = None
 
     if hypothesis_mode == "pointwise":
         ok = _pointwise_hypothesis(e, BoundParams(n), tol, hypothesis) is None
     elif hypothesis_mode == "weak":
-        weak = calculus.weak_subharmonic_test(e, tol_k=tol_k)
+        weak = calculus.weak_subharmonic_test(e)
         hypothesis["weak_worst"] = weak.worst()
         ok = weak.subharmonic
     else:
         raise MVLabError(f"unknown hypothesis mode {hypothesis_mode!r}")
     if not ok:
         profile = calculus.shell_profile(e, center, radii)
-        return MonotonicityReport(profile, y0, False, math.nan, (), math.nan,
+        return MonotonicityReport(profile, y0, False, math.nan, math.nan,
                                   None, "unresolved", None, (), hypothesis,
                                   tol, HYPOTHESIS_VIOLATED, weak)
 
@@ -330,9 +329,7 @@ def monotonicity_suite(e: ScalarField, center, radii,
         mono_sel = np.ones(len(rs), dtype=bool)
     else:
         mono_sel = rs <= y0 + 1e-12
-    mono_r = rs[mono_sel]
-    mono_m = ms[mono_sel]
-    drops = np.diff(mono_m)
+    drops = np.diff(ms[mono_sel])
     worst_drop = float(np.min(drops)) if drops.size else 0.0
     monotone = bool(worst_drop >= -tol)
 
@@ -372,8 +369,7 @@ def monotonicity_suite(e: ScalarField, center, radii,
     all_ok = (monotone and (limit_passed is not False)
               and all(c.passed for c in checks))
     verdict = HOLDS if all_ok else FAILS
-    return MonotonicityReport(profile, y0, monotone, worst_drop,
-                              tuple(float(r) for r in mono_r), limit_value,
+    return MonotonicityReport(profile, y0, monotone, worst_drop, limit_value,
                               target, limit_kind, limit_passed, tuple(checks),
                               hypothesis, tol, verdict, weak)
 
@@ -389,8 +385,7 @@ class ConstantEstimate:
         return record(self)
 
 
-def estimate_constant(family: list[ScalarField], kind: str,
-                      tol_k: float = 10.0) -> ConstantEstimate:
+def estimate_constant(family: list[ScalarField], kind: str) -> ConstantEstimate:
     """Empirical mean-value constant: max over the family of
     e(center) r^n / int e. Every member must pass its subharmonicity
     hypothesis (with the Neumann sign for the boundary kind)."""
@@ -407,7 +402,7 @@ def estimate_constant(family: list[ScalarField], kind: str,
                              f"need {expected}")
         hypothesis: dict = {}
         reason = _pointwise_hypothesis(e, BoundParams(dom.dimension),
-                                       tol_k * dom.spacing, hypothesis)
+                                       calculus.verdict_tolerance(dom), hypothesis)
         if reason is not None:
             raise MVLabError(f"family member {i} violates its hypothesis: {reason} "
                              f"(margins {hypothesis})")

@@ -212,7 +212,7 @@ def test_criterion_4_sharp_constants_n3_n4():
             for h in (coarse, fine):
                 dom = (make_ball_domain([0.0] * n, 1.0, h, n) if kind == "ball"
                        else make_half_ball_domain([0.0] * n, 1.0, h, n))
-                errors.append(cli_measure_c(dom, 10.0) / target - 1.0)
+                errors.append(cli_measure_c(dom) / target - 1.0)
             ok = ok and abs(errors[1]) < 0.005 and abs(errors[0]) >= 3.0 * abs(errors[1])
             lines.append(f"n={n} {kind} {errors[1]:+.3%} (h={fine:.4g}; "
                          f"{errors[0]:+.3%} at h={coarse:.4g})")
@@ -326,19 +326,17 @@ def test_criterion_6_heinz_invariants():
             if chk.lhs > chk.rhs:
                 failures.append(f"boundary scan {chk.name}")
 
-    tol_k = 10.0
     # interior comparisons from hypothesis-satisfying fields
     for e in fam_i:  # subharmonic: zero constants give v = e
         rep = heinz_scan(e, dom_i.center, dom_i.radius)
         res = comparison_function_interior(e, rep.x_bar, BoundParams(2),
-                                           rep.c_bar, check_radius=rep.eps,
-                                           tol_k=tol_k)
+                                           rep.c_bar, check_radius=rep.eps)
         if not res.passed:
             failures.append(f"interior v (zero params) {res.max_laplacian}")
     rep = heinz_scan(bubq, dom_i.center, dom_i.radius)
     a_fit = fit_nonlinearity(bubq, 0.0, 0.0)
     res = comparison_function_interior(bubq, rep.x_bar, BoundParams(2, a=a_fit),
-                                       rep.c_bar, check_radius=rep.eps, tol_k=tol_k)
+                                       rep.c_bar, check_radius=rep.eps)
     if not res.passed:
         failures.append(f"interior v (bubble) {res.max_laplacian}")
 
@@ -351,8 +349,7 @@ def test_criterion_6_heinz_invariants():
         (gen(GeneratorSpec("constant", amplitude=1.0), dom_b), 1.0, 1.0),
     ]
     for e, a_bound, b_bound in const_bounds:
-        res = comparison_function_boundary(e, dom_b.center, a_bound, b_bound,
-                                           tol_k=tol_k)
+        res = comparison_function_boundary(e, dom_b.center, a_bound, b_bound)
         if not res.passed:
             failures.append(
                 f"boundary v A={a_bound} B={b_bound}: lap {res.max_laplacian}, "

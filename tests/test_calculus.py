@@ -142,14 +142,22 @@ def test_normal_derivative_stencil_exact_on_quadratics():
     assert np.max(np.abs(vals2 + 0.3)) < 1e-12
 
 
-def test_normal_derivative_second_order():
+@pytest.mark.parametrize("n, r, spacings", [
+    (2, 1.0, (1 / 32, 1 / 64)),
+    (3, 0.5, (1 / 32, 1 / 64)),
+    (4, 0.5, (1 / 16, 1 / 32)),
+], ids=["2", "3", "4"])
+def test_normal_derivative_second_order(n, r, spacings):
+    # exp(x0) cos(x1) varies along the plane; its outer normal derivative
+    # there is -cos(x1)
     errs = []
-    for h in (1 / 32, 1 / 64):
-        dom = make_half_ball_domain([0.0, 0.0], 1.0, h, 2)
-        e = dom.field_from_function(lambda p: np.exp(p[:, 0]))
+    for h in spacings:
+        dom = make_half_ball_domain([0.0] * n, r, h, n)
+        e = dom.field_from_function(lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]))
         nd = normal_derivative(e)
-        vals = nd.values[nd.finite()]
-        errs.append(float(np.max(np.abs(vals + 1.0))))
+        ok = nd.finite()
+        exact = -np.cos(nd.points[ok, 1])
+        errs.append(float(np.max(np.abs(nd.values[ok] - exact))))
     assert errs[0] / errs[1] > 3.0  # second order halving gives ~4x
 
 

@@ -2,11 +2,13 @@
 
 import base64
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvlab.cli import main
+from mvlab.cli import build_parser, main
 from mvlab.report import strip_header
 
 
@@ -139,6 +141,7 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("constants", lambda _: {"dimension": 2, "params": {"A1": 1.0, "a": 2.0},
                              "ledger": {"C": 1.0}, "radius": "one"}, "'radius'"),
     ("verify-morrey", lambda _: {**MORREY, "tolerance_k": "ten"}, "'tolerance_k'"),
+    ("verify-morrey", lambda _: {**MORREY, "tolerance_k": 10.0}, "'tolerance_k'"),
     ("verify-morrey", lambda _: {**MORREY, "ledger": {"C": [1.0]}}, "'C'"),
     ("verify-morrey", lambda _: [MORREY], "top level"),
     ("detect-bubbles",
@@ -159,7 +162,7 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
         "string-radius",
-        "string-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
+        "string-tolerance-k", "numeric-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
         "monotonicity-short-center", "dimension-short-center"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
@@ -178,6 +181,8 @@ def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, need
     (["verify-everything"], 3),                   # an unknown subcommand
     ([], 3),                                      # no subcommand
     (["-h"], 0),
+    (["--tolerance-k", "5", "verify-morrey"], 3),  # the tolerance is a fixed 10h
+    (["--measure-c", "verify-morrey"], 3),         # an unset ledger.C is measured
 ])
 def test_usage_errors_exit_3_and_help_exits_0(argv, code, capsys):
     with pytest.raises(SystemExit) as info:
@@ -187,13 +192,20 @@ def test_usage_errors_exit_3_and_help_exits_0(argv, code, capsys):
     assert ("error:" in err) == (code != 0)
 
 
-def test_measure_c_flag(tmp_path, capsys):
+def test_readme_flags_are_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    documented = {code.split()[0] for code in re.findall(r"`(-[^`]*)`", paragraph)}
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert documented == options - {"-h", "--help"}
+
+
+def test_unset_ledger_c_is_measured(tmp_path, capsys):
     cfg = write_config(tmp_path, "measure.json", {
         "domain": BALL,
         "generator": {"kind": "constant", "amplitude": 1.0},
     })
-    code = main(["--config", cfg, "--measure-c", "--out", str(tmp_path / "o5"),
-                 "verify-morrey"])
+    code = main(["--config", cfg, "--out", str(tmp_path / "o5"), "verify-morrey"])
     assert code == 0
     record = strip_header((tmp_path / "o5" / "morrey.txt").read_text())
     data = json.loads(record)

@@ -272,6 +272,15 @@ def test_monotonicity_hypothesis_gate():
     assert rep.verdict == HYPOTHESIS_VIOLATED
 
 
+def test_monotonicity_options_are_keyword_only():
+    # a fourth positional argument was once the tolerance factor; it must not
+    # land in limit_abs_tol
+    dom = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
+    e = gen(GeneratorSpec("constant"), dom)
+    with pytest.raises(TypeError):
+        monotonicity_suite(e, [0.0, 0.0], [0.25, 0.5], 10.0)
+
+
 def test_estimate_constant_families():
     h = 1 / 128
     dom = make_ball_domain([0, 0], 1.0, h, 2)
