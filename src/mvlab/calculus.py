@@ -380,30 +380,6 @@ def shell_profile(e: ScalarField, center: Sequence[float],
 # boundary fluxes (discrete Green identity support)
 
 
-def radial_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
-    """int over the clipped sphere Gamma_r of the outward radial derivative.
-
-    Central differences along the radius; where the outward sample leaves the
-    mask (the clipped edge dips below the flat plane) an inward one-sided
-    stencil takes over, costing O(h) on an O(h) arc measure."""
-    dom = e.domain
-    h = dom.spacing
-    center = np.asarray(center, dtype=float)
-    y0 = float(center[0]) if dom.kind == HALF_BALL else None
-    shell = shell_nodes(center, r, dom.dimension, h, y0)
-    dirs = (shell.points - center) / r
-    here = interpolate(e, shell.points)
-    up = interpolate(e, shell.points + h * dirs)
-    down = interpolate(e, shell.points - h * dirs)
-    dr = (up - down) / (2.0 * h)
-    missing_up = ~np.isfinite(up)
-    if np.any(missing_up):
-        dr[missing_up] = (here[missing_up] - down[missing_up]) / h
-    if not np.all(np.isfinite(dr)):
-        raise ShellExitsDomain(f"flux shell r={r} leaves the domain mask")
-    return float(np.dot(shell.weights, dr)) * r ** (dom.dimension - 1)
-
-
 def flat_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
     """int over Z_r (the flat disk of D_r(center)) of the outer normal
     derivative: each flat node's lateral cell weighted by its share of the

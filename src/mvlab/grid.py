@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -50,11 +51,49 @@ _CHUNK = 1 << 17
 
 _MAX_POINTS_BYTES = 1 << 31  # largest ``Domain.points()``; a larger box raises GridTooLarge
 
+# One block of a per-node metric pass holds this many bytes of (n, n) float64
+# matrices, so that it and its kernel's temporaries stay in a core's L2 cache:
+# on a 2-CPU Xeon (4 MiB L2 a core) 512 KiB to 1 MiB ran fastest, 64 KiB 3x slower.
+_BLOCK_BYTES = 1 << 19
+# Threads that share those passes: every CPU this process may use, the calling
+# thread and a pool of the rest, started on first use in each process.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = (None, None)  # (pid, pool): a forked child has none of its parent's threads
 
-def _blocks(rows: np.ndarray, size: int = _CHUNK):
-    """Consecutive blocks of at most ``size`` rows, so that per-node (n, n)
-    metric arrays are built one block at a time."""
-    return (rows[start:start + size] for start in range(0, len(rows), size))
+
+def _map_blocks(count: int, n: int, kernel: Callable[[slice], object]) -> list:
+    """``kernel`` of consecutive slices of range(count), each of
+    ``_BLOCK_BYTES`` of (n, n) float64 rows, run on the calling thread and on
+    ``_WORKERS - 1`` pool threads; the results in block order. A kernel writes
+    only its own rows of an output its caller allocated, and calls no public
+    mvlab function: those run on the calling thread only, where the benchmark
+    tracer keeps its span stack. An error is raised once every block has run:
+    the first block's, as a loop over the blocks would raise it."""
+    global _POOL
+    size = max(1, _BLOCK_BYTES // (8 * n * n))
+    blocks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    results = [None] * len(blocks)
+    errors = {}
+    claim = itertools.count()  # next() on it hands each block out once, under the GIL
+
+    def drain():
+        while (i := next(claim)) < len(blocks):
+            try:
+                results[i] = kernel(blocks[i])
+            except Exception as exc:  # raised below, in block order
+                errors[i] = exc
+
+    helpers = min(_WORKERS, len(blocks)) - 1
+    if helpers > 0 and _POOL[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mvlab-blocks"))
+    futures = [_POOL[1].submit(drain) for _ in range(helpers)]
+    drain()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -155,7 +194,9 @@ class MetricSpec:
     """A smooth metric g(x) on R^n given as a vectorized matrix field.
 
     ``matrix`` maps an array of points with shape (..., n) to symmetric
-    positive-definite matrices with shape (..., n, n). ``declared_deviation``
+    positive-definite matrices with shape (..., n, n). The per-node passes
+    call it from several threads at once, one block of points each, so it
+    must be a pure function of its points. ``declared_deviation``
     is the intended bound on the W^{1,inf} distance to the identity; the
     measured value (``metric_deviation``) is checked against it.
     """
@@ -292,12 +333,13 @@ def _ldl(g: np.ndarray, inverse: bool = False):
     return pivots, det, inv
 
 
-def _gated_sqrt_det(g: np.ndarray) -> np.ndarray:
-    """sqrt(det g) for a block of metric matrices, after the gate every box
-    node of a metric ball passes: g symmetric as ``np.allclose(g, g^T,
-    atol=1e-10)`` has it (run only when an off-diagonal pair differs), and
-    every LDL^T pivot positive. ``np.linalg.eigvalsh`` runs only on the
-    matrices that fail, so that the error names the smallest eigenvalue."""
+def _gated_sqrt_det(g: np.ndarray, out: np.ndarray) -> float | None:
+    """sqrt(det g) for a block of metric matrices, written to ``out``, after
+    the gate every box node of a metric ball passes: g symmetric as
+    ``np.allclose(g, g^T, atol=1e-10)`` has it (run only when an off-diagonal
+    pair differs), and every LDL^T pivot positive. Returns None when the block
+    passes, else the smallest eigenvalue of the matrices that fail, from
+    ``np.linalg.eigvalsh`` on those alone."""
     n = g.shape[-1]
     exact = all(np.array_equal(g[:, i, j], g[:, j, i])
                 for i, j in itertools.combinations(range(n), 2))
@@ -310,9 +352,34 @@ def _gated_sqrt_det(g: np.ndarray) -> np.ndarray:
         bad = g[~positive]
         if not np.allclose(bad, np.swapaxes(bad, -1, -2), atol=1e-10):  # NaN on the diagonal
             raise MetricNotPositiveDefinite("metric is not symmetric")
-        lowest = np.min(np.linalg.eigvalsh(bad))
-        raise MetricNotPositiveDefinite(f"metric has eigenvalue {lowest} <= 0 on the grid box")
-    return np.sqrt(det)
+        return float(np.min(np.linalg.eigvalsh(bad)))
+    np.sqrt(det, out=out)
+    return None
+
+
+def _box_points(axes: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
+    """Coordinates of the C-order nodes ``rows`` of the box with these axes,
+    shape (m, n), as ``Domain.coordinates`` builds them from node indices."""
+    index = np.unravel_index(np.arange(rows.start, rows.stop), tuple(map(len, axes)))
+    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
+
+
+def _segment_block(metric: MetricSpec, base: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``segment_distance`` with a metric, for one block of points (m, n)."""
+    v = points - base
+    length = np.linalg.norm(v, axis=-1)
+    out = length.copy()
+    nz = length > 0
+    v, length = v[nz], length[nz]
+    vhat = v / length[:, None]
+    mean = _GL_W[0] * metric(base + _GL_T[0] * v)
+    for t, w in zip(_GL_T[1:], _GL_W[1:]):
+        mean += w * metric(base + t * v)
+    diagonal = np.arange(v.shape[-1])
+    mean[:, diagonal, diagonal] -= _GL_W_SUM
+    corr = np.einsum("mij,mi,mj->m", mean, vhat, vhat)
+    out[nz] = length * (1.0 + 0.5 * corr)
+    return out
 
 
 def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -323,26 +390,16 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
     quadratic form per point."""
     points = np.asarray(points, dtype=float)
     base = np.asarray(base, dtype=float)
-    v = points - base
-    length = np.linalg.norm(v, axis=-1)
     if metric is None:
-        return length
-    out = length.copy()
-    nz = np.flatnonzero(length.reshape(-1) > 0)
-    flat_v = v.reshape(-1, v.shape[-1])
-    flat_len = length.reshape(-1)
-    diagonal = np.arange(v.shape[-1])
-    for sel in _blocks(nz):
-        vv = flat_v[sel]
-        ll = flat_len[sel]
-        vhat = vv / ll[:, None]
-        mean = _GL_W[0] * metric(base + _GL_T[0] * vv)
-        for t, w in zip(_GL_T[1:], _GL_W[1:]):
-            mean += w * metric(base + t * vv)
-        mean[:, diagonal, diagonal] -= _GL_W_SUM
-        corr = np.einsum("mij,mi,mj->m", mean, vhat, vhat)
-        out.reshape(-1)[sel] = ll * (1.0 + 0.5 * corr)
-    return out
+        return np.linalg.norm(points - base, axis=-1)
+    flat = points.reshape(-1, points.shape[-1])
+    out = np.empty(len(flat))
+
+    def block(rows):
+        out[rows] = _segment_block(metric, base, flat[rows])
+
+    _map_blocks(len(flat), flat.shape[1], block)
+    return out.reshape(points.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -452,16 +509,14 @@ class Domain:
         if self._euclidean:
             squared = self.squared_distances(base)
             return np.sqrt(squared, out=squared)
-        return self._over_box(lambda block: self.distance(block, base))
+        out = np.empty(self.shape)
+        axes = self.axes
 
-    def _over_box(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``fn`` of the coordinates of each C-order block of at most ``_CHUNK``
-        box nodes (built from the block's indices), gathered box-shaped."""
-        out = np.empty(math.prod(self.shape))
-        for start in range(0, out.size, _CHUNK):
-            rows = np.arange(start, min(start + _CHUNK, out.size))
-            out[rows] = fn(self.coordinates(np.unravel_index(rows, self.shape)))
-        return out.reshape(self.shape)
+        def block(rows):
+            out.reshape(-1)[rows] = _segment_block(self.metric, base, _box_points(axes, rows))
+
+        _map_blocks(out.size, self.dimension, block)
+        return out
 
     @cached_property
     def _center_distances(self) -> np.ndarray:
@@ -523,12 +578,21 @@ class Domain:
     def _sqrt_det_metric(self) -> np.ndarray:
         if self._euclidean:
             return _read_only(np.ones(self.shape))
-        return _read_only(self._over_box(lambda block: _gated_sqrt_det(self.metric(block))))
+        out = np.empty(self.shape)
+        flat, axes = out.reshape(-1), self.axes
+        lowest = _map_blocks(flat.size, self.dimension, lambda rows: _gated_sqrt_det(
+            self.metric(_box_points(axes, rows)), flat[rows]))
+        failed = [low for low in lowest if low is not None]
+        if failed:
+            raise MetricNotPositiveDefinite(
+                f"metric has eigenvalue {np.min(failed)} <= 0 on the grid box")
+        return _read_only(out)
 
     def sqrt_det_metric(self) -> np.ndarray:
         """sqrt(det g) at every box node (ones for Euclidean domains). On metric
         balls this pass is also the gate: MetricNotPositiveDefinite unless g is
-        symmetric and positive definite at every box node."""
+        symmetric and positive definite at every box node; the error names the
+        smallest eigenvalue over all box nodes that fail."""
         return self._sqrt_det_metric
 
     @cached_property
@@ -536,19 +600,22 @@ class Domain:
         """Per axis a, at the faces x + h/2 e_a of the in-mask nodes x: sqrt(det g),
         box-shaped, and the rows g^{aj} of g^-1, shape (n,) + box; NaN off the mask,
         where the field is NaN too, so every flux through such a face is NaN anyway."""
-        faces = []
+        n = self.dimension
         points = self.in_mask_points()
-        for ax in range(self.dimension):
-            parts = []
-            for block in _blocks(points):
-                face_pts = block.copy()
+        nodes = np.flatnonzero(self.in_mask)
+        faces = np.full((n, n + 1, math.prod(self.shape)), np.nan)
+
+        def block(rows):
+            for ax, face in enumerate(faces):
+                face_pts = points[rows].copy()
                 face_pts[:, ax] += 0.5 * self.spacing
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
-                parts.append(np.column_stack([np.sqrt(det)] + inv[ax]))
-            face = np.full((self.dimension + 1,) + self.shape, np.nan)
-            face[:, self.in_mask] = np.concatenate(parts).T
-            faces.append((_read_only(face)[0], face[1:]))
-        return tuple(faces)
+                face[0, nodes[rows]] = np.sqrt(det)
+                face[1:, nodes[rows]] = inv[ax]
+
+        _map_blocks(len(points), n, block)
+        faces = _read_only(faces).reshape((n, n + 1) + self.shape)
+        return tuple((face[0], face[1:]) for face in faces)
 
     @property
     def cut_margin(self) -> float:
@@ -792,13 +859,13 @@ def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     n = domain.dimension
     h = domain.spacing
     eye = np.eye(n)
-    worst = 0.0
-    for chunk in _blocks(pts):
-        g = metric(chunk)
-        worst = max(worst, float(np.max(np.abs(g - eye))))
-        for ax in range(n):
-            step = np.zeros(n)
-            step[ax] = h
+
+    def block(rows):
+        chunk = pts[rows]
+        worst = float(np.max(np.abs(metric(chunk) - eye)))
+        for step in h * eye:
             dg = (metric(chunk + step) - metric(chunk - step)) / (2.0 * h)
             worst = max(worst, float(np.max(np.abs(dg))))
-    return worst
+        return worst
+
+    return max([0.0] + _map_blocks(len(pts), n, block))

@@ -560,15 +560,25 @@ def _smallest_eigenvalue_in(message):
     (4, [(0, 3, 3.0, (1, 0, 0, 0))], 1 - 3 * 0.625),
     # singular: a zero pivot, which the factorization divides by
     (3, [(0, 1, 1.0, (0, 0, 0))], 0.0),
+    # g01 = 3 x0 + x0^2: indefinite at both ends of x0, most of all at the
+    # last box nodes (x0 = +0.625), after the first failing ones (x0 = -0.625)
+    (3, [(0, 1, 3.0, (1, 0, 0)), (0, 1, 1.0, (2, 0, 0))], 1 - 3 * 0.625 - 0.625**2),
 ])
 @pytest.mark.filterwarnings("error")
-def test_metric_gate_rejects_indefinite_metrics_with_positive_diagonal(n, terms, lowest):
+def test_metric_gate_rejects_indefinite_metrics_with_positive_diagonal(n, terms, lowest,
+                                                                      monkeypatch):
+    from mvlab import grid
+
     # the declared deviation is understated on purpose: the positive-definite
     # gate runs before the deviation check, and a small one keeps the box small
     bad = polynomial_metric(n, terms, 0.01)
-    with pytest.raises(MetricNotPositiveDefinite) as caught:
-        make_ball_domain([0.0] * n, 0.5, 1 / 16, n, bad)
-    assert _smallest_eigenvalue_in(str(caught.value)) == pytest.approx(lowest, abs=1e-12)
+    # the default blocks, then 1,000-row ones: the error names the smallest
+    # eigenvalue over every failing box node, whichever block holds it
+    for block_bytes in (grid._BLOCK_BYTES, 1000 * 8 * n * n):
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", block_bytes)
+        with pytest.raises(MetricNotPositiveDefinite) as caught:
+            make_ball_domain([0.0] * n, 0.5, 1 / 16, n, bad)
+        assert _smallest_eigenvalue_in(str(caught.value)) == pytest.approx(lowest, abs=1e-12)
 
 
 def _lopsided_metric(n, below):
@@ -613,6 +623,159 @@ def test_segment_distance_is_euclidean_where_the_metric_is_the_identity():
     points = rng.normal(size=(2000, 4))
     assert np.array_equal(segment_distance(identity_metric(4), base, points),
                           np.linalg.norm(points - base, axis=-1))
+
+
+def _metric_arrays(dom):
+    """Every per-node metric result of a metric ball, and its metric
+    Laplacian of a smooth field, by name."""
+    from mvlab.calculus import laplacian
+    from mvlab.grid import segment_distance
+
+    off = dom.center + np.array([0.3] + [-0.2] * (dom.dimension - 1))
+    arrays = {"center_distances": dom.center_distances(), "box_distances": dom.box_distances(off),
+              "segment_distance": segment_distance(dom.metric, off, dom.in_mask_points()),
+              "sqrt_det_metric": dom.sqrt_det_metric(), "weights": dom.weights,
+              "measured_deviation": np.array(dom.measured_deviation)}
+    for ax, (sqrt_det, rows) in enumerate(dom.face_metric):
+        arrays[f"face_metric[{ax}]"] = np.concatenate([sqrt_det[None], rows])
+    e = dom.field_from_function(lambda p: np.exp(p[:, 0]) * np.cos(p[:, -1]), density=False)
+    arrays["laplacian"] = laplacian(e).values
+    return arrays
+
+
+@pytest.mark.parametrize("n,h", ((2, 1 / 128), (3, 1 / 16), (4, 1 / 8)))
+@pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
+def test_metric_passes_are_bitwise_the_same_in_any_blocks_on_any_threads(kind, n, h, monkeypatch):
+    from mvlab import grid
+
+    metric = {"conformal": lambda: conformal_metric(n, 0.01, axis=1),
+              "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
+              "polynomial": lambda: polynomial_metric(
+                  n, [(0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
+                      (0, 1, 0.005, (1, 1) + (0,) * (n - 2))], 0.03)}[kind]()
+
+    def arrays(workers, block_bytes):
+        monkeypatch.setattr(grid, "_WORKERS", workers)
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", block_bytes)
+        return _metric_arrays(make_ball_domain([0.0] * n, 1.0, h, n, metric))
+
+    # the default blocks (at least 4 of the box, 3 of the mask here) on at
+    # least two threads, against one worker with the whole box in one block
+    threaded = arrays(max(2, grid._WORKERS), grid._BLOCK_BYTES)
+    reference = arrays(1, 1 << 62)
+    assert np.isnan(reference["laplacian"]).any()  # NaN off the mask, compared too
+    for name, ref in reference.items():
+        array = threaded[name]
+        assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), name
+
+
+def test_block_mapper_runs_every_block_once_under_contention(monkeypatch):
+    import sys
+    import threading
+    import time
+
+    from mvlab import grid
+
+    # more threads than cores, a fresh pool of them, 3-row blocks at n = 2 and
+    # a short switch interval; every map runs on a thread joined with a timeout
+    monkeypatch.setattr(grid, "_WORKERS", 8)
+    monkeypatch.setattr(grid, "_POOL", (None, None))
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 3 * 8 * 2 * 2)
+    seen = np.zeros(3000, dtype=int)
+    outcome = {}
+
+    def kernel(rows):
+        if rows.start >= 2700 and threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)  # pool threads finish last: the mapper must wait for them
+        seen[rows] += 1  # a block handed out twice, or skipped, shows here
+        if rows.start in failing:
+            raise ValueError(rows.start)
+        return rows.start
+
+    def run():
+        try:
+            outcome["results"] = grid._map_blocks(len(seen), 2, kernel)
+        except ValueError as exc:
+            outcome["error"] = exc.args[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for failing in (set(), {2400, 900, 2997}):
+            seen[:] = 0
+            outcome.clear()
+            mapper = threading.Thread(target=run)
+            mapper.start()
+            mapper.join(timeout=60)
+            assert not mapper.is_alive()
+            assert np.all(seen == 1)
+            if failing:  # every block still ran; the first failing block's error is raised
+                assert outcome == {"error": 900}
+            else:
+                assert outcome == {"results": list(range(0, 3000, 3))}
+    finally:
+        sys.setswitchinterval(interval)
+        if grid._POOL[1] is not None:
+            grid._POOL[1].shutdown(wait=True)
+
+
+def test_public_grid_functions_run_on_the_main_thread_only(monkeypatch):
+    import functools
+    import inspect
+    import sys
+    import threading
+
+    from mvlab import grid, heinz_scan, laplacian
+
+    # pool threads must run private kernels only: a public function (the
+    # benchmark tracer's spans wrap them) may run on the calling thread alone
+    off_main = []
+
+    def checked(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("mvlab")]
+    for attr, fn in list(vars(grid).items()):
+        if inspect.isfunction(fn) and not attr.startswith("_") and fn.__module__ == grid.__name__:
+            for module in modules:
+                if vars(module).get(attr) is fn:
+                    monkeypatch.setattr(module, attr, checked(attr, fn))
+    for cls in (grid.Domain, grid.ScalarField, grid.MetricSpec):
+        for attr, member in list(vars(cls).items()):
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(member):
+                monkeypatch.setattr(cls, attr, checked(f"{cls.__name__}.{attr}", member))
+            elif isinstance(member, property):
+                monkeypatch.setattr(cls, attr, property(checked(f"{cls.__name__}.{attr}",
+                                                                member.fget)))
+            elif isinstance(member, functools.cached_property):
+                cached = functools.cached_property(checked(f"{cls.__name__}.{attr}", member.func))
+                cached.__set_name__(cls, attr)
+                monkeypatch.setattr(cls, attr, cached)
+    # the kernels do run on pool threads: many blocks, at least two workers
+    kernels = []
+    kernel = grid._segment_block
+
+    def counted(*args):
+        kernels.append(threading.current_thread() is threading.main_thread())
+        return kernel(*args)
+
+    monkeypatch.setattr(grid, "_segment_block", counted)
+    monkeypatch.setattr(grid, "_WORKERS", max(2, grid._WORKERS))
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 500 * 8 * 3 * 3)
+
+    dom = grid.make_ball_domain([0.0] * 3, 1.0, 1 / 16, 3, conformal_metric(3, 0.01, axis=1))
+    e = dom.field_from_function(lambda p: np.exp(-4.0 * np.sum((p - 0.25) ** 2, axis=-1)))
+    laplacian(e)
+    heinz_scan(e, dom.center, 1.0)
+    assert off_main == []
+    assert not all(kernels) and any(kernels)
 
 
 def _meshgrid_points(dom):
