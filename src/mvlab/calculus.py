@@ -290,38 +290,63 @@ def shell_nodes(center: Sequence[float], r: float, n: int, h: float,
 
     zdirs, zw = _sphere_directions(n, r, h)
 
-    cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
-    npts = phi.size * zdirs.shape[0]
-    pts = np.empty((npts, n))
-    pts[:, 0] = center[0] + r * np.repeat(cos_phi, zdirs.shape[0])
-    lateral = np.repeat(sin_phi, zdirs.shape[0])[:, None] * np.tile(zdirs, (phi.size, 1))
-    pts[:, 1:] = center[1:] + r * lateral
+    pts = np.empty((phi.size, zdirs.shape[0], n))
+    pts[:, :, 0] = center[0] + r * np.cos(phi)[:, None]
+    pts[:, :, 1:] = center[1:] + r * (sin_phi[:, None, None] * zdirs)
 
     weights = (wphi * sin_phi ** (n - 2))[:, None] * zw[None, :]
-    return ShellNodes(float(r), phi0, clipped, pts, weights.ravel())
+    return ShellNodes(float(r), phi0, clipped, pts.reshape(-1, n), weights.ravel())
 
 
 def interpolate(e: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of field values; NaN where the surrounding
-    cell leaves the grid box or touches out-of-mask nodes."""
+    """Multilinear interpolation of field values at ``points`` of shape
+    (m, n); NaN where the surrounding cell leaves the grid box or touches
+    out-of-mask nodes.
+
+    The base cell of each point is one linear index into the raveled
+    values, and its 2^n corners lie a fixed stride away; each corner's
+    weight is the axis-order product of 1 - f_k or f_k, built from prefix
+    products shared by the corners that agree on the leading axes."""
     dom = e.domain
     n = dom.dimension
-    rel = (np.asarray(points, dtype=float) - dom.origin) / dom.spacing
-    base = np.floor(rel).astype(int)
-    frac = rel - base
-    shape = np.asarray(dom.shape)
-    valid = np.all((base >= 0) & (base + 1 <= shape - 1), axis=-1)
-    base_safe = np.clip(base, 0, shape - 2)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise MVLabError(f"interpolation points must have shape (m, {n}), "
+                         f"got {points.shape}")
+    m = points.shape[0]
+    strides = [math.prod(dom.shape[k + 1:]) for k in range(n)]
+    lin = np.zeros(m, dtype=np.intp)
+    valid = np.ones(m, dtype=bool)
+    factors = []  # per axis: (1 - f_k, f_k)
+    for k in range(n):
+        rel = (points[:, k] - dom.origin[k]) / dom.spacing
+        base = np.floor(rel)
+        frac = rel - base
+        index = base.astype(np.intp)
+        clipped = np.clip(index, 0, dom.shape[k] - 2)
+        valid &= clipped == index
+        clipped *= strides[k]
+        lin += clipped
+        factors.append((1.0 - frac, frac))
     flat_vals = e.values.ravel()
-    out = np.zeros(points.shape[0])
+    out = np.zeros(m)
+    term = np.empty(m)
+    at = np.empty(m, dtype=np.intp)
+    prefix = [None] * n  # prefix[k]: the weight over axes 0..k
+    previous = (None,) * n
     for corner in itertools.product((0, 1), repeat=n):
-        w = np.ones(points.shape[0])
-        for ax, bit in enumerate(corner):
-            w *= frac[:, ax] if bit else 1.0 - frac[:, ax]
-        idx = base_safe + np.asarray(corner)
-        lin = np.ravel_multi_index(tuple(idx.T), dom.shape)
-        out += w * flat_vals[lin]
+        first = next(k for k in range(n) if corner[k] != previous[k])
+        previous = corner
+        for k in range(first, n):
+            factor = factors[k][corner[k]]
+            prefix[k] = factor if k == 0 else prefix[k - 1] * factor
+        np.add(lin, sum(bit * stride for bit, stride in zip(corner, strides)), out=at)
+        # every index is in range by construction; "clip" spares take the
+        # output copy it makes under mode="raise"
+        np.take(flat_vals, at, out=term, mode="clip")
+        term *= prefix[-1]
+        out += term
     out[~valid] = np.nan
     return out
 
@@ -358,6 +383,8 @@ def shell_profile(e: ScalarField, center: Sequence[float],
     center = np.asarray(center, dtype=float)
     radii = [float(r) for r in radii]
     for r in radii:
+        if not math.isfinite(r):
+            raise MVLabError(f"shell radius {r} is not finite")
         if r < 4.0 * h:
             raise RadiusBelowResolution(f"shell radius {r} < 4h = {4 * h}")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -374,27 +401,6 @@ def shell_profile(e: ScalarField, center: Sequence[float],
         m = float(np.dot(shell.weights, vals))
         samples.append(ShellSample(shell.radius, m, vals.size, shell.clipped))
     return ShellProfile(tuple(center), tuple(samples))
-
-
-# ---------------------------------------------------------------------------
-# boundary fluxes (discrete Green identity support)
-
-
-def flat_flux(e: ScalarField, center: Sequence[float], r: float) -> float:
-    """int over Z_r (the flat disk of D_r(center)) of the outer normal
-    derivative: each flat node's lateral cell weighted by its share of the
-    disk (``_ball_shares`` in n - 1 dimensions)."""
-    dom = e.domain
-    center = np.asarray(center, dtype=float)
-    y0 = float(center[0])
-    if y0 >= r:
-        return 0.0
-    bv = normal_derivative(e)
-    lat = bv.points[:, 1:]
-    share = _ball_shares(lat, center[1:], math.sqrt(r**2 - y0**2), dom.spacing,
-                         np.zeros(len(lat), dtype=bool))
-    sel = (share > 0.0) & bv.finite()
-    return float(np.dot(bv.values[sel], share[sel])) * dom.spacing ** (dom.dimension - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +434,12 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
 
 def _bump_lap_ordinary(s: np.ndarray, dim: int) -> np.ndarray:
     # ordinary nabla^2 of (1-s^2)^4 composed with s = |x - p| / R, before
-    # the 1/R^2 factor; b'(s)/s = -8 (1-s^2)^3 has no singularity at 0
-    inside = s < 1.0
+    # the 1/R^2 factor, at s < 1 (it is 0 beyond); b'(s)/s = -8 (1-s^2)^3
+    # has no singularity at 0
     one = 1.0 - s**2
     bpp = -8.0 * one**3 + 48.0 * s**2 * one**2
     bp_over_s = -8.0 * one**3
-    return np.where(inside, bpp + (dim - 1) * bp_over_s, 0.0)
+    return bpp + (dim - 1) * bp_over_s
 
 
 def radial_bump(name: str, p: np.ndarray, radius: float, dim: int) -> TestFunction:
@@ -444,8 +450,12 @@ def radial_bump(name: str, p: np.ndarray, radius: float, dim: int) -> TestFuncti
         return _bump_profile(s)
 
     def lap(pts: np.ndarray) -> np.ndarray:
+        # the closed form only where it is nonzero, s < 1
         s = np.linalg.norm(pts - p, axis=-1) / radius
-        return -_bump_lap_ordinary(s, dim) / radius**2
+        inside = s < 1.0
+        ordinary = np.zeros(len(s))
+        ordinary[inside] = _bump_lap_ordinary(s[inside], dim)
+        return -ordinary / radius**2
 
     return TestFunction(name, value, lap, (p, float(radius)))
 
@@ -457,12 +467,10 @@ def _cos_profile(t: np.ndarray, span: float) -> np.ndarray:
 
 
 def _cos_profile_d2(t: np.ndarray, span: float) -> np.ndarray:
-    inside = t < span
-    u = np.pi * np.minimum(t, span) / span
+    # second derivative of the profile at t < span (it is 0 beyond)
+    u = np.pi * t / span
     k = np.pi / span
-    return np.where(inside,
-                    -0.5 * k**2 * ((1.0 + np.cos(u)) * np.cos(u) - np.sin(u) ** 2),
-                    0.0)
+    return -0.5 * k**2 * ((1.0 + np.cos(u)) * np.cos(u) - np.sin(u) ** 2)
 
 
 def cosine_bump(name: str, p_lat: np.ndarray, span: float, lat_radius: float,
@@ -475,11 +483,17 @@ def cosine_bump(name: str, p_lat: np.ndarray, span: float, lat_radius: float,
         return _cos_profile(pts[:, 0], span) * _bump_profile(s)
 
     def lap(pts: np.ndarray) -> np.ndarray:
+        # the closed form only where both factors are nonzero: s < 1 and
+        # x0 < span (the profile does not vanish at x0 < 0)
         s = np.linalg.norm(pts[:, 1:] - p_lat, axis=-1) / lat_radius
-        c = _cos_profile(pts[:, 0], span)
-        cdd = _cos_profile_d2(pts[:, 0], span)
+        inside = (s < 1.0) & (pts[:, 0] < span)
+        s = s[inside]
+        t = pts[inside, 0]
         lat = _bump_lap_ordinary(s, n - 1) / lat_radius**2
-        return -(cdd * _bump_profile(s) + c * lat)
+        product = np.zeros(len(pts))
+        product[inside] = (_cos_profile_d2(t, span) * _bump_profile(s)
+                           + _cos_profile(t, span) * lat)
+        return -product
 
     return TestFunction(name, value, lap, (np.concatenate([[0.0], p_lat]),
                                            math.hypot(span, lat_radius)))

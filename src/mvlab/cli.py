@@ -19,6 +19,7 @@ from . import heinz, quantization, report, synth, verify
 from .config import (
     config_value,
     domain_from_config,
+    finite_floats,
     floats,
     generator_from_config,
     ledger_from_config,
@@ -264,7 +265,7 @@ def run(cfg: RunConfig) -> int:
 
     if sub == "monotonicity":
         center = cfg.center(domain)
-        radii = config_value(cfg.raw, "radii", "config", floats, None)
+        radii = config_value(cfg.raw, "radii", "config", finite_floats, None)
         if radii is None:
             h = domain.spacing
             r_max = domain.radius - 4.0 * h

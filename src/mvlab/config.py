@@ -7,6 +7,7 @@ field files and sequence manifests. See the README for the documented keys.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .constants import BoundParams, ConstantLedger, make_ledger
@@ -66,6 +67,14 @@ def config_value(cfg: dict, key: str, where: str, convert=float, default=_REQUIR
 
 def floats(value) -> list[float]:
     return [float(x) for x in value]
+
+
+def finite_floats(value) -> list[float]:
+    """``floats`` that are all finite; JSON input may carry NaN and Infinity."""
+    out = floats(value)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite value in {value!r}")
+    return out
 
 
 def _terms(value) -> list:

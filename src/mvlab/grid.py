@@ -168,9 +168,8 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     space normal . w <= offset, w the offset from the node in units of h. A
     node on the flat plane (``flat``) keeps the box [0, 1/2] x [-1/2, 1/2]^(n-1)
     of its cell, so its fraction is at most 1/2. The lab's only cell rule:
-    every sphere that cuts a cell (the domain's, a subregion's, and the rim of
-    the flat disk in ``calculus.flat_flux``) is replaced by its tangent half
-    space at the node."""
+    every sphere that cuts a cell (the domain's or a subregion's) is replaced
+    by its tangent half space at the node."""
     lower = np.full(normal.shape, -0.5)
     side = np.ones(normal.shape)
     lower[flat, 0] = 0.0

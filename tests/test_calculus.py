@@ -20,14 +20,15 @@ from mvlab import (
     weak_subharmonic_test,
 )
 from mvlab.calculus import (
+    _ball_shares,
     cap_constant,
     clipping_angle,
-    flat_flux,
     shell_nodes,
     t_integral_bound,
 )
 from mvlab.errors import (
     DomainNotHalfBall,
+    MVLabError,
     RadiusBelowResolution,
     ShellExitsDomain,
     SubregionOutsideDomain,
@@ -264,14 +265,90 @@ def test_shell_profile_errors():
         shell_profile(e, [0, 0], [2 / 32])
     with pytest.raises(ShellExitsDomain):
         shell_profile(e, [0, 0], [0.999])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(MVLabError, match=f"shell radius {bad} is not finite"):
+            shell_profile(e, [0, 0], [0.4, bad, 0.6])
 
 
 def test_interpolation_exact_on_linear():
-    dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
-    e = dom.field_from_function(lambda p: 2.0 + 3.0 * p[:, 0] - p[:, 1], density=False)
-    pts = np.array([[0.013, 0.4], [-0.3, 0.22], [0.0, 0.0]])
-    vals = interpolate(e, pts)
-    assert np.allclose(vals, 2.0 + 3.0 * pts[:, 0] - pts[:, 1], atol=1e-12)
+    for n, h in ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)):
+        dom = make_ball_domain([0.0] * n, 1.0, h, n)
+        slope = np.array([3.0, -1.0, 0.5, 2.0][:n])
+        e = dom.field_from_function(lambda p: 2.0 + p @ slope, density=False)
+        pts = np.array([[0.013, 0.4, -0.21, 0.05], [-0.3, 0.22, 0.1, -0.17],
+                        [0.0, 0.0, 0.0, 0.0]])[:, :n]
+        vals = interpolate(e, pts)
+        assert np.allclose(vals, 2.0 + pts @ slope, atol=1e-12), n
+
+
+def test_interpolation_points_need_shape_m_by_n():
+    dom = make_ball_domain([0.0] * 3, 1.0, 1 / 8, 3)
+    e = dom.field_from_function(quadratic)
+    for pts in (np.zeros((4, 4)), np.zeros((4, 2)), np.zeros(3), np.zeros((1, 4, 3))):
+        with pytest.raises(MVLabError, match=r"shape \(m, 3\)"):
+            interpolate(e, pts)
+    assert interpolate(e, np.zeros((0, 3))).shape == (0,)
+
+
+def _interpolate_reference(e, points):
+    """Multilinear interpolation with one ``ravel_multi_index`` per corner
+    and each corner weight built from ones, axis by axis."""
+    import itertools
+
+    dom = e.domain
+    n = dom.dimension
+    rel = (np.asarray(points, dtype=float) - dom.origin) / dom.spacing
+    base = np.floor(rel).astype(int)
+    frac = rel - base
+    shape = np.asarray(dom.shape)
+    valid = np.all((base >= 0) & (base + 1 <= shape - 1), axis=-1)
+    base_safe = np.clip(base, 0, shape - 2)
+    flat_vals = e.values.ravel()
+    out = np.zeros(points.shape[0])
+    for corner in itertools.product((0, 1), repeat=n):
+        w = np.ones(points.shape[0])
+        for ax, bit in enumerate(corner):
+            w *= frac[:, ax] if bit else 1.0 - frac[:, ax]
+        idx = base_safe + np.asarray(corner)
+        lin = np.ravel_multi_index(tuple(idx.T), dom.shape)
+        out += w * flat_vals[lin]
+    out[~valid] = np.nan
+    return out
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball", "lifted", "conformal"))
+def test_interpolate_bitwise_equals_per_corner_reference(n, kind):
+    h = 1 / 16 if n == 2 else 1 / 8
+    dom = _oracle_domain(kind, n, h)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    rng = np.random.default_rng(n)
+    shape = np.asarray(dom.shape)
+    # nodes, including the last node row of every axis and nodes one step
+    # outside the box on either side
+    index = rng.integers(-1, shape + 1, size=(400, n))
+    index[:n, :] = shape - 1
+    nodes = dom.origin + h * index
+    # anywhere in the box and up to 2h beyond it: cells across the sphere
+    # touch out-of-mask (NaN) nodes
+    low, high = dom.origin - 2 * h, dom.origin + h * (shape + 1)
+    scattered = rng.uniform(low, high, size=(2000, n))
+    y0 = float(dom.center[0]) if kind in ("half_ball", "lifted") else None
+    shells = [shell_nodes(dom.center, r, n, h, y0).points for r in (0.3, 0.6, 0.9, 1.2)]
+    for pts in (nodes, scattered, *shells):
+        vals = interpolate(e, pts)
+        assert _bitwise_equal(vals, _interpolate_reference(e, pts))
+    assert np.isnan(interpolate(e, nodes)).any()
+    assert np.isfinite(interpolate(e, nodes)).any()
+    assert np.isfinite(interpolate(e, scattered)).any()
+    assert np.isnan(interpolate(e, scattered)).any()
+    assert np.isfinite(interpolate(e, shells[1])).all()   # a whole shell, clipped on half-balls
+    assert np.isnan(interpolate(e, shells[3])).any()      # a shell beyond the sphere
 
 
 def _radial_flux(e, center, r):
@@ -295,6 +372,23 @@ def _radial_flux(e, center, r):
     return float(np.dot(shell.weights, dr)) * r ** (dom.dimension - 1)
 
 
+def _flat_flux(e, center, r):
+    """int over Z_r (the flat disk of D_r(center)) of the outer normal
+    derivative: each flat node's lateral cell weighted by its share of the
+    disk (``_ball_shares`` in n - 1 dimensions)."""
+    dom = e.domain
+    center = np.asarray(center, dtype=float)
+    y0 = float(center[0])
+    if y0 >= r:
+        return 0.0
+    bv = normal_derivative(e)
+    lat = bv.points[:, 1:]
+    share = _ball_shares(lat, center[1:], math.sqrt(r**2 - y0**2), dom.spacing,
+                         np.zeros(len(lat), dtype=bool))
+    sel = (share > 0.0) & bv.finite()
+    return float(np.dot(bv.values[sel], share[sel])) * dom.spacing ** (dom.dimension - 1)
+
+
 def test_green_identity_half_ball():
     # discrete divergence theorem: int Delta e + cap flux + flat flux ~ 0
     h = 1 / 64
@@ -309,7 +403,7 @@ def test_green_identity_half_ball():
                                  density=False)
         vol = integrate(patched, subregion=([0.25, 0.0], r))
         cap = _radial_flux(e, [0.25, 0.0], r)
-        flat = flat_flux(e, [0.25, 0.0], r)
+        flat = _flat_flux(e, [0.25, 0.0], r)
         # outer normal derivative on the cap is +d/drho, on Z it is -d/dx0;
         # positive-definite laplacian flips the volume term sign
         assert abs(vol + cap + flat) <= 10 * h
@@ -627,7 +721,7 @@ def test_flat_flux_of_a_linear_field_is_the_flat_disk_area(n, h, tol):
     e = dom.field_from_function(lambda p: 2.0 - p[:, 0], density=False)
     rho = math.sqrt(0.5**2 - 0.25**2)
     area = vol_sphere(n - 2) / (n - 1) * rho ** (n - 1)
-    assert flat_flux(e, centre, 0.5) == pytest.approx(area, rel=tol, abs=0)
+    assert _flat_flux(e, centre, 0.5) == pytest.approx(area, rel=tol, abs=0)
 
 
 def _integrate_reference(e, subregion=None):
@@ -842,3 +936,83 @@ def test_test_function_laplacian_vanishes_outside_its_support(n, y0):
         assert np.all(fn.laplacian(pts[outside]) == 0.0)
         assert np.all(fn.value(pts[outside]) == 0.0)
         assert np.any(fn.laplacian(pts[~outside]) != 0.0)
+
+
+def _bump_lap_ordinary_reference(s, dim):
+    inside = s < 1.0
+    one = 1.0 - s**2
+    bpp = -8.0 * one**3 + 48.0 * s**2 * one**2
+    bp_over_s = -8.0 * one**3
+    return np.where(inside, bpp + (dim - 1) * bp_over_s, 0.0)
+
+
+def _radial_bump_lap_reference(p, radius, dim):
+    """The radial bump's Laplacian evaluated at every point, 0 off s < 1."""
+    def lap(pts):
+        s = np.linalg.norm(pts - p, axis=-1) / radius
+        return -_bump_lap_ordinary_reference(s, dim) / radius**2
+
+    return lap
+
+
+def _cosine_bump_lap_reference(p_lat, span, lat_radius, n):
+    """The cosine bump's Laplacian evaluated at every point, each factor
+    0 off its own condition (s < 1, x0 < span)."""
+    def lap(pts):
+        s = np.linalg.norm(pts[:, 1:] - p_lat, axis=-1) / lat_radius
+        t = pts[:, 0]
+        u = np.pi * np.minimum(t, span) / span
+        c = np.where(t < span, (0.5 * (1.0 + np.cos(u))) ** 2, 0.0)
+        cdd = np.where(t < span, -0.5 * (np.pi / span) ** 2
+                       * ((1.0 + np.cos(u)) * np.cos(u) - np.sin(u) ** 2), 0.0)
+        bump = np.where(s < 1.0, (1.0 - s**2) ** 4, 0.0)
+        lat = _bump_lap_ordinary_reference(s, n - 1) / lat_radius**2
+        return -(cdd * bump + c * lat)
+
+    return lap
+
+
+def _default_test_set_with_references(dom, monkeypatch):
+    """``default_test_set(dom)`` and, per function, its reference Laplacian,
+    rebuilt from the arguments the set passed to its constructor."""
+    from mvlab import calculus
+
+    references = []
+    for name, reference in (("radial_bump", _radial_bump_lap_reference),
+                            ("cosine_bump", _cosine_bump_lap_reference)):
+        def record(fn_name, *args, _build=getattr(calculus, name), _reference=reference):
+            references.append(_reference(*args))
+            return _build(fn_name, *args)
+
+        monkeypatch.setattr(calculus, name, record)
+    tests = default_test_set(dom)
+    monkeypatch.undo()
+    return tests, references
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("y0", (0.0, 0.25))
+def test_weak_test_and_test_laplacians_bitwise_equal_full_window_references(n, y0,
+                                                                            monkeypatch):
+    from mvlab.calculus import TestFunction, WeakTestSet
+
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    dom = make_half_ball_domain([y0] + [0.0] * (n - 1), 1.0, h, n)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    tests, references = _default_test_set_with_references(dom, monkeypatch)
+    assert len(references) == len(tests)
+    inside = dom.in_mask_points()
+    # the mirror image below the plane, where the cosine profile is not 0
+    mirrored = inside * np.where(np.arange(n) == 0, -1.0, 1.0)
+    pts = np.concatenate([inside, mirrored])
+    for fn, reference in zip(tests.functions, references):
+        assert _bitwise_equal(fn.laplacian(pts), reference(pts))
+    report = weak_subharmonic_test(e, tests)
+    reference_set = WeakTestSet(tuple(
+        TestFunction(fn.name, fn.value, reference, fn.support)
+        for fn, reference in zip(tests.functions, references)))
+    expected = weak_subharmonic_test(e, reference_set)
+    assert [name for name, _ in report.values] == [name for name, _ in expected.values]
+    assert _bitwise_equal(np.array([v for _, v in report.values]),
+                          np.array([v for _, v in expected.values]))

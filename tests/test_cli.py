@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import re
 from pathlib import Path
 
@@ -158,13 +159,16 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
                                 "generator": {"kind": "constant"}, "center": [0.0]},
      "'center'"),
     ("--dimension 3 monotonicity", lambda _: LIFTED_HALF, "'center'"),
+    ("monotonicity", lambda _: {**LIFTED_HALF, "radii": [0.4, math.nan, 0.6]}, "'radii'"),
+    ("monotonicity", lambda _: {**LIFTED_HALF, "radii": [0.4, 0.5, math.inf]}, "'radii'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
         "string-radius",
         "string-tolerance-k", "numeric-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
-        "monotonicity-short-center", "dimension-short-center"])
+        "monotonicity-short-center", "dimension-short-center", "monotonicity-nan-radius",
+        "monotonicity-inf-radius"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
