@@ -115,7 +115,7 @@ def metric_to_config(metric: MetricSpec | None) -> dict | None:
 def domain_from_config(cfg: dict) -> Domain:
     kind = _need(cfg, "kind", "domain")
     n = config_value(cfg, "dimension", "domain", int)
-    center = config_value(cfg, "center", "domain", floats)
+    center = config_value(cfg, "center", "domain", finite_floats)
     radius = config_value(cfg, "radius", "domain")
     spacing = config_value(cfg, "spacing", "domain")
     if kind == BALL:

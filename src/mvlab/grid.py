@@ -792,6 +792,8 @@ def _grid_center(kind: str, center: Sequence[float], r: float, h: float,
         raise MVLabError(f"dimension {n} not in {SUPPORTED_DIMENSIONS}")
     if center.shape != (n,):
         raise MVLabError(f"center must have {n} components")
+    if not np.all(np.isfinite(center)):
+        raise MVLabError(f"center must be finite, got {center.tolist()}")
     if not (0 < r < math.inf and 0 < h < math.inf):
         raise MVLabError("radius and spacing must be positive and finite")
     if kind == HALF_BALL and center[0] < 0:

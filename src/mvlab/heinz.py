@@ -27,6 +27,7 @@ from .constants import BoundParams
 from .errors import DomainNotHalfBall, EmptyBall, MVLabError
 from .grid import HALF_BALL, Domain, ScalarField
 from .report import record
+from .verify import _bound_margin
 from . import calculus
 
 @dataclass(frozen=True)
@@ -154,51 +155,32 @@ def heinz_scan(e: ScalarField, center, r: float) -> HeinzReport:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Comparison function v plus its discrete hypothesis checks."""
+    """Comparison function v, the largest Delta v over its check ball and
+    dv/dnu on the flat boundary (None: not checked; -inf: no usable node),
+    and whether both stay within the verdict tolerance."""
 
     field: ScalarField
     max_laplacian: float
     max_normal_derivative: float | None
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        ok = self.max_laplacian <= self.tol
-        if self.max_normal_derivative is not None:
-            ok = ok and self.max_normal_derivative <= self.tol
-        return ok
-
-
-def _check_region(v: ScalarField, center: np.ndarray | None, radius: float | None,
-                  tol: float, check_boundary: bool) -> ComparisonResult:
-    dom = v.domain
-    lap = calculus.laplacian(v).values
-    if center is not None and radius is not None:
-        dist = dom.box_distances(np.asarray(center, dtype=float))
-        lap = np.where(dist <= radius, lap, np.nan)
-    finite = np.isfinite(lap)
-    max_lap = float(np.max(lap[finite])) if np.any(finite) else -math.inf
-    max_nd = None
-    if check_boundary:
-        bv = calculus.normal_derivative(v)
-        vals = bv.values[bv.finite()]
-        max_nd = float(np.max(vals)) if vals.size else -math.inf
-    return ComparisonResult(v, max_lap, max_nd, tol)
+    passed: bool
 
 
 def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
                                  c_bar: float,
                                  check_radius: float | None = None) -> ComparisonResult:
     """v = e + (1/n) (A0 + 2^n c_bar (A1 + 4 a c_bar^(2/n))) |x - x_bar|^2
-    with the Euclidean norm; reports max Delta v over the check ball."""
+    with the Euclidean norm; reports max Delta v over the check ball (the
+    Laplacian only, on half-balls too)."""
     dom = e.domain
     n = dom.dimension
     x_bar = np.asarray(x_bar, dtype=float)
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
     values = np.where(dom.in_mask, e.values + k * dom.squared_distances(x_bar), np.nan)
     v = ScalarField(dom, values, density=False)
-    return _check_region(v, x_bar, check_radius, calculus.verdict_tolerance(dom),
-                         check_boundary=False)
+    ball = None if check_radius is None else dom.box_distances(x_bar) <= check_radius
+    max_lap, _ = _bound_margin(v, BoundParams(n), False, ball)
+    passed = calculus.judge([("laplacian", -max_lap)], calculus.verdict_tolerance(dom)) is None
+    return ComparisonResult(v, max_lap, None, passed)
 
 
 def comparison_function_boundary(e: ScalarField, y, a_bound: float,
@@ -222,6 +204,9 @@ def comparison_function_boundary(e: ScalarField, y, a_bound: float,
         values = values + (b_bound + a_bound * y0 / n) * x0
     values = np.where(dom.in_mask, values, np.nan)
     v = ScalarField(dom, values, density=False)
-    has_flat = dom.flat_node_count > 0
-    return _check_region(v, None, None, calculus.verdict_tolerance(dom),
-                         check_boundary=has_flat)
+    maxima = {"laplacian": _bound_margin(v, BoundParams(n), False)[0]}
+    if dom.flat_node_count > 0:
+        maxima["normal-derivative"] = _bound_margin(v, BoundParams(n), True)[0]
+    passed = calculus.judge(((k, -m) for k, m in maxima.items()),
+                            calculus.verdict_tolerance(dom)) is None
+    return ComparisonResult(v, maxima["laplacian"], maxima.get("normal-derivative"), passed)

@@ -110,60 +110,53 @@ def fit_boundary_nonlinearity(e: ScalarField, b0: float, b1: float) -> float:
     return _fit(e, b0, b1, True)
 
 
-def _bound_margin(e: ScalarField, params: BoundParams,
-                  flat: bool) -> tuple[float, tuple]:
-    """Worst excess of an operator over its hypothesis bound and its node.
+def _bound_margin(e: ScalarField, params: BoundParams, flat: bool,
+                  select: np.ndarray | None = None) -> tuple[float, tuple | None]:
+    """Worst excess of an operator over its hypothesis bound and its node;
+    (-inf, None) when no node qualifies.
 
-    Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over stencil-valid
-    nodes. Flat (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over
-    the usable flat-boundary nodes."""
+    Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over the stencil-valid
+    nodes (where the box-shaped ``select`` is set, if given). Flat
+    (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over the usable
+    flat-boundary nodes. A zero power coefficient drops its term, so zero
+    params give the operator itself, on signed fields too."""
     n = e.domain.dimension
     op, ev, nodes = _operator_pairs(e, flat)
-    if flat:
-        resid = op - (params.B0 + params.B1 * ev + params.b * ev ** ((n + 1) / n))
-        empty = "no usable flat-boundary nodes for the normal bound check"
-    else:
-        resid = op - (params.A0 + params.A1 * ev + params.a * ev ** ((n + 2) / n))
-        empty = "no stencil-valid nodes for the interior bound check"
+    c0, c1, c, power = ((params.B0, params.B1, params.b, (n + 1) / n) if flat
+                        else (params.A0, params.A1, params.a, (n + 2) / n))
+    resid = op - (c0 + c1 * ev + (c * ev ** power if c else 0.0))
     finite = np.isfinite(resid)
+    if select is not None:
+        finite &= select.ravel()
     if not np.any(finite):
-        raise MVLabError(empty)
+        return -math.inf, None
     k = int(np.argmax(np.where(finite, resid, -np.inf)))
     node = np.unravel_index(k, e.domain.shape) if nodes is None else nodes[k]
     return float(resid[k]), tuple(int(x) for x in node)
 
 
-# reason labels of the Laplacian and normal-derivative checks: the sign
-# conditions of Morrey, monotonicity and constant estimation, and the
-# nonlinear bounds of the two mean value inequalities
-_SIGN_LABELS = ("laplacian-positive", "normal-derivative-positive")
-_BOUND_LABELS = ("laplacian-bound", "normal-bound")
+# per operator (interior, flat): its record key, and its reason labels as a
+# sign condition (Morrey, monotonicity, constant estimation) and as the
+# nonlinear bound of the two mean value inequalities
+_OPERATORS = (("laplacian_margin", "laplacian-positive", "laplacian-bound"),
+              ("normal_margin", "normal-derivative-positive", "normal-bound"))
 
 
-def _pointwise_hypothesis(e: ScalarField, params: BoundParams, tol: float,
-                          hypothesis: dict,
-                          labels: tuple[str, str] = _SIGN_LABELS) -> str | None:
-    """Laplacian bound, then the normal bound on half-balls with flat nodes.
-    Records the margins in ``hypothesis``; returns the first violation's
-    reason, or None when both hold within ``tol``."""
+def _hypothesis_margins(e: ScalarField, params: BoundParams, hypothesis: dict,
+                        bounds: bool = False):
+    """(reason, margin) pairs for ``calculus.judge``: the Laplacian bound, then
+    on half-balls with flat nodes the normal bound, each recorded in
+    ``hypothesis`` with the excess sign (operator minus bound) as it is
+    yielded. ``bounds`` picks the nonlinear-bound labels."""
     dom = e.domain
-    lap_margin, lap_node = _bound_margin(e, params, flat=False)
-    hypothesis["laplacian_margin"] = lap_margin
-    if lap_margin > tol:
-        return f"{labels[0]}@{lap_node}"
-    if dom.kind == HALF_BALL and dom.flat_node_count > 0:
-        nd_margin, nd_node = _bound_margin(e, params, flat=True)
-        hypothesis["normal_margin"] = nd_margin
-        if nd_margin > tol:
-            return f"{labels[1]}@{nd_node}"
-    return None
-
-
-def _violated(claim: str, reason: str, tol: float, hypothesis: dict, grid: dict,
-              ledger: ConstantLedger | None) -> VerificationReport:
-    return VerificationReport(claim, math.nan, math.nan, math.nan,
-                              HYPOTHESIS_VIOLATED, reason, tol, hypothesis,
-                              grid, ledger, None)
+    with_flat = dom.kind == HALF_BALL and dom.flat_node_count > 0
+    for flat in (False, True) if with_flat else (False,):
+        key, sign_label, bound_label = _OPERATORS[flat]
+        excess, node = _bound_margin(e, params, flat)
+        if node is None:
+            raise MVLabError(f"no usable node for the {key} check")
+        hypothesis[key] = excess
+        yield f"{bound_label if bounds else sign_label}@{node}", -excess
 
 
 def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
@@ -179,14 +172,16 @@ def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
     grid = _grid_summary(e)
     hypothesis: dict = {}
 
+    def violated(reason: str) -> VerificationReport:
+        return VerificationReport(claim, math.nan, math.nan, math.nan, HYPOTHESIS_VIOLATED,
+                                  reason, tol, hypothesis, grid, ledger, None)
+
     deviation = grid.get("measured_metric_deviation")
     if ledger is not None and deviation is not None and deviation > ledger.delta + 1e-12:
-        return _violated(claim, f"metric-deviation {deviation:.3g} above delta={ledger.delta}",
-                         tol, hypothesis, grid, ledger)
-    labels = _SIGN_LABELS if ledger is None else _BOUND_LABELS
-    reason = _pointwise_hypothesis(e, params, tol, hypothesis, labels)
+        return violated(f"metric-deviation {deviation:.3g} above delta={ledger.delta}")
+    reason = calculus.judge(_hypothesis_margins(e, params, hypothesis, ledger is not None), tol)
     if reason is not None:
-        return _violated(claim, reason, tol, hypothesis, grid, ledger)
+        return violated(reason)
 
     energy = calculus.integrate(e)
     hypothesis["energy"] = energy
@@ -195,8 +190,7 @@ def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
                      else ledger.energy_threshold_boundary())
         hypothesis["energy_threshold"] = threshold
         if energy > threshold:
-            return _violated(claim, "energy-above-threshold", tol, hypothesis,
-                             grid, ledger)
+            return violated("energy-above-threshold")
 
     lhs = e.at(dom.center)
     if dom.kind == BALL:
@@ -212,7 +206,7 @@ def _check(claim: str, e: ScalarField, params: BoundParams, c: float,
     else:
         rhs = boundary_rhs(params, dom.radius, energy, c)
     margin = rhs - lhs
-    verdict = HOLDS if margin >= -tol else FAILS
+    verdict = calculus.judge([(FAILS, margin)], tol) or HOLDS
     required_c = lhs * c / rhs if rhs > 0 else None
     return VerificationReport(claim, float(lhs), float(rhs), float(margin),
                               verdict, None, tol, hypothesis, grid, ledger,
@@ -307,7 +301,7 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
     weak = None
 
     if hypothesis_mode == "pointwise":
-        ok = _pointwise_hypothesis(e, BoundParams(n), tol, hypothesis) is None
+        ok = calculus.judge(_hypothesis_margins(e, BoundParams(n), hypothesis), tol) is None
     elif hypothesis_mode == "weak":
         weak = calculus.weak_subharmonic_test(e)
         hypothesis["weak_worst"] = weak.worst()
@@ -331,7 +325,7 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
         mono_sel = rs <= y0 + 1e-12
     drops = np.diff(ms[mono_sel])
     worst_drop = float(np.min(drops)) if drops.size else 0.0
-    monotone = bool(worst_drop >= -tol)
+    monotone = calculus.judge([("drop", worst_drop)], tol) is None
 
     # (iii): small-radius limit
     r_min = float(rs[0])
@@ -349,8 +343,8 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
     if target is None:
         limit_passed = None
     else:
-        limit_passed = bool(abs(limit_value - target)
-                            <= max(_LIMIT_REL_TOL * abs(target), limit_abs_tol))
+        limit_passed = calculus.judge([("limit", -abs(limit_value - target))],
+                                      max(_LIMIT_REL_TOL * abs(target), limit_abs_tol)) is None
 
     # (iv): large-radius inequality, closed clipping constant
     big_r = float(rs[-1])
@@ -363,8 +357,8 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
             if r > 0.5 * big_r:
                 continue
             rhs = m + (cn * big_r ** (-n) * total if r > y0 else 0.0)
-            checks.append(LargeRadiusCheck(float(r), lhs, float(rhs),
-                                           bool(lhs <= rhs + tol)))
+            passed = calculus.judge([("large-radius", rhs - lhs)], tol) is None
+            checks.append(LargeRadiusCheck(float(r), lhs, float(rhs), passed))
 
     all_ok = (monotone and (limit_passed is not False)
               and all(c.passed for c in checks))
@@ -401,8 +395,8 @@ def estimate_constant(family: list[ScalarField], kind: str) -> ConstantEstimate:
             raise MVLabError(f"family member {i} is on a {dom.kind} domain, "
                              f"need {expected}")
         hypothesis: dict = {}
-        reason = _pointwise_hypothesis(e, BoundParams(dom.dimension),
-                                       calculus.verdict_tolerance(dom), hypothesis)
+        reason = calculus.judge(_hypothesis_margins(e, BoundParams(dom.dimension), hypothesis),
+                                calculus.verdict_tolerance(dom))
         if reason is not None:
             raise MVLabError(f"family member {i} violates its hypothesis: {reason} "
                              f"(margins {hypothesis})")

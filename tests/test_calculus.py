@@ -23,6 +23,7 @@ from mvlab.calculus import (
     _ball_shares,
     cap_constant,
     clipping_angle,
+    judge,
     shell_nodes,
     t_integral_bound,
 )
@@ -1016,3 +1017,25 @@ def test_weak_test_and_test_laplacians_bitwise_equal_full_window_references(n, y
     assert [name for name, _ in report.values] == [name for name, _ in expected.values]
     assert _bitwise_equal(np.array([v for _, v in report.values]),
                           np.array([v for _, v in expected.values]))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1 / 64, 10 / 16])
+def test_judge_holds_down_to_minus_tol(tol):
+    assert judge([("edge", -tol)], tol) is None
+    assert judge([("a", 1.0), ("edge", -tol), ("zero", 0.0)], tol) is None
+    assert judge([("a", 1.0), ("below", float(np.nextafter(-tol, -np.inf)))], tol) == "below"
+    assert judge([("a", 1.0), ("nan", math.nan), ("b", -1e9)], tol) == "nan"
+    assert judge([("inf", math.inf), ("-inf", -math.inf)], tol) == "-inf"
+    assert judge([], tol) is None
+
+
+def test_judge_reads_a_generator_up_to_its_first_failure():
+    read = []
+
+    def margins():
+        for label, margin in (("a", 0.5), ("b", -2.0), ("c", math.nan), ("d", 1.0)):
+            read.append(label)
+            yield label, margin
+
+    assert judge(margins(), 1.0) == "b"
+    assert read == ["a", "b"]

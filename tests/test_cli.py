@@ -161,6 +161,12 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("--dimension 3 monotonicity", lambda _: LIFTED_HALF, "'center'"),
     ("monotonicity", lambda _: {**LIFTED_HALF, "radii": [0.4, math.nan, 0.6]}, "'radii'"),
     ("monotonicity", lambda _: {**LIFTED_HALF, "radii": [0.4, 0.5, math.inf]}, "'radii'"),
+    ("verify-morrey", lambda _: {**MORREY, "domain": {**COARSE, "center": [math.nan, 0.0]}},
+     "'center'"),
+    ("monotonicity", lambda _: {**LIFTED_HALF, "domain": {**HALF, "center": [math.nan, 0.0]}},
+     "'center'"),
+    ("monotonicity", lambda _: {**LIFTED_HALF, "domain": {**HALF, "center": [0.0, math.inf]}},
+     "'center'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
@@ -168,7 +174,8 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
         "string-tolerance-k", "numeric-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
         "monotonicity-short-center", "dimension-short-center", "monotonicity-nan-radius",
-        "monotonicity-inf-radius"])
+        "monotonicity-inf-radius", "ball-nan-center", "half-ball-nan-center",
+        "half-ball-inf-center"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))

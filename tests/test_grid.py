@@ -108,6 +108,8 @@ def test_half_ball_errors():
     (([0.0, 0.0], 1.0, 1 / 4, 2), ResolutionTooCoarse, r"spacing h=0.25 exceeds r/8=0.125"),
     (([0.0, 0.0], 1.0, math.nan, 2), MVLabError, "must be positive and finite"),
     (([0.0, 0.0], math.inf, 1 / 64, 2), MVLabError, "must be positive and finite"),
+    (([math.nan, 0.0], 1.0, 1 / 64, 2), MVLabError, r"center must be finite, got \[nan, 0.0\]"),
+    (([0.0, math.inf], 1.0, 1 / 64, 2), MVLabError, r"center must be finite, got \[0.0, inf\]"),
 ])
 def test_both_domain_builders_check_the_grid_arguments_alike(make, args, error, message):
     with pytest.raises(error, match=message):

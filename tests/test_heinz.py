@@ -283,3 +283,69 @@ def test_neighbourhood_window_matches_the_full_scan(monkeypatch, n, metric):
     windowed = heinz_scan(e, dom.center, 1.0).as_dict()
     monkeypatch.setattr(heinz, "_window_reach", lambda dom, radius: None)
     assert heinz_scan(e, dom.center, 1.0).as_dict() == windowed
+
+
+def _domains(n, h=1 / 16):
+    return make_ball_domain([0.0] * n, 1.0, h, n), make_half_ball_domain([0.0] * n, 1.0, h, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_comparison_examples_in_higher_dimensions(n):
+    ball, half = _domains(n)
+    zero = ball.field_from_function(lambda p: np.zeros(len(p)))
+    res = comparison_function_interior(zero, [0.0] * n, BoundParams(n, A0=float(n)), c_bar=0.0)
+    assert res.max_laplacian == pytest.approx(-2.0 * n, abs=1e-9)  # v = |x|^2
+    assert res.max_normal_derivative is None and res.passed
+    # a signed field keeps all its nodes: a zero power term is not evaluated
+    signed = ball.field_from_function(lambda p: np.sum(p**2, axis=-1) - 1.0, density=False)
+    res = comparison_function_interior(signed, [0.0] * n, BoundParams(n), c_bar=0.0)
+    assert res.max_laplacian == pytest.approx(-2.0 * n, abs=1e-9)
+
+    zero = half.field_from_function(lambda p: np.zeros(len(p)))
+    res = comparison_function_boundary(zero, [0.0] * n, a_bound=0.0, b_bound=1.0)
+    assert res.max_normal_derivative == pytest.approx(-1.0, abs=1e-12)  # v = x0
+    assert res.passed
+    x0_field = half.field_from_function(lambda p: p[:, 0])
+    res = comparison_function_boundary(x0_field, [0.0] * n, a_bound=0.0, b_bound=2.0)
+    assert res.max_normal_derivative == pytest.approx(-3.0, abs=1e-12)  # v = 3 x0
+    assert res.max_laplacian == pytest.approx(0.0, abs=1e-9)
+    assert res.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_boundary_comparison_fails_when_b_is_too_small(n):
+    _, half = _domains(n)
+    # |x - (1/2, 0, ...)|^2 has outer derivative +1 on the plane and Delta = -2n
+    bowl = gen(GeneratorSpec("quadratic", amplitude=1.0, center=(0.5,) + (0.0,) * (n - 1)),
+               half)
+    short = comparison_function_boundary(bowl, [0.0] * n, a_bound=0.0, b_bound=0.0)
+    assert short.max_normal_derivative == pytest.approx(1.0, abs=1e-9)
+    assert short.max_normal_derivative > 10 * half.spacing
+    assert short.max_laplacian < 0 and not short.passed
+    enough = comparison_function_boundary(bowl, [0.0] * n, a_bound=0.0, b_bound=1.0)
+    assert enough.max_normal_derivative == pytest.approx(0.0, abs=1e-9) and enough.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_interior_comparison_checks_only_its_ball(n):
+    ball, half = _domains(n)
+    peak = np.array([0.625] + [0.0] * (n - 1))
+    # a Gaussian of width 1/8 at peak: Delta = 2n / s^2 = 128 n there,
+    # negative beyond |x - peak| = s sqrt(n / 2)
+    bump = ball.field_from_function(
+        lambda p: np.exp(-np.sum((p - peak) ** 2, axis=-1) * 64.0))
+    origin = [0.0] * n
+    near = comparison_function_interior(bump, origin, BoundParams(n), 0.0, check_radius=0.25)
+    assert near.max_laplacian <= 0.0 and near.passed
+    far = comparison_function_interior(bump, origin, BoundParams(n), 0.0, check_radius=0.75)
+    assert far.max_laplacian > 10 * ball.spacing and not far.passed
+    assert not comparison_function_interior(bump, origin, BoundParams(n), 0.0).passed
+    # a check ball without a node: no usable Laplacian, no error
+    empty = comparison_function_interior(bump, [0.03] * n, BoundParams(n), 0.0,
+                                         check_radius=0.01)
+    assert empty.max_laplacian == -np.inf and empty.passed
+    # on a half-ball the interior comparison checks the Laplacian only
+    bowl = gen(GeneratorSpec("quadratic", amplitude=1.0, center=(0.5,) + (0.0,) * (n - 1)),
+               half)
+    res = comparison_function_interior(bowl, origin, BoundParams(n), 0.0)
+    assert res.max_normal_derivative is None and res.passed

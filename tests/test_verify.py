@@ -352,3 +352,49 @@ def test_metric_deviation_measured_once_per_domain(monkeypatch):
     verify_morrey(e, c=1.0)
     assert rep.grid["measured_metric_deviation"] == original(dom.metric, dom)
     assert len(calls) == 1 and calls[0] is dom
+
+
+def _half_ball_hypothesis_fields():
+    dom = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2)
+    # Delta(1 - |x|^2) = 2n = 4 > 0 breaks the Laplacian sign
+    cap = dom.field_from_function(lambda p: 1.0 - np.sum(p**2, axis=-1) + 0.01)
+    # |x - (1/2, 0)|^2: Delta = -4 holds, outer derivative -de/dx0 = +1 on the plane
+    bowl = gen(GeneratorSpec("quadratic", amplitude=1.0, center=(0.5, 0.0)), dom)
+    return cap, bowl
+
+
+def test_a_broken_laplacian_skips_the_normal_margin():
+    import re
+
+    cap, _ = _half_ball_hypothesis_fields()
+    rep = verify_morrey(cap, c=1.0)
+    assert rep.verdict == HYPOTHESIS_VIOLATED
+    assert re.fullmatch(r"laplacian-positive@\(\d+, \d+\)", rep.reason)
+    assert list(rep.hypothesis) == ["laplacian_margin"]
+    # the excess sign: operator minus bound, positive when violated
+    assert rep.hypothesis["laplacian_margin"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_a_broken_neumann_sign_records_both_margins():
+    import re
+
+    _, bowl = _half_ball_hypothesis_fields()
+    rep = verify_morrey(bowl, c=1.0)
+    assert rep.verdict == HYPOTHESIS_VIOLATED
+    assert re.fullmatch(r"normal-derivative-positive@\(\d+, \d+\)", rep.reason)
+    assert list(rep.hypothesis) == ["laplacian_margin", "normal_margin"]
+    assert rep.hypothesis["laplacian_margin"] == pytest.approx(-4.0, abs=1e-9)
+    assert rep.hypothesis["normal_margin"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ledger_reasons_name_the_bounds_and_margins_subtract_them():
+    cap, bowl = _half_ball_hypothesis_fields()
+    ledger = make_ledger(2, 0.0, 0.0, 1.0)
+    rep = verify_boundary_mvi(cap, BoundParams(2, A0=1.0), ledger)
+    assert rep.verdict == HYPOTHESIS_VIOLATED
+    assert rep.reason.startswith("laplacian-bound@(")
+    assert rep.hypothesis["laplacian_margin"] == pytest.approx(3.0, abs=1e-9)
+    rep = verify_boundary_mvi(bowl, BoundParams(2, B0=0.25), ledger)
+    assert rep.verdict == HYPOTHESIS_VIOLATED
+    assert rep.reason.startswith("normal-bound@(")
+    assert rep.hypothesis["normal_margin"] == pytest.approx(0.75, abs=1e-9)
