@@ -104,32 +104,40 @@ def laplacian(e: ScalarField) -> ScalarField:
         np.negative(lap, out=lap)
         lap /= h**2
     else:
-        lap = _metric_laplacian(e)
+        lap = np.empty(dom.shape)
+        lap[dom.in_mask] = _metric_laplacian(e)
     lap[~dom.in_mask] = np.nan
     return ScalarField(dom, lap, density=False)
 
 
 def _metric_laplacian(e: ScalarField) -> np.ndarray:
+    """At the in-mask nodes (C order), each in the box-wide form's order of operations."""
     dom = e.domain
     h = dom.spacing
-    v = e.values
-    padded = _pad(v, np.nan)
-    div = np.zeros_like(v)
+    padded = _pad(e.values, np.nan)
+    strides = [stride // padded.itemsize for stride in padded.strides]
+    nodes = np.flatnonzero(_pad(dom.in_mask, False))
+
+    def at(*steps):
+        return padded.reshape(-1)[nodes + sum(step * strides[ax] for ax, step in steps)]
+
+    v = at()
+    central = [(at((j, 1)) - at((j, -1))) / (2.0 * h) for j in range(dom.dimension)]
+    faces = np.full(padded.size, np.nan)
+    div = np.zeros(len(nodes))
     for ax, (sqrt_det_face, inv_rows) in enumerate(dom.face_metric):
-        flux = np.zeros_like(v)
+        flux = np.zeros(len(nodes))
         for j, inv_row in enumerate(inv_rows):
             if j == ax:
-                dj = (_shifted(padded, {ax: 1}) - v) / h
+                dj = (at((ax, 1)) - v) / h
             else:
-                cj_here = (_shifted(padded, {j: 1})
-                           - _shifted(padded, {j: -1})) / (2.0 * h)
-                cj_there = (_shifted(padded, {ax: 1, j: 1})
-                            - _shifted(padded, {ax: 1, j: -1})) / (2.0 * h)
-                dj = 0.5 * (cj_here + cj_there)
+                cj_there = (at((ax, 1), (j, 1)) - at((ax, 1), (j, -1))) / (2.0 * h)
+                dj = 0.5 * (central[j] + cj_there)
             flux += inv_row * dj
         flux *= sqrt_det_face
-        div += (flux - _shifted(_pad(flux, np.nan), {ax: -1})) / h
-    return -div / dom.sqrt_det_metric()
+        faces[nodes] = flux
+        div += (flux - faces[nodes - strides[ax]]) / h
+    return -div / dom.sqrt_det_metric()[dom.in_mask]
 
 
 # ---------------------------------------------------------------------------

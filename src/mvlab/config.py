@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 from .constants import BoundParams, ConstantLedger, make_ledger
-from .errors import ConfigError
+from .errors import ConfigError, MVLabError
 from .grid import (
     BALL,
     HALF_BALL,
@@ -86,21 +86,24 @@ def metric_from_config(cfg: dict | None, n: int) -> MetricSpec | None:
         return None
     preset = config_value(cfg, "preset", "metric", str, None)
     deviation = config_value(cfg, "declared_deviation", "metric", float, None)
-    if preset == "identity":
-        return identity_metric(n)
-    if preset == "conformal":
-        return conformal_metric(n, config_value(cfg, "coefficient", "metric"),
-                                axis=config_value(cfg, "axis", "metric", int, 1),
-                                declared_deviation=deviation)
-    if preset == "sine":
-        return sine_metric(n, config_value(cfg, "coefficient", "metric"),
-                           entry=config_value(cfg, "entry", "metric",
-                                              lambda e: (int(e[0]), int(e[1])), (0, 0)),
-                           axis=config_value(cfg, "axis", "metric", int, 1),
-                           declared_deviation=deviation)
-    if preset == "polynomial" or "terms" in cfg:
-        return polynomial_metric(n, config_value(cfg, "terms", "metric", _terms),
-                                 config_value(cfg, "declared_deviation", "metric"))
+    try:
+        if preset == "identity":
+            return identity_metric(n)
+        if preset == "conformal":
+            return conformal_metric(n, config_value(cfg, "coefficient", "metric"),
+                                    axis=config_value(cfg, "axis", "metric", int, 1),
+                                    declared_deviation=deviation)
+        if preset == "sine":
+            return sine_metric(n, config_value(cfg, "coefficient", "metric"),
+                               entry=config_value(cfg, "entry", "metric",
+                                                  lambda e: (int(e[0]), int(e[1])), (0, 0)),
+                               axis=config_value(cfg, "axis", "metric", int, 1),
+                               declared_deviation=deviation)
+        if preset == "polynomial" or "terms" in cfg:
+            return polynomial_metric(n, config_value(cfg, "terms", "metric", _terms),
+                                     config_value(cfg, "declared_deviation", "metric"))
+    except MVLabError as exc:  # a preset rejects a value; its message names the key
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"metric: unknown preset {preset!r}")
 
 

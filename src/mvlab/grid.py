@@ -207,8 +207,27 @@ class MetricSpec:
     trivial: bool = False  # make_ball_domain builds no metric for it
     config: dict | None = field(default=None, compare=False)  # round-trip recipe
 
+    def __post_init__(self):
+        if not 0.0 <= self.declared_deviation < math.inf:  # False at NaN too
+            raise MVLabError(f"metric 'declared_deviation' must be finite and >= 0, "
+                             f"got {self.declared_deviation!r}")
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix(np.asarray(points, dtype=float))
+
+
+def _check_preset(n: int, coefficient: float, **indices: Sequence[int]) -> None:
+    if not math.isfinite(coefficient):
+        raise MVLabError(f"metric 'coefficient' must be finite, got {coefficient!r}")
+    for key, values in indices.items():
+        if not all(0 <= k < n for k in values):
+            raise MVLabError(f"metric {key!r} must be in 0..{n - 1}, got {list(values)}")
+
+
+def _segment_floor(n: int, deviation: float) -> float:
+    """f = max(0, 1 - n delta / 2): segment_distance >= f L on a segment of Euclidean
+    length L where |g - I| <= delta entrywise, as |corr| <= |g - I|_2 <= n delta."""
+    return max(0.0, 1.0 - 0.5 * n * deviation)
 
 
 def identity_metric(n: int) -> MetricSpec:
@@ -223,6 +242,7 @@ def identity_metric(n: int) -> MetricSpec:
 def conformal_metric(n: int, coefficient: float, axis: int = 1,
                      declared_deviation: float | None = None) -> MetricSpec:
     """g(x) = (1 + coefficient * x_axis) * identity."""
+    _check_preset(n, coefficient, axis=[axis])
 
     def matrix(points: np.ndarray) -> np.ndarray:
         factor = 1.0 + coefficient * points[..., axis]
@@ -244,9 +264,9 @@ def polynomial_metric(n: int, terms: Sequence[tuple[int, int, float, Sequence[in
     entries (i, j) and (j, i).
     """
     terms = [(int(i), int(j), float(c), tuple(int(p) for p in pw)) for i, j, c, pw in terms]
-    for i, j, _, pw in terms:
-        if not (0 <= i < n and 0 <= j < n) or len(pw) != n:
-            raise MVLabError(f"bad metric term ({i},{j},powers={pw}) for dimension {n}")
+    for i, j, c, pw in terms:
+        if not (0 <= i < n and 0 <= j < n) or len(pw) != n or not math.isfinite(c):
+            raise MVLabError(f"bad metric term ({i},{j},c={c!r},powers={pw}) for dimension {n}")
 
     def matrix(points: np.ndarray) -> np.ndarray:
         out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
@@ -270,6 +290,7 @@ def sine_metric(n: int, coefficient: float, entry: tuple[int, int] = (0, 0),
                 axis: int = 1, declared_deviation: float | None = None) -> MetricSpec:
     """g = identity + coefficient * sin(x_axis) on one diagonal entry."""
     i, j = entry
+    _check_preset(n, coefficient, entry=entry, axis=[axis])
 
     def matrix(points: np.ndarray) -> np.ndarray:
         out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
@@ -356,10 +377,9 @@ def _gated_sqrt_det(g: np.ndarray, out: np.ndarray) -> float | None:
     return None
 
 
-def _box_points(axes: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
-    """Coordinates of the C-order nodes ``rows`` of the box with these axes,
-    shape (m, n), as ``Domain.coordinates`` builds them from node indices."""
-    index = np.unravel_index(np.arange(rows.start, rows.stop), tuple(map(len, axes)))
+def _box_points(axes: tuple[np.ndarray, ...], nodes: slice | np.ndarray) -> np.ndarray:
+    """``Domain.coordinates`` of the box ``nodes`` (C-order indices or a slice), shape (m, n)."""
+    index = np.unravel_index(np.r_[nodes], tuple(map(len, axes)))
     return np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
 
 
@@ -508,22 +528,37 @@ class Domain:
         if self._euclidean:
             squared = self.squared_distances(base)
             return np.sqrt(squared, out=squared)
-        out = np.empty(self.shape)
-        axes = self.axes
+        return self._segment_into(np.empty(self.shape), base, np.arange(math.prod(self.shape)))
 
+    def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``out`` with the segment distance from ``base`` at its raveled ``nodes``."""
         def block(rows):
-            out.reshape(-1)[rows] = _segment_block(self.metric, base, _box_points(axes, rows))
+            out.reshape(-1)[nodes[rows]] = _segment_block(self.metric, base,
+                                                          _box_points(self.axes, nodes[rows]))
 
-        _map_blocks(out.size, self.dimension, block)
+        _map_blocks(len(nodes), self.dimension, block)
         return out
 
     @cached_property
     def _center_distances(self) -> np.ndarray:
-        return _read_only(self.box_distances(self.center))
+        dist = self.squared_distances(self.center)
+        np.sqrt(dist, out=dist)
+        if not self._euclidean:  # nodes past (r + cut_margin) / f + h keep f L
+            factor = _segment_floor(self.dimension, self._deviation_limit)
+            dist *= factor
+            near = dist.ravel() <= self.radius + self.cut_margin + factor * self.spacing
+            self._segment_into(dist, self.center, np.flatnonzero(near))
+        return _read_only(dist)
 
     def center_distances(self) -> np.ndarray:
-        """Distance from the center to every box node, box-shaped."""
+        """Distance from the center to every box node, box-shaped; on metric balls exact within
+        (r + cut_margin)/f + h, f = ``_segment_floor(n, _deviation_limit)``, beyond that f L."""
         return self._center_distances
+
+    @property
+    def _deviation_limit(self) -> float:
+        """The largest ``measured_deviation`` make_ball_domain accepts."""
+        return self.metric.declared_deviation + 1e-9 + 10.0 * self.spacing**2
 
     def region_contains(self, points: np.ndarray) -> np.ndarray:
         """Membership in the analytic region (ball/half-ball), not the mask."""
@@ -596,25 +631,22 @@ class Domain:
 
     @cached_property
     def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per axis a, at the faces x + h/2 e_a of the in-mask nodes x: sqrt(det g),
-        box-shaped, and the rows g^{aj} of g^-1, shape (n,) + box; NaN off the mask,
-        where the field is NaN too, so every flux through such a face is NaN anyway."""
+        """Per axis a, at the faces x + h/2 e_a of the in-mask nodes x, in C
+        order: sqrt(det g), shape (m,), and the rows g^{aj} of g^-1, shape (n, m)."""
         n = self.dimension
         points = self.in_mask_points()
-        nodes = np.flatnonzero(self.in_mask)
-        faces = np.full((n, n + 1, math.prod(self.shape)), np.nan)
+        faces = np.empty((n, n + 1, len(points)))
 
         def block(rows):
             for ax, face in enumerate(faces):
                 face_pts = points[rows].copy()
                 face_pts[:, ax] += 0.5 * self.spacing
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
-                face[0, nodes[rows]] = np.sqrt(det)
-                face[1:, nodes[rows]] = inv[ax]
+                face[0, rows] = np.sqrt(det)
+                face[1:, rows] = inv[ax]
 
         _map_blocks(len(points), n, block)
-        faces = _read_only(faces).reshape((n, n + 1) + self.shape)
-        return tuple((face[0], face[1:]) for face in faces)
+        return tuple((face[0], face[1:]) for face in _read_only(faces))
 
     @property
     def cut_margin(self) -> float:
@@ -823,7 +855,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
     if metric is not None:
         domain.sqrt_det_metric()  # the positive-definite gate
         measured = domain.measured_deviation
-        if measured > metric.declared_deviation + 1e-9 + 10.0 * h**2:
+        if measured > domain._deviation_limit:
             raise MVLabError(
                 f"metric deviates by {measured:.4g}, above the declared "
                 f"{metric.declared_deviation:.4g}")

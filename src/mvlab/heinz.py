@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import BoundParams
 from .errors import DomainNotHalfBall, EmptyBall, MVLabError
-from .grid import HALF_BALL, Domain, ScalarField
+from .grid import HALF_BALL, Domain, ScalarField, _segment_floor
 from .report import record
 from .verify import _bound_margin
 from . import calculus
@@ -109,13 +109,10 @@ class _PrefixSup:
 
 def _window_reach(dom: Domain, radius: float) -> float | None:
     """Euclidean radius that covers the ball of distance ``radius`` (plus one
-    spacing, for ``_PrefixSup.tol``): the segment distance is L (1 + corr/2)
-    with |corr| <= |g - I|_2 <= n delta, delta the larger of the declared and
-    measured deviations. None (scan every node) when n delta / 2 >= 1."""
-    shrink = 1.0
-    if dom.metric is not None:
-        delta = max(dom.metric.declared_deviation, dom.measured_deviation)
-        shrink -= 0.5 * dom.dimension * delta
+    spacing, for ``_PrefixSup.tol``), by ``grid._segment_floor`` at the larger of
+    the declared and measured deviations; None (scan every node) when it is 0."""
+    delta = max(dom.metric.declared_deviation, dom.measured_deviation) if dom.metric else 0.0
+    shrink = _segment_floor(dom.dimension, delta)
     return radius / shrink + dom.spacing if shrink > 0.0 else None
 
 

@@ -847,6 +847,63 @@ def test_weak_test_samples_cells_no_more_than_one_integral(monkeypatch):
     assert sum(calls) <= one_integral
 
 
+def _metric_laplacian_reference(e):
+    """The metric Laplacian as it was computed box-wide: a flux at every box
+    node from shifted views of the NaN-padded field, with the face metric
+    scattered into boxes that are NaN off the mask, then NaN off the mask."""
+    from mvlab.grid import _pad, _shifted
+
+    dom = e.domain
+    h, v = dom.spacing, e.values
+    padded = _pad(v, np.nan)
+    div = np.zeros_like(v)
+    for ax, (sqrt_det, rows) in enumerate(dom.face_metric):
+        sqrt_det_face = np.full(dom.shape, np.nan)
+        sqrt_det_face[dom.in_mask] = sqrt_det
+        inv_rows = np.full((dom.dimension,) + dom.shape, np.nan)
+        inv_rows[:, dom.in_mask] = rows
+        flux = np.zeros_like(v)
+        for j, inv_row in enumerate(inv_rows):
+            if j == ax:
+                dj = (_shifted(padded, {ax: 1}) - v) / h
+            else:
+                cj_here = (_shifted(padded, {j: 1})
+                           - _shifted(padded, {j: -1})) / (2.0 * h)
+                cj_there = (_shifted(padded, {ax: 1, j: 1})
+                            - _shifted(padded, {ax: 1, j: -1})) / (2.0 * h)
+                dj = 0.5 * (cj_here + cj_there)
+            flux += inv_row * dj
+        flux *= sqrt_det_face
+        div += (flux - _shifted(_pad(flux, np.nan), {ax: -1})) / h
+    lap = -div / dom.sqrt_det_metric()
+    lap[~dom.in_mask] = np.nan
+    return lap
+
+
+# spacings that are not powers of two, so that dividing by h rounds
+@pytest.mark.parametrize("n,h", ((2, 1 / 30), (3, 1 / 15), (4, 2 / 17)))
+@pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
+def test_metric_laplacian_at_in_mask_nodes_is_bitwise_the_box_wide_one(kind, n, h):
+    from mvlab import ScalarField, polynomial_metric
+
+    metric = {"conformal": lambda: conformal_metric(n, 0.01, axis=1),
+              "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
+              "polynomial": lambda: polynomial_metric(
+                  n, [(0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
+                      (0, 1, 0.005, (1, 1) + (0,) * (n - 2))], 0.03)}[kind]()
+    fn = lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, -1]) + quadratic(p)  # noqa: E731
+    for center in ([0.0] * n, [0.25, -0.125] + [0.0625] * (n - 2)):
+        dom = make_ball_domain(center, 1.0, h, n, metric)
+        fields = [dom.field_from_function(fn, density=False),
+                  # finite values off the mask: only the face metric there is NaN
+                  ScalarField(dom, fn(dom.points()).reshape(dom.shape), density=False)]
+        for e in fields:
+            got, want = laplacian(e).values, _metric_laplacian_reference(e)
+            # NaN where a stencil or a face below leaves the mask, compared too
+            assert np.isnan(want[dom.in_mask]).any() and np.isfinite(want).any()
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_metric_laplacian_evaluates_the_metric_once_per_domain():
     import dataclasses
 

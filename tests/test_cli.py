@@ -15,7 +15,8 @@ from mvlab.report import strip_header
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")  # a str is written as it is, as raw JSON
     return str(path)
 
 
@@ -116,6 +117,12 @@ def _drop_last_value(lines):
     return lines[:-1] + [base64.b64encode(base64.b64decode(lines[-1])[:-8]).decode()]
 
 
+def _metric_morrey(**metric):
+    """Morrey on COARSE with a conformal metric, its keys replaced by ``metric``."""
+    metric = {"preset": "conformal", "coefficient": 0.01, **metric}
+    return lambda _: {**MORREY, "domain": {**COARSE, "metric": metric}}
+
+
 LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
                "generator": {"kind": "constant"}, "radii": [0.375, 0.5, 0.625]}
 
@@ -167,6 +174,16 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
      "'center'"),
     ("monotonicity", lambda _: {**LIFTED_HALF, "domain": {**HALF, "center": [0.0, math.inf]}},
      "'center'"),
+    ("verify-morrey", _metric_morrey(preset="conformal", coefficient=math.nan), "'coefficient'"),
+    ("verify-morrey", _metric_morrey(preset="sine", coefficient=math.inf), "'coefficient'"),
+    ("verify-morrey", _metric_morrey(declared_deviation=math.nan), "'declared_deviation'"),
+    ("verify-morrey", _metric_morrey(declared_deviation=math.inf), "'declared_deviation'"),
+    ("verify-morrey", lambda tmp_path: json.dumps(_metric_morrey(
+        declared_deviation="HUGE")(tmp_path)).replace('"HUGE"', "1e400"),
+     "'declared_deviation'"),
+    ("verify-morrey", _metric_morrey(declared_deviation=-0.1), "'declared_deviation'"),
+    ("verify-morrey", _metric_morrey(axis=5), "'axis'"),
+    ("verify-morrey", _metric_morrey(preset="sine", entry=[0, 7]), "'entry'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
@@ -175,7 +192,9 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",
         "monotonicity-short-center", "dimension-short-center", "monotonicity-nan-radius",
         "monotonicity-inf-radius", "ball-nan-center", "half-ball-nan-center",
-        "half-ball-inf-center"])
+        "half-ball-inf-center", "conformal-nan-coefficient", "sine-inf-coefficient",
+        "nan-declared-deviation", "inf-declared-deviation", "huge-declared-deviation",
+        "negative-declared-deviation", "conformal-axis-5", "sine-entry-0-7"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))

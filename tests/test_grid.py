@@ -196,6 +196,34 @@ def test_understated_metric_deviation_rejected():
         make_ball_domain([0, 0], 1.0, 1 / 32, 2, lying)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: conformal_metric(2, math.nan), r"'coefficient' must be finite, got nan"),
+    (lambda: sine_metric(2, math.inf), r"'coefficient' must be finite, got inf"),
+    (lambda: polynomial_metric(2, [(0, 0, math.nan, (0, 0))], 0.1), r"bad metric term \(0,0,c=nan"),
+    (lambda: conformal_metric(2, 0.01, declared_deviation=math.nan), "'declared_deviation'"),
+    (lambda: sine_metric(2, 0.01, declared_deviation=math.inf), "'declared_deviation'"),
+    (lambda: polynomial_metric(2, [], -0.1), "'declared_deviation'"),
+    (lambda: conformal_metric(2, 0.01, axis=5), r"'axis' must be in 0\.\.1, got \[5\]"),
+    (lambda: conformal_metric(2, 0.01, axis=-1), r"'axis' must be in 0\.\.1, got \[-1\]"),
+    (lambda: sine_metric(2, 0.01, entry=(0, 7)), r"'entry' must be in 0\.\.1, got \[0, 7\]"),
+    (lambda: sine_metric(3, 0.01, axis=3), r"'axis' must be in 0\.\.2, got \[3\]"),
+])
+def test_metric_presets_reject_malformed_parameters(build, message):
+    # raised when the metric is made, before any box is sized from it
+    with pytest.raises(MVLabError, match=message):
+        build()
+
+
+def test_custom_metric_declared_deviation_must_be_finite_and_nonnegative():
+    from mvlab.grid import MetricSpec
+
+    eye = identity_metric(2).matrix
+    for bad in (math.nan, math.inf, -0.01):
+        with pytest.raises(MVLabError, match="declared_deviation"):
+            MetricSpec(2, eye, declared_deviation=bad)
+    assert MetricSpec(2, eye, declared_deviation=0.0).declared_deviation == 0.0
+
+
 @pytest.mark.parametrize("metric", (None, conformal_metric(2, 0.01, axis=1)))
 def test_domain_arrays_are_read_only(metric):
     dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2, metric)
@@ -263,9 +291,10 @@ def test_face_metric_evaluates_the_metric_at_in_mask_nodes_only(metric):
     calls.clear()
     faces = dom.face_metric
     assert sum(calls) == 3 * dom.node_count
+    # stored at the in-mask nodes only, in C order, every entry finite
     for sqrt_det, rows in faces:
-        assert np.array_equal(np.isfinite(sqrt_det), dom.in_mask)
-        assert np.array_equal(np.isfinite(rows), np.broadcast_to(dom.in_mask, rows.shape))
+        assert sqrt_det.shape == (dom.node_count,) and rows.shape == (3, dom.node_count)
+        assert np.isfinite(sqrt_det).all() and np.isfinite(rows).all()
 
 
 def test_oversized_box_raises_before_allocating():
@@ -650,11 +679,7 @@ def _metric_arrays(dom):
 def test_metric_passes_are_bitwise_the_same_in_any_blocks_on_any_threads(kind, n, h, monkeypatch):
     from mvlab import grid
 
-    metric = {"conformal": lambda: conformal_metric(n, 0.01, axis=1),
-              "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
-              "polynomial": lambda: polynomial_metric(
-                  n, [(0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
-                      (0, 1, 0.005, (1, 1) + (0,) * (n - 2))], 0.03)}[kind]()
+    metric = _metric_spec(kind, n)
 
     def arrays(workers, block_bytes):
         monkeypatch.setattr(grid, "_WORKERS", workers)
@@ -780,6 +805,58 @@ def test_public_grid_functions_run_on_the_main_thread_only(monkeypatch):
     assert not all(kernels) and any(kernels)
 
 
+def _metric_spec(kind, n):
+    return {"conformal": lambda: conformal_metric(n, 0.01, axis=1),
+            "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
+            "polynomial": lambda: polynomial_metric(
+                n, [(0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
+                    (0, 1, 0.005, (1, 1) + (0,) * (n - 2))], 0.03)}[kind]()
+
+
+@pytest.mark.parametrize("n,h", ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)))
+@pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
+@pytest.mark.parametrize("centred", (True, False), ids=("origin", "off-origin"))
+def test_near_sphere_centre_distances_leave_every_ball_quantity_bitwise_alone(
+        kind, n, h, centred):
+    center = [0.0] * n if centred else [0.25, -0.125] + [0.0625] * (n - 2)
+    _assert_the_full_box_ball(make_ball_domain(center, 1.0, h, n, _metric_spec(kind, n)))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_centre_distance_cut_off_covers_a_deviation_understated_within_the_slack(n):
+    # g = 0.85 I shortens every segment to sqrt(0.85) of its length; declared
+    # as the identity, it is still accepted at h = r/8 (slack 10 h^2 = 0.156)
+    lying = polynomial_metric(n, [(k, k, -0.15, (0,) * n) for k in range(n)], 0.0)
+    dom = make_ball_domain([0.0] * n, 1.0, 1 / 8, n, lying)
+    assert dom.measured_deviation > 0.1
+    _assert_the_full_box_ball(dom)
+
+
+def _assert_the_full_box_ball(dom):
+    """The ball's mask, cut cells, weights, measured deviation and a Heinz scan
+    equal those of the same ball with the segment rule at every box node."""
+    from mvlab import heinz_scan
+    from mvlab.grid import Domain, segment_distance
+
+    n = dom.dimension
+    ref = Domain(dom.kind, dom.center, dom.radius, dom.spacing, n, dom.origin, dom.shape,
+                 dom.metric)
+    full = segment_distance(dom.metric, dom.center, ref.points()).reshape(dom.shape)
+    full.flags.writeable = False
+    ref.__dict__["_center_distances"] = full
+    skipped = dom.center_distances() != full
+    assert skipped.any() and not skipped[dom.in_mask].any()
+    assert np.all(dom.center_distances()[skipped] <= full[skipped])  # a lower bound there
+    assert np.array_equal(dom.mask, ref.mask)
+    for got, want in zip(dom.cut_cells(), ref.cut_cells()):
+        assert got.tobytes() == want.tobytes()
+    assert dom.weights.tobytes() == ref.weights.tobytes()
+    assert dom.measured_deviation == ref.measured_deviation
+    fn = lambda p: np.exp(-8.0 * np.sum((p - dom.center - 0.3) ** 2, axis=-1))  # noqa: E731
+    assert (heinz_scan(dom.field_from_function(fn), dom.center, 1.0).as_dict()
+            == heinz_scan(ref.field_from_function(fn), ref.center, 1.0).as_dict())
+
+
 def _meshgrid_points(dom):
     """Every box node's coordinates from a full meshgrid, as a cached
     coordinate array used to hold them: shape (nodes, n), C-order."""
@@ -804,9 +881,21 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n):
     grid = ref.reshape(dom.shape + (n,))
     assert np.array_equal(dom.points(), ref)
     assert np.array_equal(dom.in_mask_points(), ref[dom.in_mask.ravel()])
-    # the centre distances, Euclidean or block by block on the metric ball
-    assert np.array_equal(dom.center_distances(),
-                          segment_distance(dom.metric, dom.center, ref).reshape(dom.shape))
+    # the centre distances, Euclidean or block by block on the metric ball;
+    # there exact only within (r + cut_margin) / f + h of the centre, f =
+    # _segment_floor at the accepted deviation, and beyond it a lower bound
+    # that stays off the cut cells
+    exact = segment_distance(dom.metric, dom.center, ref).reshape(dom.shape)
+    near = np.ones(dom.shape, dtype=bool)
+    if dom.metric is not None:
+        from mvlab.grid import _segment_floor
+
+        factor = _segment_floor(n, dom._deviation_limit)
+        near = (np.linalg.norm(grid - dom.center, axis=-1)
+                <= (dom.radius + dom.cut_margin) / factor + h - 1e-12)
+        assert not near.all()
+        assert np.all(dom.center_distances()[~near] > dom.radius + dom.cut_margin)
+    assert np.array_equal(dom.center_distances()[near], exact[near])
     off = dom.center + np.array([0.3] + [-0.2] * (n - 1))
     assert np.array_equal(dom.box_distances(off),
                           segment_distance(dom.metric, off, ref).reshape(dom.shape))
