@@ -27,8 +27,9 @@ from .grid import (
     HALF_BALL,
     Domain,
     ScalarField,
-    _pad,
-    _shifted,
+    _GL4_W,
+    _GL4_X,
+    _squared_gaps,
     cut_fractions,
 )
 
@@ -83,61 +84,69 @@ def laplacian(e: ScalarField) -> ScalarField:
 
     Euclidean: -sum_i d^2 e/dx_i^2 by second-order central differences.
     Metric balls: -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} d_j e) with
-    centered flux differences at cell faces. Nodes without a full stencil
-    are NaN in the result.
+    centered flux differences at cell faces. Both work at the in-mask nodes
+    (``_stencil``); nodes off the mask or without a full stencil are NaN.
     """
     dom = e.domain
-    n = dom.dimension
-    h = dom.spacing
-    v = e.values
+    nodes, at = _stencil(dom)
+    flat = e.values.reshape(-1)
     if dom.metric is None:
-        # (v[+1] - 2 v) + v[-1] per axis, worked in one buffer, so that three
-        # box arrays are live, not five
-        padded = _pad(v, np.nan)
-        lap = np.zeros_like(v)
-        term = np.empty_like(v)
-        for ax in range(n):
-            np.multiply(v, 2.0, out=term)
-            np.subtract(_shifted(padded, {ax: 1}), term, out=term)
-            term += _shifted(padded, {ax: -1})
-            lap += term
-        np.negative(lap, out=lap)
-        lap /= h**2
+        # (v[+1] - 2 v) + v[-1] per axis, summed from 0: the order the bitwise tests pin
+        twice = 2.0 * flat[nodes]
+        lap = np.zeros(len(nodes))
+        for ax in range(dom.dimension):
+            lap += (at(flat, (ax, 1)) - twice) + at(flat, (ax, -1))
+        lap = -lap / dom.spacing**2
     else:
-        lap = np.empty(dom.shape)
-        lap[dom.in_mask] = _metric_laplacian(e)
-    lap[~dom.in_mask] = np.nan
-    return ScalarField(dom, lap, density=False)
+        lap = _metric_laplacian(dom, flat, nodes, at)
+    out = np.full(dom.shape, np.nan)
+    out.reshape(-1)[nodes] = lap
+    return ScalarField(dom, out, density=False)
 
 
-def _metric_laplacian(e: ScalarField) -> np.ndarray:
+def _stencil(dom: Domain):
+    """The in-mask node index and ``at(flat, *steps)``: the raveled box array
+    ``flat`` at each in-mask node moved by ``steps`` ((axis, +-1) pairs), C
+    order, NaN where a step leaves the box (from a node on the box face)."""
+    nodes = dom._mask_nodes
+    strides = [math.prod(dom.shape[ax + 1:]) for ax in range(dom.dimension)]
+    off_box = {}  # (axis, step): positions in ``nodes`` of the box face the step leaves
+    for ax, step in itertools.product(range(dom.dimension), (1, -1)):
+        edge = 0 if step < 0 else dom.shape[ax] - 1
+        face = np.nonzero(np.take(dom.in_mask, edge, axis=ax))
+        index = face[:ax] + (np.full(len(face[0]), edge),) + face[ax:]
+        off_box[ax, step] = np.searchsorted(nodes, np.ravel_multi_index(index, dom.shape))
+
+    def at(flat, *steps):
+        # every index past the box is NaN below; "clip" spares a bounds check
+        out = np.take(flat, nodes + sum(step * strides[ax] for ax, step in steps), mode="clip")
+        for ax, step in steps:
+            out[off_box[ax, step]] = np.nan
+        return out
+
+    return nodes, at
+
+
+def _metric_laplacian(dom: Domain, flat: np.ndarray, nodes: np.ndarray, at) -> np.ndarray:
     """At the in-mask nodes (C order), each in the box-wide form's order of operations."""
-    dom = e.domain
     h = dom.spacing
-    padded = _pad(e.values, np.nan)
-    strides = [stride // padded.itemsize for stride in padded.strides]
-    nodes = np.flatnonzero(_pad(dom.in_mask, False))
-
-    def at(*steps):
-        return padded.reshape(-1)[nodes + sum(step * strides[ax] for ax, step in steps)]
-
-    v = at()
-    central = [(at((j, 1)) - at((j, -1))) / (2.0 * h) for j in range(dom.dimension)]
-    faces = np.full(padded.size, np.nan)
+    v = flat[nodes]
+    central = [(at(flat, (j, 1)) - at(flat, (j, -1))) / (2.0 * h) for j in range(dom.dimension)]
+    faces = np.full(flat.size, np.nan)
     div = np.zeros(len(nodes))
     for ax, (sqrt_det_face, inv_rows) in enumerate(dom.face_metric):
         flux = np.zeros(len(nodes))
         for j, inv_row in enumerate(inv_rows):
             if j == ax:
-                dj = (at((ax, 1)) - v) / h
+                dj = (at(flat, (ax, 1)) - v) / h
             else:
-                cj_there = (at((ax, 1), (j, 1)) - at((ax, 1), (j, -1))) / (2.0 * h)
+                cj_there = (at(flat, (ax, 1), (j, 1)) - at(flat, (ax, 1), (j, -1))) / (2.0 * h)
                 dj = 0.5 * (central[j] + cj_there)
             flux += inv_row * dj
         flux *= sqrt_det_face
         faces[nodes] = flux
-        div += (flux - faces[nodes - strides[ax]]) / h
-    return -div / dom.sqrt_det_metric()[dom.in_mask]
+        div += (flux - at(faces, (ax, -1))) / h
+    return -div / dom.sqrt_det_metric().ravel()[nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def _ball_shares(points: np.ndarray, center: np.ndarray, radius: float, h: float
     no normal and takes vol(B_radius) / h^k, which is 1 once radius >= m."""
     k = points.shape[1]
     margin = 0.5 * math.sqrt(k) * h
-    d = np.linalg.norm(points - center, axis=-1)
+    d = np.sqrt(_squared_gaps(points.T, center))
     share = (d < radius - margin).astype(float)
     cut = np.flatnonzero((np.abs(d - radius) <= margin) & (d > 0.0))
     share[cut] = cut_fractions((points[cut] - center) / d[cut, None], (radius - d[cut]) / h,
@@ -220,8 +229,8 @@ def integrate(e: ScalarField,
     """
     dom = e.domain
     if subregion is None:
-        sel = dom.in_mask.ravel()
-        return float(np.dot(e.values.ravel()[sel], dom.weights.ravel()[sel]))
+        nodes = dom._mask_nodes
+        return float(np.dot(e.values.ravel()[nodes], dom.weights.ravel()[nodes]))
     h = dom.spacing
     sub_center = np.asarray(subregion[0], dtype=float)
     sub_radius = float(subregion[1])
@@ -300,11 +309,10 @@ def shell_nodes(center: Sequence[float], r: float, n: int, h: float,
 
     panels = max(4, int(math.ceil(math.pi * r / h)))
     edges = np.linspace(0.0, phi0, panels + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(4)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    phi = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wphi = (half[:, None] * gl_w[None, :]).ravel()
+    phi = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
+    wphi = (half[:, None] * _GL4_W[None, :]).ravel()
 
     zdirs, zw = _sphere_directions(n, r, h)
 
@@ -464,12 +472,11 @@ def radial_bump(name: str, p: np.ndarray, radius: float, dim: int) -> TestFuncti
     p = np.asarray(p, dtype=float)
 
     def value(pts: np.ndarray) -> np.ndarray:
-        s = np.linalg.norm(pts - p, axis=-1) / radius
-        return _bump_profile(s)
+        return _bump_profile(np.sqrt(_squared_gaps(pts.T, p)) / radius)
 
     def lap(pts: np.ndarray) -> np.ndarray:
         # the closed form only where it is nonzero, s < 1
-        s = np.linalg.norm(pts - p, axis=-1) / radius
+        s = np.sqrt(_squared_gaps(pts.T, p)) / radius
         inside = s < 1.0
         ordinary = np.zeros(len(s))
         ordinary[inside] = _bump_lap_ordinary(s[inside], dim)
@@ -497,13 +504,13 @@ def cosine_bump(name: str, p_lat: np.ndarray, span: float, lat_radius: float,
     p_lat = np.asarray(p_lat, dtype=float)
 
     def value(pts: np.ndarray) -> np.ndarray:
-        s = np.linalg.norm(pts[:, 1:] - p_lat, axis=-1) / lat_radius
+        s = np.sqrt(_squared_gaps(pts.T[1:], p_lat)) / lat_radius
         return _cos_profile(pts[:, 0], span) * _bump_profile(s)
 
     def lap(pts: np.ndarray) -> np.ndarray:
         # the closed form only where both factors are nonzero: s < 1 and
         # x0 < span (the profile does not vanish at x0 < 0)
-        s = np.linalg.norm(pts[:, 1:] - p_lat, axis=-1) / lat_radius
+        s = np.sqrt(_squared_gaps(pts.T[1:], p_lat)) / lat_radius
         inside = (s < 1.0) & (pts[:, 0] < span)
         s = s[inside]
         t = pts[inside, 0]

@@ -309,7 +309,6 @@ def _run_detect(cfg: RunConfig) -> int:
         params = params_from_config(manifest.get("params"), domain.dimension)
         seq = quantization.make_density_sequence(
             fields, params, config_value(manifest, "energy_bound", "manifest", float, None))
-        threshold = config_value(manifest, "divergence_threshold", "manifest")
     else:
         domain = cfg.domain()
         bubbles = [generator_from_config(b)
@@ -322,8 +321,10 @@ def _run_detect(cfg: RunConfig) -> int:
                   if params_cfg is not None else None)
         seq = synth.gen_sequence(bubbles, schedule, domain, background, params)
         params = seq.params
-        threshold = config_value(seq_cfg, "divergence_threshold", "sequence")
 
+    threshold = config_value(manifest if seq_cfg is None else seq_cfg, "divergence_threshold",
+                             "manifest" if seq_cfg is None else "sequence",
+                             lambda value: finite_floats([value])[0])
     ledger = cfg.ledger(seq.domain, params)
     try:
         rep = quantization.detect_concentration(seq, ledger, threshold)

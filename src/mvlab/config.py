@@ -168,8 +168,8 @@ def params_from_config(cfg: dict | None, n: int) -> BoundParams:
 
 def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,
                        measured_c: float | None = None) -> ConstantLedger:
-    """Build the ledger; ``C`` may be a number or the string "measure", in
-    which case the caller must supply the measured value."""
+    """Build the ledger; ``C`` may be a number or the string "measure", in which
+    case the caller supplies it. A C or delta the ledger rejects is a ConfigError."""
     cfg = cfg or {}
     delta = config_value(cfg, "delta", "ledger", float, 0.05)
     c_raw = cfg.get("C", "measure")
@@ -178,7 +178,9 @@ def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,
             raise ConfigError(f"ledger: C must be a number or 'measure', got {c_raw!r}")
         if measured_c is None:
             raise ConfigError("ledger: C='measure' but no measured constant supplied")
-        return make_ledger(n, params.a, params.b, measured_c, delta,
-                           c_provenance="measured")
-    return make_ledger(n, params.a, params.b, config_value(cfg, "C", "ledger"), delta,
-                       c_provenance="configured")
+    c = measured_c if isinstance(c_raw, str) else config_value(cfg, "C", "ledger")
+    try:
+        return make_ledger(n, params.a, params.b, c, delta,
+                           c_provenance="measured" if isinstance(c_raw, str) else "configured")
+    except MVLabError as exc:  # its message names the key
+        raise ConfigError(str(exc)) from exc

@@ -39,8 +39,9 @@ def epsilon_ab(a: float, b: float, c: float) -> float:
 
     Uses the conjugate form 2q / (b + sqrt(b^2 + 4aq)) with q = 1/(2c),
     which stays accurate when b^2 dominates the discriminant."""
-    if a < 0 or b < 0 or c <= 0:
-        raise MVLabError("epsilon_ab needs a, b >= 0 and c > 0")
+    if a < 0 or b < 0 or not 0.0 < c < math.inf:
+        raise MVLabError(f"epsilon_ab needs a, b >= 0 and a finite master constant 'C' > 0, "
+                         f"got {c!r}")
     if a == 0 and b == 0:
         raise BothNonlinearitiesZero(
             "a = b = 0 has no root; the linear theory needs no energy threshold")
@@ -219,8 +220,10 @@ class ConstantLedger:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.c_master <= 0:
-            raise MVLabError("master constant must be positive")
+        if not 0.0 < self.c_master < math.inf:  # False at NaN too
+            raise MVLabError(f"ledger 'C' must be finite and > 0, got {self.c_master!r}")
+        if not 0.0 <= self.delta < math.inf:
+            raise MVLabError(f"ledger 'delta' must be finite and >= 0, got {self.delta!r}")
         if self.a + self.b > 0:
             residual = abs(self.a * self.eps_ab**2 + self.b * self.eps_ab
                            - 0.5 / self.c_master)

@@ -9,12 +9,13 @@ interpolation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ _GL_W = 0.5 * _GL_W
 # the weights summed in order, as ``segment_distance`` sums w_k g_k: where
 # g = I along a whole segment the two agree exactly and its correction is 0
 _GL_W_SUM = np.cumsum(_GL_W)[-1]
+# 4-point Gauss-Legendre rule on [-1, 1], one per polar panel of a shell
+_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 _CHUNK = 1 << 17
 
@@ -105,6 +108,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 _VERTICES = {m: np.array(list(itertools.product((0.0, 1.0), repeat=m))).reshape(2**m, m)
              for m in range(max(SUPPORTED_DIMENSIONS))}
 _VERTEX_SIGNS = {m: (-1.0) ** v.sum(axis=1) for m, v in _VERTICES.items()}
+# compare-exchange pairs that sort 1 to 4 arrays, elementwise, into descending order
+_SORT_NETWORK = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+                 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 # A component of a below this share of the largest one is dropped: its
 # coordinate is taken at the cube's centre, u_i = 1/2. It balances the two
@@ -128,28 +134,38 @@ def cube_fraction(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     A component below ``_DROP`` times the largest is dropped; that moves the
     fraction by at most |a_i| / (4 max |a|), because the fraction is the
     mean over u_i of a function of t - a_i u_i with slope at most 1 / max |a|.
+    Worked on one array per component, each reduction over them in axis
+    order, as numpy reduces a row shorter than 8: bitwise the row-wise form.
     """
     a = np.asarray(a, dtype=float)
     t = np.array(t, dtype=float)
-    mag = np.abs(a)
-    drop = mag < _DROP * mag.max(axis=1, keepdims=True)
-    if drop.any():
-        t -= 0.5 * np.sum(a, axis=1, where=drop)
-        a = np.where(drop, 0.0, a)
-        mag[drop] = 0.0
-    t -= np.sum(np.minimum(a, 0.0), axis=1)  # u_i -> 1 - u_i where a_i < 0
-    out = (t >= mag.sum(axis=1)).astype(float)  # the cube lies on one side
+    cols = list(a.T)
+    mags = [np.abs(col) for col in cols]
+    limit = _DROP * functools.reduce(np.maximum, mags)
+    drops = [mag < limit for mag in mags]
+    if any(drop.any() for drop in drops):
+        total = run = 0.0  # as np.sum(a, axis=1, where=drop): each run of dropped ones alone
+        for col, drop in zip(cols, drops):
+            total = total + np.where(drop, 0.0, run)
+            run = np.where(drop, run + col, 0.0)
+        t -= 0.5 * (total + run)
+        cols = [np.where(drop, 0.0, col) for col, drop in zip(cols, drops)]
+        mags = [np.where(drop, 0.0, mag) for mag, drop in zip(mags, drops)]
+    t -= functools.reduce(np.add, [np.minimum(col, 0.0) for col in cols])  # u_i -> 1 - u_i, a_i < 0
+    out = (t >= functools.reduce(np.add, mags)).astype(float)  # the cube lies on one side
     live = np.flatnonzero((t > 0.0) & (out == 0.0))
-    mag = np.sort(mag[live], axis=1)[:, ::-1]  # the kept components first, descending
+    mags = [mag[live] for mag in mags]
+    for i, j in _SORT_NETWORK[len(mags)]:  # the kept components first, descending
+        mags[i], mags[j] = np.maximum(mags[i], mags[j]), np.minimum(mags[i], mags[j])
     t = t[live]
-    kept = np.count_nonzero(mag, axis=1)
+    kept = functools.reduce(np.add, [mag != 0.0 for mag in mags], 0)
     for m in np.unique(kept):
         rows = kept == m
-        am = mag[rows, :m]
+        am = [mag[rows] for mag in mags[:m]]
         x = np.repeat(t[rows, None], 2 ** (m - 1), axis=1)
         for i, corner in enumerate(_VERTICES[m - 1].T):
-            x -= am[:, i, None] * corner  # elementwise, so each row is computed alike
-        y = x - am[:, -1:]
+            x -= am[i][:, None] * corner  # elementwise, so each row is computed alike
+        y = x - am[-1][:, None]
         paired = np.ones_like(x)  # sum_j x^j y^(m-1-j), by Horner's rule in x
         power = np.ones_like(x)
         for _ in range(m - 1):
@@ -157,9 +173,10 @@ def cube_fraction(a: np.ndarray, t: np.ndarray) -> np.ndarray:
             paired = paired * x + power
         below = y <= 0.0
         x = np.maximum(x[below], 0.0)
-        paired[below] = x ** m / np.broadcast_to(am[:, -1:], below.shape)[below]
+        paired[below] = x ** m / np.broadcast_to(am[-1][:, None], below.shape)[below]
+        # the 2^(m-1) vertex terms are left to numpy, which sums 8 of them pairwise
         out[live[rows]] = (paired * _VERTEX_SIGNS[m - 1]).sum(axis=1) / (
-            math.factorial(m) * np.prod(am[:, :-1], axis=1))
+            math.factorial(m) * functools.reduce(np.multiply, am[:-1], 1.0))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -170,12 +187,11 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     of its cell, so its fraction is at most 1/2. The lab's only cell rule:
     every sphere that cuts a cell (the domain's or a subregion's) is replaced
     by its tangent half space at the node."""
-    lower = np.full(normal.shape, -0.5)
-    side = np.ones(normal.shape)
-    lower[flat, 0] = 0.0
-    side[flat, 0] = 0.5
-    return np.prod(side, axis=1) * cube_fraction(normal * side,
-                                                 offset - np.sum(normal * lower, axis=1))
+    side = np.where(flat, 0.5, 1.0)  # of the cell along axis 0; 1 along the others
+    low = [normal[:, 0] * np.where(flat, 0.0, -0.5)] + [col * -0.5 for col in normal.T[1:]]
+    scaled = normal.copy()
+    scaled[:, 0] *= side
+    return side * cube_fraction(scaled, offset - functools.reduce(np.add, low))
 
 
 class CutCells(NamedTuple):
@@ -377,6 +393,18 @@ def _gated_sqrt_det(g: np.ndarray, out: np.ndarray) -> float | None:
     return None
 
 
+def _squared_gaps(columns: Iterable[np.ndarray], center: Sequence[float]) -> np.ndarray:
+    """|x - center|^2 from the coordinate ``columns`` of points x (``points.T``),
+    summed a column at a time in axis order, as numpy sums a row shorter than
+    8: bitwise ``np.sum((points - center) ** 2, axis=-1)``, and under a square
+    root bitwise ``np.linalg.norm(points - center, axis=-1)``."""
+    total = 0.0
+    for column, c in zip(columns, center):
+        gap = column - c
+        total = total + gap * gap
+    return total
+
+
 def _box_points(axes: tuple[np.ndarray, ...], nodes: slice | np.ndarray) -> np.ndarray:
     """``Domain.coordinates`` of the box ``nodes`` (C-order indices or a slice), shape (m, n)."""
     index = np.unravel_index(np.r_[nodes], tuple(map(len, axes)))
@@ -410,7 +438,7 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
     points = np.asarray(points, dtype=float)
     base = np.asarray(base, dtype=float)
     if metric is None:
-        return np.linalg.norm(points - base, axis=-1)
+        return np.sqrt(_squared_gaps(np.moveaxis(points, -1, 0), base))
     flat = points.reshape(-1, points.shape[-1])
     out = np.empty(len(flat))
 
@@ -459,6 +487,11 @@ class Domain:
     @cached_property
     def in_mask(self) -> np.ndarray:
         return _read_only(self.mask != OUTSIDE)
+
+    @cached_property
+    def _mask_nodes(self) -> np.ndarray:
+        """Raveled in-mask node indices, C order: what every per-node kernel gathers through."""
+        return _read_only(np.flatnonzero(self.in_mask))
 
     @property
     def node_count(self) -> int:
@@ -513,14 +546,9 @@ class Domain:
     def squared_distances(self, point: Sequence[float],
                           win: tuple[slice, ...] | None = None) -> np.ndarray:
         """Euclidean |x - point|^2 at every node of ``win`` (default: the whole
-        box), window-shaped: the squared axis offsets broadcast and summed in
-        axis order, as ``np.linalg.norm`` sums a row, so the result is bitwise
-        the one a coordinate array would give."""
-        total = 0.0
-        for k, column in enumerate(self._columns(win)):
-            gap = column - point[k]
-            total = total + gap * gap
-        return total
+        box), window-shaped: ``_squared_gaps`` of the broadcast axes, so the
+        result is bitwise the one a coordinate array would give."""
+        return _squared_gaps(self._columns(win), point)
 
     def box_distances(self, base: np.ndarray) -> np.ndarray:
         """``distance`` from ``base`` to every box node, box-shaped. On metric
@@ -686,7 +714,7 @@ class Domain:
                     down[:, ax] = np.maximum(index[:, ax] - 1, 0)
                     normal[:, ax] = ((dist[tuple(up.T)] - dist[tuple(down.T)])
                                      / ((up[:, ax] - down[:, ax]) * h))
-            norm = np.linalg.norm(normal, axis=1)
+            norm = np.sqrt(_squared_gaps(normal.T, np.zeros(self.dimension)))
             flat = (points[:, 0] < 0.5 * h) & (self.kind == HALF_BALL)
             fractions[part] = cut_fractions(normal / norm[:, None],
                                             (self.radius - d) / (norm * h), flat)
@@ -774,7 +802,7 @@ class ScalarField:
         if self.density:
             # operator outputs (density=False) may carry NaN at in-mask nodes
             # whose stencil exits the mask; densities must be total and >= 0
-            vals = self.values[self.domain.in_mask]
+            vals = self.values.ravel()[self.domain._mask_nodes]
             if not np.all(np.isfinite(vals)):
                 raise MVLabError("density field has non-finite in-mask values")
             if vals.size and np.min(vals) < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):

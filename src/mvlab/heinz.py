@@ -75,7 +75,7 @@ class _PrefixSup:
     def __init__(self, e: ScalarField, center: np.ndarray, reach: float | None = None):
         dom = e.domain
         if reach is None:
-            nodes = np.flatnonzero(dom.in_mask)
+            nodes = dom._mask_nodes
         else:
             win = dom.window(center, reach)
             local = np.nonzero(dom.in_mask[win])

@@ -152,8 +152,9 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     removed from the candidate search. Stops when no candidate remains or the
     budget floor(E / hbar) is reached.
     """
-    if divergence_threshold <= 0:
-        raise MVLabError("divergence threshold must be positive")
+    if not 0.0 < divergence_threshold < math.inf:  # False at NaN too
+        raise MVLabError(f"divergence threshold must be finite and > 0, "
+                         f"got {divergence_threshold!r}")
     if ledger.hbar is None or ledger.hbar <= 0:
         raise MVLabError("detector needs hbar = mu(a, b) > 0 in the ledger")
     dom = seq.domain

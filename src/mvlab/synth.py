@@ -15,7 +15,7 @@ import numpy as np
 from . import calculus, verify
 from .constants import BoundParams
 from .errors import MVLabError, SpecOutOfDomain, UnresolvableScale
-from .grid import HALF_BALL, Domain, ScalarField
+from .grid import HALF_BALL, Domain, ScalarField, _squared_gaps
 from .quantization import DensitySequence, make_density_sequence
 
 KINDS = ("constant", "quadratic", "harmonic_product", "poisson_peak",
@@ -76,6 +76,15 @@ def bubble_critical_ratio(n: int, amplitude: float) -> float:
     return 2.0 * n * n * amplitude ** (-2.0 / n)
 
 
+def _point(spec: GeneratorSpec, key: str, default: np.ndarray | None, n: int) -> np.ndarray:
+    """The spec's ``key`` point (``default`` when unset), checked to have n coordinates."""
+    point = np.asarray(default if getattr(spec, key) is None else getattr(spec, key), dtype=float)
+    if point.shape != (n,):
+        raise MVLabError(f"generator {spec.kind}: {key!r} needs {n} coordinates, "
+                         f"got {point.tolist()}")
+    return point
+
+
 def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
     """The generator's values at the nodes ``pts`` (m, n) and its facts."""
     n = domain.dimension
@@ -88,10 +97,8 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
         return vals, facts
 
     if kind == "quadratic":
-        center = np.asarray(spec.center if spec.center is not None else domain.center,
-                            dtype=float)
-        sq = np.sum((pts - center) ** 2, axis=-1)
-        vals = spec.amplitude * sq + spec.offset
+        center = _point(spec, "center", domain.center, n)
+        vals = spec.amplitude * _squared_gaps(pts.T, center) + spec.offset
         facts = {
             "laplacian_const": -2.0 * n * spec.amplitude,
             "neumann_const": 2.0 * spec.amplitude * float(center[0]),
@@ -116,13 +123,13 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
     if kind == "poisson_peak":
         if spec.pole is None:
             raise MVLabError("poisson_peak needs a pole location")
-        pole = np.asarray(spec.pole, dtype=float)
+        pole = _point(spec, "pole", None, n)
         gap = float(np.linalg.norm(pole - domain.center))
         if gap <= 1.02 * domain.radius:
             raise SpecOutOfDomain(
                 f"pole at distance {gap:.3g} must sit outside the domain radius "
                 f"{domain.radius:.3g}")
-        dist = np.linalg.norm(pts - pole, axis=-1)
+        dist = np.sqrt(_squared_gaps(pts.T, pole))
         if n == 2:
             big = spec.scale if spec.scale is not None else 1.1 * (gap + domain.radius)
             vals = spec.amplitude * np.log(big / np.maximum(dist, 1e-300)) + spec.offset
@@ -135,14 +142,13 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
         lam = spec.scale
         if lam is None or lam <= 0:
             raise MVLabError("bubble needs a positive scale")
-        center = np.asarray(spec.center if spec.center is not None else domain.center,
-                            dtype=float)
+        center = _point(spec, "center", domain.center, n)
         if kind == "reflected_bubble":
             if domain.kind != HALF_BALL:
                 raise SpecOutOfDomain("reflected bubble lives on a half-ball")
             if abs(center[0]) > 1e-12:
                 raise SpecOutOfDomain("reflected bubble center must sit on x0 = 0")
-        sq = np.sum((pts - center) ** 2, axis=-1)
+        sq = _squared_gaps(pts.T, center)
         vals = spec.amplitude * lam ** (-n) * (1.0 + sq / lam**2) ** (-n) + spec.offset
         facts = {
             "sup_value": spec.amplitude * lam ** (-n) + spec.offset,

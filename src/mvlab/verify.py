@@ -73,17 +73,16 @@ def _grid_summary(e: ScalarField) -> dict:
     return out
 
 
-def _operator_pairs(e: ScalarField,
-                    flat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The operator at the nodes it is checked on and the density there.
-
-    Interior: the Laplacian at every box node (C order; NaN where the stencil
-    exits the mask). Flat (``flat=True``): the outer normal derivative at the
-    flat-boundary nodes, whose indices come third (None for the box nodes)."""
+def _operator_pairs(e: ScalarField, flat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator at the nodes it is checked on, the density there, and the
+    nodes. Interior: the Laplacian at the in-mask nodes (C order, raveled
+    indices; NaN where the stencil exits the mask). Flat (``flat=True``): the
+    outer normal derivative at the flat-boundary nodes (multi-indices)."""
     if flat:
         bv = calculus.normal_derivative(e)
         return bv.values, e.values[tuple(bv.indices.T)], bv.indices
-    return calculus.laplacian(e).values.ravel(), e.values.ravel(), None
+    nodes = e.domain._mask_nodes
+    return calculus.laplacian(e).values.ravel()[nodes], e.values.ravel()[nodes], nodes
 
 
 def _fit(e: ScalarField, c0: float, c1: float, flat: bool) -> float:
@@ -116,7 +115,7 @@ def _bound_margin(e: ScalarField, params: BoundParams, flat: bool,
     (-inf, None) when no node qualifies.
 
     Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over the stencil-valid
-    nodes (where the box-shaped ``select`` is set, if given). Flat
+    in-mask nodes (where the box-shaped ``select`` is set, if given). Flat
     (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over the usable
     flat-boundary nodes. A zero power coefficient drops its term, so zero
     params give the operator itself, on signed fields too."""
@@ -127,11 +126,11 @@ def _bound_margin(e: ScalarField, params: BoundParams, flat: bool,
     resid = op - (c0 + c1 * ev + (c * ev ** power if c else 0.0))
     finite = np.isfinite(resid)
     if select is not None:
-        finite &= select.ravel()
+        finite &= select.ravel()[nodes]
     if not np.any(finite):
         return -math.inf, None
     k = int(np.argmax(np.where(finite, resid, -np.inf)))
-    node = np.unravel_index(k, e.domain.shape) if nodes is None else nodes[k]
+    node = nodes[k] if flat else np.unravel_index(nodes[k], e.domain.shape)
     return float(resid[k]), tuple(int(x) for x in node)
 
 
@@ -293,6 +292,8 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
     dom = e.domain
     if dom.kind != HALF_BALL:
         raise MVLabError("the monotonicity suite runs on half-ball domains")
+    if not len(radii):
+        raise MVLabError("the monotonicity suite needs at least one shell radius ('radii')")
     n = dom.dimension
     center = np.asarray(center, dtype=float)
     y0 = float(center[0])

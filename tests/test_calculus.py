@@ -560,17 +560,34 @@ def _laplacian_reference(e):
     return np.where(dom.in_mask, lap, np.nan)
 
 
-@pytest.mark.parametrize("n,metric", [
+@pytest.mark.parametrize("n,kind", [
     (2, None), (3, None), (4, None),
     (2, "conformal"), (3, "conformal"), (4, "conformal"), (2, "sine"), (3, "sine"),
+    (2, "half_ball"), (3, "half_ball"), (4, "half_ball"), (2, "lifted"), (3, "lifted"),
 ])
-def test_laplacian_bitwise_equals_shifted_copy_reference(n, metric):
-    spec = {None: None, "conformal": conformal_metric(n, 0.01, axis=1),
-            "sine": sine_metric(n, 0.02, entry=(0, 1), axis=1)}[metric]
-    dom = make_ball_domain([0.0] * n, 0.5, 1 / 16, n, spec)
-    e = dom.field_from_function(
-        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
-    assert np.array_equal(laplacian(e).values, _laplacian_reference(e), equal_nan=True)
+def test_laplacian_bitwise_equals_shifted_copy_reference(n, kind):
+    from mvlab import ScalarField
+
+    fn = lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p)  # noqa: E731
+    if kind in ("half_ball", "lifted"):
+        # the flat row is the first row of the box: its stencil steps off the box
+        dom = make_half_ball_domain([0.25 if kind == "lifted" else 0.0] + [0.0] * (n - 1),
+                                    0.5, 1 / 16, n)
+        assert dom.flat_plane_index == 0
+    else:
+        spec = {None: None, "conformal": conformal_metric(n, 0.01, axis=1),
+                "sine": sine_metric(n, 0.02, entry=(0, 1), axis=1)}[kind]
+        dom = make_ball_domain([0.0] * n, 0.5, 1 / 16, n, spec)
+    fields = [dom.field_from_function(fn)]
+    if dom.metric is None:
+        # finite values off the mask reach the stencils of the nodes next to it
+        fields.append(ScalarField(dom, fn(dom.points()).reshape(dom.shape), density=False))
+    for e in fields:
+        got, want = laplacian(e).values, _laplacian_reference(e)
+        # with values off the mask, only the flat row's step below the box is NaN
+        nan_nodes = np.count_nonzero(np.isnan(want[dom.in_mask]))
+        assert nan_nodes > 0 if e is fields[0] else nan_nodes == dom.flat_node_count
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -184,6 +184,18 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("verify-morrey", _metric_morrey(declared_deviation=-0.1), "'declared_deviation'"),
     ("verify-morrey", _metric_morrey(axis=5), "'axis'"),
     ("verify-morrey", _metric_morrey(preset="sine", entry=[0, 7]), "'entry'"),
+    ("verify-interior", lambda _: {**_metric_morrey()(_), "params": {"a": 0.01},
+                                   "ledger": {"C": 1.0, "delta": math.nan}}, "'delta'"),
+    ("verify-morrey", lambda _: {**MORREY, "ledger": {"C": math.nan}}, "'C'"),
+    ("verify-morrey", lambda _: {**MORREY, "ledger": {"C": math.inf}}, "'C'"),
+    ("verify-morrey", lambda _: {**MORREY, "params": {"a": 0.01}, "ledger": {"C": math.nan}},
+     "'C'"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": {**SEQUENCE, "divergence_threshold": math.nan},
+                "ledger": {"C": 3.0}}, "'divergence_threshold'"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": {**SEQUENCE, "divergence_threshold": math.inf},
+                "ledger": {"C": 3.0}}, "'divergence_threshold'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
@@ -194,13 +206,37 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
         "monotonicity-inf-radius", "ball-nan-center", "half-ball-nan-center",
         "half-ball-inf-center", "conformal-nan-coefficient", "sine-inf-coefficient",
         "nan-declared-deviation", "inf-declared-deviation", "huge-declared-deviation",
-        "negative-declared-deviation", "conformal-axis-5", "sine-entry-0-7"])
+        "negative-declared-deviation", "conformal-axis-5", "sine-entry-0-7",
+        "nan-ledger-delta", "nan-ledger-c", "inf-ledger-c", "nan-ledger-c-with-a",
+        "nan-divergence-threshold", "inf-divergence-threshold"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), *subcommand.split()]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert needle in err
+
+
+@pytest.mark.parametrize("subcommand, config, needle", [
+    ("verify-morrey", {**MORREY, "generator": {"kind": "quadratic", "center": [0.0, 0.0, 0.0]}},
+     "generator quadratic: 'center' needs 2 coordinates"),
+    ("verify-morrey", {**MORREY, "generator": {"kind": "bubble", "center": [0.0], "scale": 0.5}},
+     "generator bubble: 'center' needs 2 coordinates"),
+    ("verify-morrey", {**MORREY, "generator": {"kind": "poisson_peak", "pole": [3.0, 0.0, 0.0]}},
+     "generator poisson_peak: 'pole' needs 2 coordinates"),
+    ("detect-bubbles",
+     {"domain": COARSE, "ledger": {"C": 3.0},
+      "sequence": {**SEQUENCE, "bubbles": [{"kind": "bubble", "center": [0.0, 0.0, 0.0]}]}},
+     "generator bubble: 'center' needs 2 coordinates"),
+    ("monotonicity", {**LIFTED_HALF, "radii": []}, "'radii'"),
+], ids=["quadratic-long-center", "bubble-short-center", "poisson-long-pole",
+        "sequence-bubble-long-center", "monotonicity-no-radii"])
+def test_malformed_generator_input_and_empty_radii_exit_3(tmp_path, capsys, subcommand, config, needle):
+    cfg = write_config(tmp_path, "bad.json", config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), subcommand]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
     assert needle in err
 
 

@@ -185,6 +185,17 @@ def test_ledger_construction_and_thresholds():
         make_ledger(2, 1.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("a, c, delta, key", [
+    (0.0, math.nan, 0.05, "'C'"), (0.0, math.inf, 0.05, "'C'"), (2.0, math.nan, 0.05, "'C'"),
+    (2.0, math.inf, 0.05, "'C'"), (0.0, 1.0, math.nan, "'delta'"), (2.0, 1.0, math.inf, "'delta'"),
+    (0.0, 1.0, -0.1, "'delta'"),
+])
+def test_ledger_rejects_a_non_finite_constant(a, c, delta, key):
+    # NaN passed the old `<= 0` checks, and skipped the metric-deviation gate
+    with pytest.raises(MVLabError, match=key):
+        make_ledger(2, a, 0.0, c, delta)
+
+
 def test_ledger_block_text():
     from mvlab.report import ledger_block
 

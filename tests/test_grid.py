@@ -430,6 +430,129 @@ def test_cut_fractions_clip_flat_row_cells_to_the_half_box():
     assert frac([1.0, 1.0], 0.0, False) == pytest.approx(0.5, abs=1e-15)
 
 
+def _cube_fraction_reference(a, t):
+    """``grid.cube_fraction`` as it was written on whole rows: row reductions,
+    a row sort and a masked row sum."""
+    from mvlab.grid import _DROP, _VERTEX_SIGNS, _VERTICES
+
+    a = np.asarray(a, dtype=float)
+    t = np.array(t, dtype=float)
+    mag = np.abs(a)
+    drop = mag < _DROP * mag.max(axis=1, keepdims=True)
+    if drop.any():
+        t -= 0.5 * np.sum(a, axis=1, where=drop)
+        a = np.where(drop, 0.0, a)
+        mag[drop] = 0.0
+    t -= np.sum(np.minimum(a, 0.0), axis=1)
+    out = (t >= mag.sum(axis=1)).astype(float)
+    live = np.flatnonzero((t > 0.0) & (out == 0.0))
+    mag = np.sort(mag[live], axis=1)[:, ::-1]
+    t = t[live]
+    kept = np.count_nonzero(mag, axis=1)
+    for m in np.unique(kept):
+        rows = kept == m
+        am = mag[rows, :m]
+        x = np.repeat(t[rows, None], 2 ** (m - 1), axis=1)
+        for i, corner in enumerate(_VERTICES[m - 1].T):
+            x -= am[:, i, None] * corner
+        y = x - am[:, -1:]
+        paired = np.ones_like(x)
+        power = np.ones_like(x)
+        for _ in range(m - 1):
+            power *= y
+            paired = paired * x + power
+        below = y <= 0.0
+        x = np.maximum(x[below], 0.0)
+        paired[below] = x ** m / np.broadcast_to(am[:, -1:], below.shape)[below]
+        out[live[rows]] = (paired * _VERTEX_SIGNS[m - 1]).sum(axis=1) / (
+            math.factorial(m) * np.prod(am[:, :-1], axis=1))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _cut_fractions_reference(normal, offset, flat):
+    """``grid.cut_fractions`` as it was written on whole rows."""
+    lower = np.full(normal.shape, -0.5)
+    side = np.ones(normal.shape)
+    lower[flat, 0] = 0.0
+    side[flat, 0] = 0.5
+    return np.prod(side, axis=1) * _cube_fraction_reference(
+        normal * side, offset - np.sum(normal * lower, axis=1))
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_cube_fraction_is_bitwise_the_row_wise_reference_on_random_rows(n):
+    from mvlab.grid import cube_fraction, cut_fractions
+
+    rng = np.random.default_rng(n)
+    rows = 4000 * 3**n
+    # every pattern of kept, dropped (below 1e-5 of the largest), +0 and -0
+    # components, each signed at random; a dropped component between two
+    # kept-or-dropped ones is where a masked row sum is not a sequential one
+    kind = rng.integers(0, 4, (rows, n))
+    kind[:, rng.integers(n)] = 0  # at least one kept component
+    big = rng.uniform(0.05, 1.0, (rows, n))
+    tiny = 10.0 ** rng.uniform(-14, -5.5, (rows, n))
+    a = np.choose(kind, [big, tiny, np.zeros((rows, n)), np.full((rows, n), -0.0)])
+    a *= np.where(rng.random((rows, n)) < 0.5, -1.0, 1.0)
+    low, high = np.sum(np.minimum(a, 0.0), axis=1), np.sum(np.maximum(a, 0.0), axis=1)
+    t = rng.uniform(low - 0.1, high + 0.1)
+    t[::7] = 0.0
+    t[1::7] = low[1::7]
+    got = cube_fraction(a, t)
+    _assert_bitwise(got, _cube_fraction_reference(a, t))
+    assert 0.0 < got.mean() < 1.0
+    flat = rng.random(rows) < 0.5
+    _assert_bitwise(cut_fractions(a, t, flat), _cut_fractions_reference(a, t, flat))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_cube_fraction_is_bitwise_the_row_wise_reference_on_real_cut_cells(n, monkeypatch):
+    from mvlab import grid
+    from mvlab.calculus import integrate
+
+    h = {2: 1 / 64, 3: 1 / 16, 4: 1 / 8}[n]
+    seen = []
+    original = grid.cube_fraction
+
+    def recorded(a, t):
+        seen.append((a.copy(), np.array(t, dtype=float)))
+        return original(a, t)
+
+    monkeypatch.setattr(grid, "cube_fraction", recorded)
+    center = np.zeros(n)
+    for dom in (make_ball_domain(center, 1.0, h, n),
+                make_ball_domain(center, 1.0, h, n, conformal_metric(n, 0.01, axis=1)),
+                make_half_ball_domain(center, 1.0, h, n),
+                make_half_ball_domain(np.eye(n)[0] * 0.25, 1.0, h, n)):
+        e = dom.field_from_function(lambda p: np.ones(len(p)))
+        integrate(e)  # the domain's own cut cells
+        integrate(e, subregion=(dom.center + 0.1, 0.5))  # a subregion's
+    assert len(seen) >= 8
+    for a, t in seen:
+        _assert_bitwise(original(a, t), _cube_fraction_reference(a, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n), min_size=1,
+             max_size=20),
+    st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n))))
+def test_squared_gaps_are_bitwise_the_row_sum_and_the_norm(case):
+    from mvlab.grid import _squared_gaps
+
+    points, center = np.asarray(case[0]), np.asarray(case[1])
+    # -0.0 in both, as the strategies may not draw it
+    points[0, 0], center[-1] = -0.0, -0.0
+    got = _squared_gaps(points.T, center)
+    _assert_bitwise(got, np.sum((points - center) ** 2, axis=-1))
+    _assert_bitwise(np.sqrt(got), np.linalg.norm(points - center, axis=-1))
+
+
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
                                     for n in (2, 3, 4)] + [("conformal", 2), ("conformal", 3),
                                                            ("sine", 2), ("low", 3)])

@@ -192,6 +192,14 @@ def test_sequence_validation():
         detect_concentration(seq, ledger_vacuous, divergence_threshold=1.0)
 
 
+@pytest.mark.parametrize("threshold", (0.0, -1.0, math.nan, math.inf))
+def test_detector_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
+    dom = make_ball_domain([0, 0], 0.5, 1 / 32, 2)
+    seq = make_density_sequence([gen(GeneratorSpec("constant"), dom)], BoundParams(2, a=1.0))
+    with pytest.raises(MVLabError, match="divergence threshold"):
+        detect_concentration(seq, make_ledger(2, 1.0, 0.0, 1.0), divergence_threshold=threshold)
+
+
 def test_exclusion_overlap_merges_candidates():
     # two bubbles closer than twice the exclusion radius: the second
     # extraction merges into the first point instead of creating a new one
