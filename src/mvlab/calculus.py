@@ -200,54 +200,51 @@ def _window_points(dom: Domain, win: tuple[slice, ...]) -> np.ndarray:
     return dom.masked_points(dom.in_mask[win], win)
 
 
-def _ball_shares(points: np.ndarray, center: np.ndarray, radius: float, h: float,
-                 flat: np.ndarray) -> np.ndarray:
-    """Share of each node's cell (its half cell on the flat row, ``flat``)
-    inside the ball B_radius(center), in as many dimensions as ``points`` has
-    columns: 1 below radius - m, 0 beyond radius + m (m = sqrt(k) h / 2, half
-    the cell diagonal), and between them the fraction under the sphere's
-    tangent half space at the node (``cut_fractions``). The centre node has
-    no normal and takes vol(B_radius) / h^k, which is 1 once radius >= m."""
-    k = points.shape[1]
-    margin = 0.5 * math.sqrt(k) * h
-    d = np.sqrt(_squared_gaps(points.T, center))
-    share = (d < radius - margin).astype(float)
-    cut = np.flatnonzero((np.abs(d - radius) <= margin) & (d > 0.0))
-    share[cut] = cut_fractions((points[cut] - center) / d[cut, None], (radius - d[cut]) / h,
-                               flat[cut]) / np.where(flat[cut], 0.5, 1.0)
-    share[d == 0.0] = min(1.0, vol_sphere(k - 1) / k * (radius / h) ** k)
-    return share
-
-
 def integrate(e: ScalarField,
               subregion: tuple[Sequence[float], float] | None = None) -> float:
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball): one dot product of the
     in-mask values with ``Domain.weights``. A subregion touches only the
     in-mask nodes of its ``Domain.window`` and multiplies each weight by the
-    share of the node's cell inside its ball (``_ball_shares``).
-    """
+    share of the node's cell (its half cell on the flat row) inside its
+    ball: 1 below radius - m, 0 beyond radius + m (m = sqrt(n) h / 2, half
+    the cell diagonal), between them the fraction under the sphere's tangent
+    half space at the node (``cut_fractions``), and at the centre node, which
+    has no normal, vol(B_radius) / h^n, which is 1 once radius >= m. Only the
+    cut cells' coordinates are gathered."""
     dom = e.domain
     if subregion is None:
         nodes = dom._mask_nodes
         return float(np.dot(e.values.ravel()[nodes], dom.weights.ravel()[nodes]))
     h = dom.spacing
-    sub_center = np.asarray(subregion[0], dtype=float)
-    sub_radius = float(subregion[1])
-    if sub_radius <= 0:
+    n = dom.dimension
+    center = np.asarray(subregion[0], dtype=float)
+    radius = float(subregion[1])
+    if radius <= 0:
         raise MVLabError("subregion radius must be positive")
-    center_gap = float(np.linalg.norm(sub_center - dom.center))
-    if center_gap - sub_radius >= dom.radius:
+    center_gap = float(np.linalg.norm(center - dom.center))
+    if center_gap - radius >= dom.radius:
         raise SubregionOutsideDomain(
-            f"ball of radius {sub_radius} at {sub_center} misses the domain")
-    win = dom.window(sub_center, sub_radius + 0.5 * math.sqrt(dom.dimension) * h)
-    sel = dom.in_mask[win].ravel()
-    pts = _window_points(dom, win)
+            f"ball of radius {radius} at {center} misses the domain")
+    margin = 0.5 * math.sqrt(n) * h
+    win = dom.window(center, radius + margin)
+    inside = dom.in_mask[win]
+    d = dom.squared_distances(center, win)[inside]
+    np.sqrt(d, out=d)
+    share = (d < radius - margin).astype(float)
+    cut = (np.abs(d - radius) <= margin) & (d > 0.0)
+    cells = inside.copy()  # the window's nodes whose cell the sphere cuts
+    cells[inside] = cut
+    pts = dom.masked_points(cells, win)
     flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
-    share = _ball_shares(pts, sub_center, sub_radius, h, flat)
+    share[cut] = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h,
+                               flat) / np.where(flat, 0.5, 1.0)
+    share[d == 0.0] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
     keep = share > 0.0
-    weights = dom.weights[win].ravel()[sel][keep] * share[keep]
-    return float(np.dot(e.values[win].ravel()[sel][keep], weights))
+    cells[inside] = keep  # now the window's kept nodes
+    weights = dom.weights[win][cells]
+    weights *= share[keep]
+    return float(np.dot(e.values[win][cells], weights))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .config import (
 from .constants import epsilon_prime, make_ledger
 from .errors import ConfigError, MVLabError, QuantizationViolated
 from .fieldio import read_field
-from .grid import BALL, HALF_BALL
+from .grid import BALL, HALF_BALL, ScalarField
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -146,8 +147,9 @@ class RunConfig:
         return ledger_from_config(cfg, domain.dimension, params, measured_c=measured)
 
 
-def builtin_family(domain) -> list:
-    """Small deterministic subharmonic family used to measure C."""
+def builtin_family(domain) -> Iterator[ScalarField]:
+    """Small deterministic subharmonic family used to measure C, each member
+    sampled only as the iteration reaches it."""
     r = domain.radius
     # on half-balls the quadratic is centred on the plane, where its normal
     # derivative vanishes, whatever the height of the domain's centre
@@ -168,7 +170,8 @@ def builtin_family(domain) -> list:
         pole[0] += 1.5 * r
         specs.append(synth.GeneratorSpec("poisson_peak", amplitude=1.0,
                                          pole=tuple(pole), offset=0.0))
-    return [synth.gen(s, domain) for s in specs]
+    for spec in specs:
+        yield synth.gen(spec, domain)
 
 
 def measure_c(domain) -> float:
@@ -291,6 +294,10 @@ def run(cfg: RunConfig) -> int:
     raise ConfigError(f"unknown subcommand {sub!r}")
 
 
+def _finite_float(value) -> float:
+    return finite_floats([value])[0]
+
+
 def _run_detect(cfg: RunConfig) -> int:
     raw = cfg.raw
     seq_cfg = raw.get("sequence")
@@ -308,12 +315,13 @@ def _run_detect(cfg: RunConfig) -> int:
         domain = first.domain
         params = params_from_config(manifest.get("params"), domain.dimension)
         seq = quantization.make_density_sequence(
-            fields, params, config_value(manifest, "energy_bound", "manifest", float, None))
+            fields, params,
+            config_value(manifest, "energy_bound", "manifest", _finite_float, None))
     else:
         domain = cfg.domain()
         bubbles = [generator_from_config(b)
                    for b in config_value(seq_cfg, "bubbles", "sequence", list)]
-        schedule = config_value(seq_cfg, "schedule", "sequence", floats)
+        schedule = config_value(seq_cfg, "schedule", "sequence", finite_floats)
         background = (generator_from_config(seq_cfg["background"])
                       if "background" in seq_cfg else None)
         params_cfg = raw.get("params")
@@ -324,7 +332,7 @@ def _run_detect(cfg: RunConfig) -> int:
 
     threshold = config_value(manifest if seq_cfg is None else seq_cfg, "divergence_threshold",
                              "manifest" if seq_cfg is None else "sequence",
-                             lambda value: finite_floats([value])[0])
+                             _finite_float)
     ledger = cfg.ledger(seq.domain, params)
     try:
         rep = quantization.detect_concentration(seq, ledger, threshold)

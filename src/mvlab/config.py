@@ -162,8 +162,12 @@ def generator_from_config(cfg: dict) -> GeneratorSpec:
 
 def params_from_config(cfg: dict | None, n: int) -> BoundParams:
     cfg = cfg or {}
-    return BoundParams(n, **{key: config_value(cfg, key, "params", float, 0.0)
-                             for key in ("A0", "A1", "a", "B0", "B1", "b")})
+    values = {key: config_value(cfg, key, "params", float, 0.0)
+              for key in ("A0", "A1", "a", "B0", "B1", "b")}
+    try:
+        return BoundParams(n, **values)
+    except MVLabError as exc:  # its message names the key
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def ledger_from_config(cfg: dict | None, n: int, params: BoundParams,

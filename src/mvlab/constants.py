@@ -30,8 +30,10 @@ class BoundParams:
         if self.n not in SUPPORTED_DIMENSIONS:
             raise MVLabError(f"dimension {self.n} not in {SUPPORTED_DIMENSIONS}")
         for name in ("A0", "A1", "a", "B0", "B1", "b"):
-            if getattr(self, name) < 0:
-                raise MVLabError(f"bound constant {name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # False at NaN too
+                raise MVLabError(f"bound constant {name!r} must be finite and >= 0, "
+                                 f"got {value!r}")
 
 
 def epsilon_ab(a: float, b: float, c: float) -> float:

@@ -186,12 +186,19 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     node on the flat plane (``flat``) keeps the box [0, 1/2] x [-1/2, 1/2]^(n-1)
     of its cell, so its fraction is at most 1/2. The lab's only cell rule:
     every sphere that cuts a cell (the domain's or a subregion's) is replaced
-    by its tangent half space at the node."""
-    side = np.where(flat, 0.5, 1.0)  # of the cell along axis 0; 1 along the others
-    low = [normal[:, 0] * np.where(flat, 0.0, -0.5)] + [col * -0.5 for col in normal.T[1:]]
-    scaled = normal.copy()
-    scaled[:, 0] *= side
-    return side * cube_fraction(scaled, offset - functools.reduce(np.add, low))
+    by its tangent half space at the node. Worked a block of cells at a time,
+    which bounds ``cube_fraction``'s temporaries of 2^(n-1) terms a cell."""
+    out = np.empty(len(offset))
+    size = _CHUNK >> (normal.shape[1] - 1)
+    for start in range(0, len(out), size):
+        rows = slice(start, start + size)
+        side = np.where(flat[rows], 0.5, 1.0)  # of the cell along axis 0; 1 along the others
+        block = normal[rows]
+        low = [block[:, 0] * np.where(flat[rows], 0.0, -0.5)] + [col * -0.5 for col in block.T[1:]]
+        scaled = block.copy()
+        scaled[:, 0] *= side
+        out[rows] = side * cube_fraction(scaled, offset[rows] - functools.reduce(np.add, low))
+    return out
 
 
 class CutCells(NamedTuple):
@@ -537,6 +544,10 @@ class Domain:
     def in_mask_points(self) -> np.ndarray:
         return self.masked_points(self.in_mask)
 
+    def _in_mask_column(self, k: int) -> np.ndarray:
+        """Column k of ``in_mask_points()``, gathered alone."""
+        return np.broadcast_to(self._columns()[k], self.shape)[self.in_mask]
+
     def distance(self, points: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
         """Distance used by the mask: geodesic-corrected for metric balls."""
         if base is None:
@@ -692,7 +703,10 @@ class Domain:
         one diagonal step toward it."""
         h = self.spacing
         dist = self.center_distances()
-        nodes = np.flatnonzero(np.abs(dist - self.radius).ravel() <= self.cut_margin)
+        raveled, r, margin = dist.reshape(-1), self.radius, self.cut_margin
+        nodes = np.concatenate([  # a block at a time, with no box-sized temporaries
+            start + np.flatnonzero(np.abs(raveled[start:start + _CHUNK] - r) <= margin)
+            for start in range(0, raveled.size, _CHUNK)])
         centre = np.rint((self.center - self.origin) / h).astype(int)
         in_mask = self.in_mask.ravel()
         fractions = np.empty(len(nodes))
@@ -703,7 +717,7 @@ class Domain:
             part = slice(start, start + len(block))
             index = np.stack(np.unravel_index(block, self.shape), axis=-1)
             points = self.coordinates(index.T)
-            d = dist.ravel()[block]
+            d = raveled[block]
             if self._euclidean:
                 normal = (points - self.center) / d[:, None]
             else:
@@ -812,7 +826,8 @@ class ScalarField:
         return float(self.values[self.domain.node_index(point)])
 
     def sup(self) -> float:
-        return float(np.nanmax(self.values))
+        """The largest in-mask value, NaN ones skipped."""
+        return float(np.nanmax(self.values.ravel()[self.domain._mask_nodes]))
 
 
 def _pad(values: np.ndarray, fill) -> np.ndarray:

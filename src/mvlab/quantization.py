@@ -42,6 +42,8 @@ class DensitySequence:
                 raise MVLabError("density sequence fields must share one domain")
             if not f.density:
                 raise MVLabError("density sequence fields must be densities")
+        if not math.isfinite(self.energy_bound):
+            raise MVLabError(f"'energy_bound' must be finite, got {self.energy_bound!r}")
         tol = 1e-9 * max(1.0, self.energy_bound)
         for i, en in enumerate(self.energies):
             if en > self.energy_bound + tol:
@@ -136,7 +138,8 @@ def _allowed_mask(domain, exclusions) -> np.ndarray:
     allowed = domain.in_mask.copy()
     for center, radius in exclusions:
         win = domain.window(center, radius)
-        allowed[win] &= np.sqrt(domain.squared_distances(center, win)) > radius
+        dist = domain.squared_distances(center, win)
+        allowed[win] &= np.sqrt(dist, out=dist) > radius
     return allowed.ravel()
 
 
@@ -175,14 +178,15 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     budget_exhausted = False
 
     while True:
-        allowed = _allowed_mask(dom, excluded + dismissed)
-        if not np.any(allowed):
+        nodes = np.flatnonzero(_allowed_mask(dom, excluded + dismissed))
+        if nodes.size == 0:
             break
         argmaxes = {}
-        for i in active:
-            vals = np.where(allowed, seq.fields[i].values.ravel(), -np.inf)
+        for i in active:  # the first largest allowed value, in C order
+            vals = seq.fields[i].values.ravel()[nodes]
             k = int(np.argmax(vals))
-            argmaxes[i] = (dom.coordinates(np.unravel_index(k, dom.shape)), float(vals[k]))
+            argmaxes[i] = (dom.coordinates(np.unravel_index(nodes[k], dom.shape)),
+                           float(vals[k]))
         witnesses = [i for i in active if argmaxes[i][1] > divergence_threshold]
         if len(witnesses) < need:
             break

@@ -15,7 +15,7 @@ import numpy as np
 from . import calculus, verify
 from .constants import BoundParams
 from .errors import MVLabError, SpecOutOfDomain, UnresolvableScale
-from .grid import HALF_BALL, Domain, ScalarField, _squared_gaps
+from .grid import HALF_BALL, Domain, ScalarField, _read_only, _squared_gaps
 from .quantization import DensitySequence, make_density_sequence
 
 KINDS = ("constant", "quadratic", "harmonic_product", "poisson_peak",
@@ -85,20 +85,32 @@ def _point(spec: GeneratorSpec, key: str, default: np.ndarray | None, n: int) ->
     return point
 
 
-def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
-    """The generator's values at the nodes ``pts`` (m, n) and its facts."""
+def _squared_gaps_memo(domain: Domain, center: np.ndarray, memo: dict) -> np.ndarray:
+    """|x - center|^2 at the in-mask nodes x, C order, from one coordinate
+    column at a time; kept in ``memo`` by centre, and read-only, so a
+    sequence pays for each centre once."""
+    key = tuple(center)
+    if key not in memo:
+        columns = map(domain._in_mask_column, range(domain.dimension))
+        memo[key] = _read_only(_squared_gaps(columns, center))
+    return memo[key]
+
+
+def _values_and_facts(spec: GeneratorSpec, domain: Domain, memo: dict):
+    """The generator's values at the in-mask nodes, C order, and its facts;
+    squared distances come from and go to ``memo`` (see ``_squared_gaps_memo``)."""
     n = domain.dimension
     kind = spec.kind
 
     if kind == "constant":
-        vals = np.full(pts.shape[0], spec.amplitude + spec.offset)
+        vals = np.full(len(domain._mask_nodes), spec.amplitude + spec.offset)
         facts = {"laplacian_const": 0.0, "neumann_const": 0.0,
                  "harmonic": True, "subharmonic": True}
         return vals, facts
 
     if kind == "quadratic":
         center = _point(spec, "center", domain.center, n)
-        vals = spec.amplitude * _squared_gaps(pts.T, center) + spec.offset
+        vals = spec.amplitude * _squared_gaps_memo(domain, center, memo) + spec.offset
         facts = {
             "laplacian_const": -2.0 * n * spec.amplitude,
             "neumann_const": 2.0 * spec.amplitude * float(center[0]),
@@ -111,11 +123,14 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
         ax = spec.axis
         if not 1 <= ax < n:
             raise MVLabError(f"harmonic_product axis {ax} out of range for n={n}")
-        x0_max = float(np.max(np.abs(pts[:, 0])))
+        x0 = domain._in_mask_column(0)
+        x0_max = float(np.max(np.abs(x0)))
         if k * x0_max >= 0.5 * math.pi:
             raise SpecOutOfDomain(
                 f"cos({k} x0) changes sign on the domain (k*max|x0| = {k * x0_max:.3g})")
-        vals = spec.amplitude * np.cos(k * pts[:, 0]) * np.cosh(k * pts[:, ax]) + spec.offset
+        vals = spec.amplitude * np.cos(k * x0)
+        del x0
+        vals = vals * np.cosh(k * domain._in_mask_column(ax)) + spec.offset
         facts = {"laplacian_const": 0.0, "harmonic": True, "subharmonic": True,
                  "neumann_const": 0.0}
         return vals, facts
@@ -129,7 +144,7 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
             raise SpecOutOfDomain(
                 f"pole at distance {gap:.3g} must sit outside the domain radius "
                 f"{domain.radius:.3g}")
-        dist = np.sqrt(_squared_gaps(pts.T, pole))
+        dist = np.sqrt(_squared_gaps_memo(domain, pole, memo))
         if n == 2:
             big = spec.scale if spec.scale is not None else 1.1 * (gap + domain.radius)
             vals = spec.amplitude * np.log(big / np.maximum(dist, 1e-300)) + spec.offset
@@ -148,7 +163,7 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
                 raise SpecOutOfDomain("reflected bubble lives on a half-ball")
             if abs(center[0]) > 1e-12:
                 raise SpecOutOfDomain("reflected bubble center must sit on x0 = 0")
-        sq = _squared_gaps(pts.T, center)
+        sq = _squared_gaps_memo(domain, center, memo)
         vals = spec.amplitude * lam ** (-n) * (1.0 + sq / lam**2) ** (-n) + spec.offset
         facts = {
             "sup_value": spec.amplitude * lam ** (-n) + spec.offset,
@@ -163,7 +178,7 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
         return vals, facts
 
     if kind == "linear_x0":
-        vals = spec.amplitude * pts[:, 0] + spec.offset
+        vals = spec.amplitude * domain._in_mask_column(0) + spec.offset
         facts = {"laplacian_const": 0.0, "harmonic": True, "subharmonic": True,
                  "neumann_const": -spec.amplitude}
         return vals, facts
@@ -171,11 +186,11 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
     if kind == "sum":
         if not spec.parts:
             raise MVLabError("sum generator needs parts")
-        total = np.zeros(pts.shape[0])
+        total = np.zeros(len(domain._mask_nodes))
         merged: dict = {"laplacian_const": 0.0, "neumann_const": 0.0,
                         "harmonic": True, "subharmonic": True}
         for part in spec.parts:
-            vals, facts = _values_and_facts(part, domain, pts)
+            vals, facts = _values_and_facts(part, domain, memo)
             total += vals
             if "laplacian_const" in facts and "laplacian_const" in merged:
                 merged["laplacian_const"] += facts["laplacian_const"]
@@ -194,10 +209,10 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
     raise MVLabError(f"unhandled generator kind {kind!r}")
 
 
-def _sample(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
-    """The generator's values at the in-mask nodes ``pts``, checked
-    nonnegative up to rounding and clamped at 0, and its facts."""
-    vals, facts = _values_and_facts(spec, domain, pts)
+def _sample(spec: GeneratorSpec, domain: Domain, memo: dict):
+    """The generator's values at the in-mask nodes, checked nonnegative up
+    to rounding and clamped at 0, and its facts."""
+    vals, facts = _values_and_facts(spec, domain, memo)
     low = float(np.min(vals))
     if low < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
         raise SpecOutOfDomain(f"generator {spec.kind} goes negative (min {low:.3g})")
@@ -207,7 +222,7 @@ def _sample(spec: GeneratorSpec, domain: Domain, pts: np.ndarray):
 def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
     """Sample the generator at the in-mask nodes, with analytic facts
     attached; the field is NaN off the mask."""
-    vals, facts = _sample(spec, domain, domain.in_mask_points())
+    vals, facts = _sample(spec, domain, {})
     values = np.full(domain.shape, np.nan)
     values[domain.in_mask] = vals
     facts["spec"] = spec
@@ -230,19 +245,21 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
     schedule = [float(lam) for lam in schedule]
     if not schedule:
         raise MVLabError("bubble schedule is empty")
+    if not all(0.0 < lam < math.inf for lam in schedule):  # False at NaN too
+        raise MVLabError(f"bubble 'schedule' entries must be finite and > 0, got {schedule}")
     if any(l2 >= l1 for l1, l2 in zip(schedule, schedule[1:])):
         raise MVLabError("bubble schedule must be strictly decreasing")
     if schedule[-1] < 4.0 * domain.spacing:
         raise UnresolvableScale(
             f"lambda_min = {schedule[-1]} below the 4h = {4 * domain.spacing} guardrail")
 
-    pts = domain.in_mask_points()
-    base = _sample(background, domain, pts)[0] if background is not None else 0.0
+    memo: dict = {}  # each centre's squared distances, shared by every scale
+    base = _sample(background, domain, {})[0] if background is not None else 0.0
     fields = []
     fitted = []
     for lam in schedule:
         values = np.full(domain.shape, np.nan)
-        values[domain.in_mask] = sum((_sample(replace(s, scale=lam), domain, pts)[0]
+        values[domain.in_mask] = sum((_sample(replace(s, scale=lam), domain, memo)[0]
                                       for s in specs), base)
         field = ScalarField(domain, values, density=True)
         fields.append(field)

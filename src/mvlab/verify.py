@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -380,17 +381,17 @@ class ConstantEstimate:
         return record(self)
 
 
-def estimate_constant(family: list[ScalarField], kind: str) -> ConstantEstimate:
+def estimate_constant(family: Iterable[ScalarField], kind: str) -> ConstantEstimate:
     """Empirical mean-value constant: max over the family of
     e(center) r^n / int e. Every member must pass its subharmonicity
-    hypothesis (with the Neumann sign for the boundary kind)."""
+    hypothesis (with the Neumann sign for the boundary kind). The family is
+    iterated once, and each member is released before the next is drawn, so
+    a lazy family holds one field at a time."""
     if kind not in ("interior", "boundary"):
         raise MVLabError("kind must be 'interior' or 'boundary'")
-    if not family:
-        raise EmptyFamily("constant estimation needs at least one field")
     ratios = []
-    for i, e in enumerate(family):
-        dom = e.domain
+    for e in family:  # not enumerate(), whose reused result tuple keeps the last member alive
+        i, dom = len(ratios), e.domain
         expected = BALL if kind == "interior" else HALF_BALL
         if dom.kind != expected:
             raise MVLabError(f"family member {i} is on a {dom.kind} domain, "
@@ -405,5 +406,8 @@ def estimate_constant(family: list[ScalarField], kind: str) -> ConstantEstimate:
         if energy <= 0:
             raise MVLabError(f"family member {i} has nonpositive energy")
         ratios.append(e.at(dom.center) * dom.radius ** dom.dimension / energy)
+        del e  # released before the next member is sampled
+    if not ratios:
+        raise EmptyFamily("constant estimation needs at least one field")
     best = int(np.argmax(ratios))
     return ConstantEstimate(float(ratios[best]), tuple(ratios), best, kind)

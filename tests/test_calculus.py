@@ -20,7 +20,6 @@ from mvlab import (
     weak_subharmonic_test,
 )
 from mvlab.calculus import (
-    _ball_shares,
     cap_constant,
     clipping_angle,
     judge,
@@ -34,7 +33,7 @@ from mvlab.errors import (
     ShellExitsDomain,
     SubregionOutsideDomain,
 )
-from mvlab.grid import _ldl
+from mvlab.grid import _ldl, _squared_gaps, cut_fractions
 
 
 def quadratic(p):
@@ -371,6 +370,61 @@ def _radial_flux(e, center, r):
     dr[missing_up] = (here[missing_up] - down[missing_up]) / h
     assert np.all(np.isfinite(dr)), f"flux shell r={r} leaves the domain mask"
     return float(np.dot(shell.weights, dr)) * r ** (dom.dimension - 1)
+
+
+def _ball_shares(points, center, radius, h, flat):
+    """Share of each node's cell (its half cell on the flat row, ``flat``)
+    inside the ball B_radius(center), in as many dimensions as ``points`` has
+    columns, from the gathered coordinates: the rule ``integrate`` applies to
+    a subregion, kept here as it was written before it read its distances
+    from the window's axes."""
+    k = points.shape[1]
+    margin = 0.5 * math.sqrt(k) * h
+    d = np.sqrt(_squared_gaps(points.T, center))
+    share = (d < radius - margin).astype(float)
+    cut = np.flatnonzero((np.abs(d - radius) <= margin) & (d > 0.0))
+    share[cut] = cut_fractions((points[cut] - center) / d[cut, None], (radius - d[cut]) / h,
+                               flat[cut]) / np.where(flat[cut], 0.5, 1.0)
+    share[d == 0.0] = min(1.0, vol_sphere(k - 1) / k * (radius / h) ** k)
+    return share
+
+
+def _subregion_integrate_gathered(e, sub_center, sub_radius):
+    """A subregion integral from the window's gathered in-mask coordinates
+    and window-sized copies of the values, weights and mask."""
+    dom = e.domain
+    h = dom.spacing
+    sub_center = np.asarray(sub_center, dtype=float)
+    win = dom.window(sub_center, sub_radius + 0.5 * math.sqrt(dom.dimension) * h)
+    sel = dom.in_mask[win].ravel()
+    pts = dom.masked_points(dom.in_mask[win], win)
+    flat = (pts[:, 0] < 0.5 * h) & (dom.kind == "half_ball")
+    share = _ball_shares(pts, sub_center, sub_radius, h, flat)
+    keep = share > 0.0
+    weights = dom.weights[win].ravel()[sel][keep] * share[keep]
+    return float(np.dot(e.values[win].ravel()[sel][keep], weights))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball"))
+def test_subregion_integral_bitwise_equals_gathered_point_shares(kind, n):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    dom = _oracle_domain(kind, n, h)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p))
+    on_plane = np.zeros(n)
+    on_plane[1] = 0.25
+    subregions = [
+        (dom.center, 0.4),                  # holds the centre node, d = 0
+        (dom.center, 0.3 * h),              # the centre node alone, inside one cell
+        (on_plane, 0.3),                    # centred on the flat row (x0 = 0 on half-balls)
+        (on_plane + 0.37 * h, 0.45),        # off the grid, across the plane and the sphere
+        (dom.center + 0.55, 0.6),           # crossing the domain's sphere
+    ]
+    for sub_center, sub_radius in subregions:
+        got = np.float64(integrate(e, (sub_center, sub_radius)))
+        want = np.float64(_subregion_integrate_gathered(e, sub_center, sub_radius))
+        assert got.view(np.uint64) == want.view(np.uint64), (sub_center, sub_radius)
 
 
 def _flat_flux(e, center, r):

@@ -123,6 +123,24 @@ def _metric_morrey(**metric):
     return lambda _: {**MORREY, "domain": {**COARSE, "metric": metric}}
 
 
+def _detect_manifest(energy_bound):
+    """detect-bubbles on a manifest of two bubble fields on COARSE with ``energy_bound``."""
+    def make(tmp_path):
+        from mvlab.config import domain_from_config
+        from mvlab.fieldio import write_field
+        from mvlab.synth import GeneratorSpec, gen
+
+        dom = domain_from_config(COARSE)
+        paths = []
+        for i, lam in enumerate((0.5, 0.25)):
+            paths.append(str(tmp_path / f"bubble{i}.txt"))
+            write_field(gen(GeneratorSpec("bubble", scale=lam), dom), paths[-1])
+        return {"manifest": {"fields": paths, "params": {"a": 8.0, "b": 0.0},
+                             "energy_bound": energy_bound, "divergence_threshold": 50.0},
+                "ledger": {"C": 3.0}}
+    return make
+
+
 LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
                "generator": {"kind": "constant"}, "radii": [0.375, 0.5, 0.625]}
 
@@ -196,6 +214,16 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("detect-bubbles",
      lambda _: {"domain": COARSE, "sequence": {**SEQUENCE, "divergence_threshold": math.inf},
                 "ledger": {"C": 3.0}}, "'divergence_threshold'"),
+    ("detect-bubbles", _detect_manifest(math.nan), "'energy_bound'"),
+    ("detect-bubbles", _detect_manifest(math.inf), "'energy_bound'"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": {**SEQUENCE, "schedule": [0.5, math.nan]},
+                "ledger": {"C": 3.0}}, "'schedule'"),
+    ("detect-bubbles",
+     lambda _: {"domain": COARSE, "sequence": {**SEQUENCE, "schedule": [math.inf, 0.5]},
+                "ledger": {"C": 3.0}}, "'schedule'"),
+    ("verify-interior", lambda _: {**MORREY, "params": {"A0": math.nan, "a": 0.01}}, "'A0'"),
+    ("verify-interior", lambda _: {**MORREY, "params": {"A1": math.inf, "a": 0.01}}, "'A1'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
         "field-v1", "field-truncated-payload", "field-one-value-short",
         "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
@@ -208,7 +236,9 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
         "nan-declared-deviation", "inf-declared-deviation", "huge-declared-deviation",
         "negative-declared-deviation", "conformal-axis-5", "sine-entry-0-7",
         "nan-ledger-delta", "nan-ledger-c", "inf-ledger-c", "nan-ledger-c-with-a",
-        "nan-divergence-threshold", "inf-divergence-threshold"])
+        "nan-divergence-threshold", "inf-divergence-threshold", "nan-energy-bound",
+        "inf-energy-bound", "nan-schedule-entry", "inf-schedule-entry", "nan-params-a0",
+        "inf-params-a1"])
 def test_malformed_input_exits_3(tmp_path, capsys, subcommand, make_config, needle):
     # ``subcommand`` may carry flags before it, e.g. "--dimension 3 monotonicity"
     cfg = write_config(tmp_path, "bad.json", make_config(tmp_path))
@@ -429,6 +459,34 @@ def test_monotonicity_weak_mode_emits_csv(tmp_path, monkeypatch):
     weak_csv = (tmp_path / "ow" / "weak_tests.csv").read_text()
     assert weak_csv.splitlines()[0] == "test_function,value,tol"
     assert len(calls) == 1  # the CSV reuses the suite's weak test
+
+
+def test_measure_c_holds_one_family_member_at_a_time(monkeypatch):
+    # each member is dead before the next is sampled; CPython frees it on its
+    # last reference, so the check is deterministic
+    import weakref
+
+    import mvlab.cli
+    import mvlab.synth
+    from mvlab.config import domain_from_config
+
+    sample = mvlab.synth.gen
+    members = []
+
+    def gen(spec, domain):
+        assert all(member() is None for member in members)
+        field = sample(spec, domain)
+        members.append(weakref.ref(field))
+        return field
+
+    for cfg in (COARSE, {**HALF, "spacing": 1 / 16}):
+        domain = domain_from_config(cfg)
+        want = mvlab.cli.measure_c(domain)
+        members.clear()
+        monkeypatch.setattr(mvlab.synth, "gen", gen)
+        assert mvlab.cli.measure_c(domain) == want
+        monkeypatch.undo()
+        assert len(members) == 4
 
 
 def test_subcommands_without_a_ledger_never_measure_c(tmp_path, monkeypatch):

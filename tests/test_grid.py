@@ -553,6 +553,24 @@ def test_squared_gaps_are_bitwise_the_row_sum_and_the_norm(case):
     _assert_bitwise(np.sqrt(got), np.linalg.norm(points - center, axis=-1))
 
 
+def test_cut_cells_select_their_nodes_without_a_box_sized_temporary():
+    import tracemalloc
+
+    dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 512, 2)
+    dist = dom.center_distances()  # cached box arrays, built before the count starts
+    dom.in_mask
+    box_bytes = dist.nbytes  # 8.05 MB: 1,054,729 nodes
+    tracemalloc.start()
+    try:
+        cut = dom.cut_cells()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < box_bytes
+    assert np.array_equal(cut.nodes,
+                          np.flatnonzero(np.abs(dist - dom.radius).ravel() <= dom.cut_margin))
+
+
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
                                     for n in (2, 3, 4)] + [("conformal", 2), ("conformal", 3),
                                                            ("sine", 2), ("low", 3)])

@@ -35,6 +35,25 @@ def test_concentration_energy_fractions():
     assert concentration_energy(zero, [0.0, 0.0], 0.25) == 0.0
 
 
+def test_two_bubble_detection_record_is_pinned():
+    # two equal bubbles: the first round's argmax is a tie, broken toward the
+    # first node in C order, and the second round runs on an excluded mask;
+    # the digest is the canonical record the box-wide argmax scan produced
+    import hashlib
+
+    from mvlab.report import canonical_json
+
+    dom = make_ball_domain([0, 0], 1.0, 1 / 64, 2)
+    specs = [GeneratorSpec("bubble", center=(0.25, 0.125)),
+             GeneratorSpec("bubble", center=(-0.375, -0.25))]
+    seq = gen_sequence(specs, [1 / 4, 1 / 8, 1 / 12, 1 / 16], dom)
+    ledger = make_ledger(2, seq.params.a, seq.params.b, 3.0)
+    rep = detect_concentration(seq, ledger, divergence_threshold=50.0)
+    assert [p.location for p in rep.points] == [(-0.375, -0.25), (0.25, 0.125)]
+    digest = hashlib.sha256(canonical_json(rep.as_dict()).encode()).hexdigest()
+    assert digest == "4cd5384eda1de2afb157e1c928ebfc97e28b9efc27281071c4636539fa2dc019"
+
+
 def test_constant_sequence_no_blowup():
     dom = make_ball_domain([0, 0], 0.5, 1 / 32, 2)
     fields = [gen(GeneratorSpec("constant", amplitude=2.0), dom) for _ in range(4)]

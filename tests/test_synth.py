@@ -209,21 +209,27 @@ def test_three_bubbles_mass_additivity():
 
 @pytest.mark.parametrize("background", [None, GeneratorSpec("constant", amplitude=0.3)],
                          ids=["bare", "background"])
-def test_gen_sequence_gathers_coordinates_once(monkeypatch, background):
-    # 3 bubbles x 4 scales share one gather of the in-mask coordinates, and
-    # the fields are bitwise the sums of the single generator fields
+def test_gen_sequence_reads_each_centre_once_and_no_coordinate_array(monkeypatch, background):
+    # 3 bubbles x 4 scales read each centre's coordinate columns once, build
+    # no (m, n) coordinate array, and the fields are bitwise the sums of the
+    # single generator fields
     from mvlab.grid import Domain
 
     dom = make_half_ball_domain([0, 0], 1.0, 1 / 64, 2)
     specs = [GeneratorSpec("reflected_bubble", center=(0.0, y), amplitude=a)
              for y, a in ((-0.4, 1.0), (0.0, 0.7), (0.4, 1.3))]
     schedule = [1 / 4, 1 / 6, 1 / 8, 1 / 12]
-    calls = []
-    gather = Domain.in_mask_points
-    monkeypatch.setattr(Domain, "in_mask_points",
-                        lambda self: calls.append(1) or gather(self))
+    columns = []
+    column = Domain._in_mask_column
+
+    def no_points(self):
+        raise AssertionError("in_mask_points called")
+
+    monkeypatch.setattr(Domain, "in_mask_points", no_points)
+    monkeypatch.setattr(Domain, "_in_mask_column",
+                        lambda self, k: columns.append(k) or column(self, k))
     seq = gen_sequence(specs, schedule, dom, background, fit_bounds=False)
-    assert len(calls) == 1
+    assert columns == [0, 1] * len(specs)  # the constant background reads none
     monkeypatch.undo()
     for lam, field in zip(schedule, seq.fields):
         total = (gen(background, dom).values if background is not None

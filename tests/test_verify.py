@@ -39,6 +39,18 @@ def test_fit_nonlinearity_examples():
         fit_nonlinearity(zero, 0.0, 0.0)
 
 
+def test_sup_and_fit_read_the_in_mask_nodes_only():
+    # finite values off the mask, which ScalarField allows, move neither the
+    # sup nor the density floor of the fit
+    from mvlab.grid import ScalarField
+
+    dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
+    e = gen(GeneratorSpec("bubble", center=(0.25, 0.0), scale=0.125), dom)
+    loud = ScalarField(dom, np.where(dom.in_mask, e.values, 1e12))
+    assert loud.sup() == e.sup() == float(np.max(e.values[dom.in_mask]))
+    assert fit_nonlinearity(loud, 0.0, 0.0) == fit_nonlinearity(e, 0.0, 0.0)
+
+
 def test_fit_boundary_nonlinearity():
     dom = make_half_ball_domain([0.0, 0.0], 1.0, 1 / 64, 2)
     x0 = gen(GeneratorSpec("linear_x0", amplitude=1.0, offset=0.5), dom)
@@ -309,6 +321,33 @@ def test_estimate_constant_rejects_bad_family():
 
     with pytest.raises(EmptyFamily):
         estimate_constant([], "interior")
+
+
+def test_estimate_constant_draws_a_lazy_family_one_member_at_a_time():
+    from mvlab.errors import EmptyFamily
+
+    dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
+    specs = [GeneratorSpec("constant", amplitude=a) for a in (1.0, 2.0)]
+    drawn = []
+
+    def family(specs):
+        for spec in specs:
+            drawn.append(spec)
+            yield gen(spec, dom)
+
+    est = estimate_constant(family(specs), "interior")
+    assert est == estimate_constant([gen(s, dom) for s in specs], "interior")
+    assert drawn == specs
+    with pytest.raises(EmptyFamily):
+        estimate_constant(iter([]), "interior")
+    with pytest.raises(EmptyFamily):
+        estimate_constant(family([]), "interior")
+    # a member that fails its hypothesis stops the estimate before the next is drawn
+    drawn.clear()
+    peak = GeneratorSpec("bubble", center=(0.0, 0.0), scale=0.25)
+    with pytest.raises(MVLabError, match="family member 0 violates its hypothesis"):
+        estimate_constant(family([peak] + specs), "interior")
+    assert drawn == [peak]
 
 
 def test_refinement_stability_of_verdicts():
