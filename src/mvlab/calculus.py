@@ -1,8 +1,10 @@
 """Discrete differential and integral operators on masked grids.
 
 Everything uses the positive-definite Laplacian convention Delta = d*d, so
-Delta(|x|^2) = -2n and subharmonic means Delta e <= 0. Values at nodes whose
-stencil exits the mask come back NaN (reported, never fatal).
+Delta(|x|^2) = -2n and subharmonic means Delta e <= 0. Fields and operator
+outputs are in-mask vectors (see ``grid``). The stencils read a field one
+axis-0 slab of the box at a time, scattered with NaN off the mask, so values
+at nodes whose stencil exits the mask come back NaN (reported, never fatal).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     SubregionOutsideDomain,
 )
 from .grid import (
+    _CHUNK,
     FLAT_BOUNDARY,
     HALF_BALL,
     Domain,
@@ -32,6 +35,12 @@ from .grid import (
     _squared_gaps,
     cut_fractions,
 )
+
+# Box nodes a stencil slab covers (at least one axis-0 row). Its band and
+# vectors then stay a few hundred kB: at four times this, the n = 2, h = 1/256
+# Laplacian page-faulted about 8 MB a call afresh on a 2-CPU Xeon (glibc),
+# and took 7-10 ms against 3.1 ms.
+_SLAB = _CHUNK >> 2
 
 _SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
 
@@ -84,69 +93,110 @@ def laplacian(e: ScalarField) -> ScalarField:
 
     Euclidean: -sum_i d^2 e/dx_i^2 by second-order central differences.
     Metric balls: -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} d_j e) with
-    centered flux differences at cell faces. Both work at the in-mask nodes
-    (``_stencil``); nodes off the mask or without a full stencil are NaN.
+    centered flux differences at cell faces. Both work at the in-mask nodes,
+    one ``_Slab`` of axis-0 rows at a time; nodes without a full stencil in
+    the mask are NaN.
     """
     dom = e.domain
-    nodes, at = _stencil(dom)
-    flat = e.values.reshape(-1)
-    if dom.metric is None:
-        # (v[+1] - 2 v) + v[-1] per axis, summed from 0: the order the bitwise tests pin
-        twice = 2.0 * flat[nodes]
-        lap = np.zeros(len(nodes))
-        for ax in range(dom.dimension):
-            lap += (at(flat, (ax, 1)) - twice) + at(flat, (ax, -1))
-        lap = -lap / dom.spacing**2
-    else:
-        lap = _metric_laplacian(dom, flat, nodes, at)
-    out = np.full(dom.shape, np.nan)
-    out.reshape(-1)[nodes] = lap
+    kernel = _euclidean_laplacian if dom.metric is None else _metric_laplacian
+    out = np.empty(len(dom._mask_nodes))
+    for slab in _stencil(dom, e.values):
+        out[slab.part] = kernel(dom, e.values, slab)
     return ScalarField(dom, out, density=False)
 
 
-def _stencil(dom: Domain):
-    """The in-mask node index and ``at(flat, *steps)``: the raveled box array
-    ``flat`` at each in-mask node moved by ``steps`` ((axis, +-1) pairs), C
-    order, NaN where a step leaves the box (from a node on the box face)."""
-    nodes = dom._mask_nodes
-    strides = [math.prod(dom.shape[ax + 1:]) for ax in range(dom.dimension)]
-    off_box = {}  # (axis, step): positions in ``nodes`` of the box face the step leaves
-    for ax, step in itertools.product(range(dom.dimension), (1, -1)):
-        edge = 0 if step < 0 else dom.shape[ax] - 1
-        face = np.nonzero(np.take(dom.in_mask, edge, axis=ax))
-        index = face[:ax] + (np.full(len(face[0]), edge),) + face[ax:]
-        off_box[ax, step] = np.searchsorted(nodes, np.ravel_multi_index(index, dom.shape))
+class _Slab:
+    """The axis-0 rows [a, b) of a domain's box, about ``_SLAB`` box nodes,
+    for a stencil over an in-mask vector. ``part`` slices the vector at the
+    slab's nodes, ``halo`` also at those of row a - 1 (the first ``lead``)."""
 
-    def at(flat, *steps):
-        # every index past the box is NaN below; "clip" spares a bounds check
-        out = np.take(flat, nodes + sum(step * strides[ax] for ax, step in steps), mode="clip")
-        for ax, step in steps:
-            out[off_box[ax, step]] = np.nan
+    def __init__(self, dom: Domain, values: np.ndarray, a: int, b: int):
+        starts = dom._row_starts
+        self.part = slice(starts[a], starts[b])
+        self.halo = slice(starts[max(a - 1, 0)], starts[b])
+        self.lead = self.part.start - self.halo.start
+        self._faces = dom._lateral_faces
+        self._strides = [math.prod(dom.shape[ax + 1:]) for ax in range(dom.dimension)]
+        # positions of the halo's nodes in the scattered rows [a - 1, b + 1)
+        self._local = dom._mask_nodes[self.halo] - (a - 1) * self._strides[0]
+        self._band = dom._band(values, a - 1, b + 1).reshape(-1)
+
+    def spread(self, vector: np.ndarray, halo: bool = False) -> np.ndarray:
+        """A band like the field's holding ``vector`` at the slab's nodes (or
+        the halo's, with ``halo``) and NaN elsewhere."""
+        out = np.full(len(self._band), np.nan)
+        out[self._local[0 if halo else self.lead:]] = vector
         return out
 
-    return nodes, at
+    def at(self, *steps: tuple[int, int], halo: bool = False,
+           band: np.ndarray | None = None) -> np.ndarray:
+        """The field (or ``band``, from ``spread``) at the slab's nodes (or
+        the halo's, with ``halo``) moved by ``steps`` ((axis, +-1) pairs), C
+        order, NaN off the mask and where a step leaves the box. A halo node
+        takes no step down axis 0."""
+        first = 0 if halo else self.lead
+        offset = sum(step * self._strides[ax] for ax, step in steps)
+        # a step off a lateral face lands on a neighbouring row of the band or
+        # past its end ("clip"); both are set to NaN below
+        out = np.take(self._band if band is None else band, self._local[first:] + offset,
+                      mode="clip")
+        lo, hi = self.halo.start + first, self.halo.stop
+        for ax, step in steps:
+            if ax:
+                face = self._faces[ax, step]
+                out[face[np.searchsorted(face, lo):np.searchsorted(face, hi)] - lo] = np.nan
+        return out
 
 
-def _metric_laplacian(dom: Domain, flat: np.ndarray, nodes: np.ndarray, at) -> np.ndarray:
-    """At the in-mask nodes (C order), each in the box-wide form's order of operations."""
+def _stencil(dom: Domain, values: np.ndarray):
+    """The ``_Slab``s of the box with in-mask nodes, in order, each about
+    ``_SLAB`` box nodes (at least one row)."""
+    rows = max(1, _SLAB // math.prod(dom.shape[1:]))
+    starts = dom._row_starts
+    for a in range(0, dom.shape[0], rows):
+        b = min(a + rows, dom.shape[0])
+        if starts[a] < starts[b]:
+            yield _Slab(dom, values, a, b)
+
+
+def _euclidean_laplacian(dom: Domain, values: np.ndarray, slab: _Slab) -> np.ndarray:
+    """At the slab's nodes: (v[+1] - 2 v) + v[-1] per axis, summed from 0,
+    the order the bitwise tests pin."""
+    twice = 2.0 * values[slab.part]
+    lap = np.zeros(len(twice))
+    for ax in range(dom.dimension):
+        lap += (slab.at((ax, 1)) - twice) + slab.at((ax, -1))
+    return -lap / dom.spacing**2
+
+
+def _metric_laplacian(dom: Domain, values: np.ndarray, slab: _Slab) -> np.ndarray:
+    """At the slab's nodes, each in the box-wide form's order of operations.
+    The fluxes through the faces x + h/2 e_0 are taken on the halo too, as
+    the divergence at row a reads those of row a - 1."""
     h = dom.spacing
-    v = flat[nodes]
-    central = [(at(flat, (j, 1)) - at(flat, (j, -1))) / (2.0 * h) for j in range(dom.dimension)]
-    faces = np.full(flat.size, np.nan)
-    div = np.zeros(len(nodes))
+    # the central difference along axis j: on the halo for j > 0 (the axis-0
+    # fluxes read them), on the slab for j = 0 (a halo node has no row below)
+    central = [(slab.at((j, 1), halo=j > 0) - slab.at((j, -1), halo=j > 0)) / (2.0 * h)
+               for j in range(dom.dimension)]
+    div = np.zeros(slab.part.stop - slab.part.start)
     for ax, (sqrt_det_face, inv_rows) in enumerate(dom.face_metric):
-        flux = np.zeros(len(nodes))
+        halo = ax == 0
+        nodes = slab.halo if halo else slab.part
+        skip = 0 if halo else slab.lead  # of a halo-long central difference
+        v = values[nodes]
+        flux = np.zeros(len(v))
         for j, inv_row in enumerate(inv_rows):
             if j == ax:
-                dj = (at(flat, (ax, 1)) - v) / h
+                dj = (slab.at((ax, 1), halo=halo) - v) / h
             else:
-                cj_there = (at(flat, (ax, 1), (j, 1)) - at(flat, (ax, 1), (j, -1))) / (2.0 * h)
-                dj = 0.5 * (central[j] + cj_there)
-            flux += inv_row * dj
-        flux *= sqrt_det_face
-        faces[nodes] = flux
-        div += (flux - at(faces, (ax, -1))) / h
-    return -div / dom.sqrt_det_metric().ravel()[nodes]
+                cj_there = (slab.at((ax, 1), (j, 1), halo=halo)
+                            - slab.at((ax, 1), (j, -1), halo=halo)) / (2.0 * h)
+                dj = 0.5 * ((central[j] if j == 0 else central[j][skip:]) + cj_there)
+            flux += inv_row[nodes] * dj
+        flux *= sqrt_det_face[nodes]
+        below = slab.at((ax, -1), band=slab.spread(flux, halo))
+        div += (flux[slab.lead if halo else 0:] - below) / h
+    return -div / dom.sqrt_det_metric().ravel()[dom._mask_nodes[slab.part]]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +228,7 @@ def normal_derivative(e: ScalarField) -> BoundaryValues:
     if dom.shape[0] <= row + 2:
         raise DomainHasNoFlatBoundary("grid box too shallow for the one-sided stencil")
     h = dom.spacing
-    e0 = e.values[row]
-    e1 = e.values[row + 1]
-    e2 = e.values[row + 2]
+    e0, e1, e2 = dom._band(e.values, row, row + 3)
     flat = dom.mask[row] == FLAT_BOUNDARY
     dn = np.where(flat, (3.0 * e0 - 4.0 * e1 + e2) / (2.0 * h), np.nan)
 
@@ -195,31 +243,35 @@ def normal_derivative(e: ScalarField) -> BoundaryValues:
 # volume integration with clipped cells
 
 
-def _window_points(dom: Domain, win: tuple[slice, ...]) -> np.ndarray:
-    """Coordinates of the in-mask nodes of a ``Domain.window``, C-order, shape (m, n)."""
-    return dom.masked_points(dom.in_mask[win], win)
-
-
 def integrate(e: ScalarField,
               subregion: tuple[Sequence[float], float] | None = None) -> float:
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball): one dot product of the
-    in-mask values with ``Domain.weights``. A subregion touches only the
-    in-mask nodes of its ``Domain.window`` and multiplies each weight by the
-    share of the node's cell (its half cell on the flat row) inside its
-    ball: 1 below radius - m, 0 beyond radius + m (m = sqrt(n) h / 2, half
-    the cell diagonal), between them the fraction under the sphere's tangent
-    half space at the node (``cut_fractions``), and at the centre node, which
-    has no normal, vol(B_radius) / h^n, which is 1 once radius >= m. Only the
-    cut cells' coordinates are gathered."""
+    field's in-mask vector with ``Domain.weights``, or with the subregion's
+    ``_ball_weights``."""
     dom = e.domain
     if subregion is None:
-        nodes = dom._mask_nodes
-        return float(np.dot(e.values.ravel()[nodes], dom.weights.ravel()[nodes]))
+        return float(np.dot(e.values, dom.weights))
+    positions, weights = _ball_weights(dom, *subregion)
+    return float(np.dot(e.values[positions], weights))
+
+
+def _ball_weights(dom: Domain, center: Sequence[float],
+                  radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature of a subregion ball of ``integrate``: the positions in
+    an in-mask vector of the nodes it keeps, C order, and their weights,
+    ``Domain.weights`` times the share of the node's cell (its half cell on
+    the flat row) inside the ball: 1 below radius - m, 0 beyond radius + m
+    (m = sqrt(n) h / 2, half the cell diagonal), between them the fraction
+    under the sphere's tangent half space at the node (``cut_fractions``),
+    and at the centre node, which has no normal, vol(B_radius) / h^n, which
+    is 1 once radius >= m. Only the in-mask nodes of the ball's
+    ``Domain.window`` are visited, a block of rows at a time, and only the
+    cut cells' coordinates are gathered."""
     h = dom.spacing
     n = dom.dimension
-    center = np.asarray(subregion[0], dtype=float)
-    radius = float(subregion[1])
+    center = np.asarray(center, dtype=float)
+    radius = float(radius)
     if radius <= 0:
         raise MVLabError("subregion radius must be positive")
     center_gap = float(np.linalg.norm(center - dom.center))
@@ -227,24 +279,21 @@ def integrate(e: ScalarField,
         raise SubregionOutsideDomain(
             f"ball of radius {radius} at {center} misses the domain")
     margin = 0.5 * math.sqrt(n) * h
-    win = dom.window(center, radius + margin)
-    inside = dom.in_mask[win]
-    d = dom.squared_distances(center, win)[inside]
-    np.sqrt(d, out=d)
-    share = (d < radius - margin).astype(float)
-    cut = (np.abs(d - radius) <= margin) & (d > 0.0)
-    cells = inside.copy()  # the window's nodes whose cell the sphere cuts
-    cells[inside] = cut
-    pts = dom.masked_points(cells, win)
-    flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
-    share[cut] = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h,
-                               flat) / np.where(flat, 0.5, 1.0)
-    share[d == 0.0] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
-    keep = share > 0.0
-    cells[inside] = keep  # now the window's kept nodes
-    weights = dom.weights[win][cells]
-    weights *= share[keep]
-    return float(np.dot(e.values[win][cells], weights))
+    kept, weights = [], []
+    for positions, points in dom._window_nodes(dom.window(center, radius + margin)):
+        d = _squared_gaps(points.T, center)
+        np.sqrt(d, out=d)
+        share = (d < radius - margin).astype(float)
+        cut = (np.abs(d - radius) <= margin) & (d > 0.0)
+        pts = points[cut]
+        flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
+        share[cut] = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h,
+                                   flat) / np.where(flat, 0.5, 1.0)
+        share[d == 0.0] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
+        keep = share > 0.0
+        kept.append(positions[keep])
+        weights.append(dom.weights[kept[-1]] * share[keep])
+    return np.concatenate(kept), np.concatenate(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +374,17 @@ def shell_nodes(center: Sequence[float], r: float, n: int, h: float,
 def interpolate(e: ScalarField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of field values at ``points`` of shape
     (m, n); NaN where the surrounding cell leaves the grid box or touches
-    out-of-mask nodes.
+    out-of-mask nodes."""
+    return _interpolate_box(e.domain, e.box(), points)
 
-    The base cell of each point is one linear index into the raveled
-    values, and its 2^n corners lie a fixed stride away; each corner's
-    weight is the axis-order product of 1 - f_k or f_k, built from prefix
-    products shared by the corners that agree on the leading axes."""
-    dom = e.domain
+
+def _interpolate_box(dom: Domain, box: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``interpolate`` from the field's ``ScalarField.box()``.
+
+    The base cell of each point is one linear index into the raveled box,
+    and its 2^n corners lie a fixed stride away; each corner's weight is the
+    axis-order product of 1 - f_k or f_k, built from prefix products shared
+    by the corners that agree on the leading axes."""
     n = dom.dimension
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != n:
@@ -352,7 +405,7 @@ def interpolate(e: ScalarField, points: np.ndarray) -> np.ndarray:
         clipped *= strides[k]
         lin += clipped
         factors.append((1.0 - frac, frac))
-    flat_vals = e.values.ravel()
+    flat_vals = box.reshape(-1)
     out = np.zeros(m)
     term = np.empty(m)
     at = np.empty(m, dtype=np.intp)
@@ -413,10 +466,11 @@ def shell_profile(e: ScalarField, center: Sequence[float],
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise MVLabError("shell radii must be strictly increasing")
     y0 = float(center[0]) if dom.kind == HALF_BALL else None
+    box = e.box()  # scattered once for every shell
     samples = []
     for r in radii:
         shell = shell_nodes(center, r, dom.dimension, h, y0)
-        vals = interpolate(e, shell.points)
+        vals = _interpolate_box(dom, box, shell.points)
         if not np.all(np.isfinite(vals)):
             raise ShellExitsDomain(
                 f"shell r={shell.radius} leaves the domain mask "
@@ -597,12 +651,13 @@ def weak_subharmonic_test(e: ScalarField,
     if tests is None:
         tests = default_test_set(dom)
     tol = verdict_tolerance(dom)
+    weighted_all = e.values * dom.weights
     values = []
     for fn in tests.functions:
-        win = dom.window(*fn.support)
-        sel = dom.in_mask[win].ravel()
-        weighted = e.values[win].ravel()[sel] * dom.weights[win].ravel()[sel]
-        lap = fn.laplacian(_window_points(dom, win))
-        values.append((fn.name, float(np.dot(lap, weighted))))
+        laps, weighted = [], []
+        for positions, points in dom._window_nodes(dom.window(*fn.support)):
+            weighted.append(weighted_all[positions])
+            laps.append(fn.laplacian(points))
+        values.append((fn.name, float(np.dot(np.concatenate(laps), np.concatenate(weighted)))))
     verdict = judge(((name, -v) for name, v in values), tol) is None
     return WeakTestReport(tuple(values), tol, verdict)

@@ -48,7 +48,7 @@ def write_field(e: ScalarField, path: str | Path) -> None:
     lines.append(f"density={'true' if e.density else 'false'}")
     lines.append(f"mask_rle={mask_rle(dom.mask)}")
     lines.append("values:")
-    vals = e.values[dom.in_mask].astype("<f8")
+    vals = e.values.astype("<f8", copy=False)
     lines.append(base64.b64encode(vals.tobytes()).decode("ascii"))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -114,11 +114,8 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
     if not np.array_equal(stored_mask, domain.mask):
         raise ConfigError(f"{path}: stored mask differs from the rebuilt grid")
 
-    in_mask = domain.in_mask.ravel()
-    if vals_flat.size != int(np.count_nonzero(in_mask)):
-        raise ConfigError(f"{path}: {vals_flat.size} values for "
-                          f"{int(np.count_nonzero(in_mask))} in-mask nodes")
-    values = np.full(in_mask.size, np.nan)
-    values[in_mask] = vals_flat
+    count = len(domain._mask_nodes)
+    if vals_flat.size != count:
+        raise ConfigError(f"{path}: {vals_flat.size} values for {count} in-mask nodes")
     density = header.get("density", "true") == "true"
-    return ScalarField(domain, values.reshape(domain.shape), density)
+    return ScalarField(domain, vals_flat.astype(float, copy=False), density)

@@ -5,6 +5,13 @@ half-ball D_r(y) = B_r(y) n {x0 >= 0}. Nodes are classified interior / flat
 boundary / cap boundary / outside. The center is always a grid node, and for
 half-balls the plane x0 = 0 is a grid plane, so boundary stencils never need
 interpolation.
+
+Fields, operator outputs and quadrature weights are in-mask vectors: one
+float64 per in-mask node, in the C order of the box (``Domain._mask_nodes``).
+Box-shaped values exist only as short-lived scratch, scattered a band of
+axis-0 rows at a time with NaN off the mask (``Domain._band``,
+``ScalarField.box``). The box-shaped arrays a domain keeps are its mask, its
+centre distances and, on metric balls, sqrt(det g) at every box node.
 """
 
 from __future__ import annotations
@@ -189,7 +196,7 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     by its tangent half space at the node. Worked a block of cells at a time,
     which bounds ``cube_fraction``'s temporaries of 2^(n-1) terms a cell."""
     out = np.empty(len(offset))
-    size = _CHUNK >> (normal.shape[1] - 1)
+    size = _CHUNK >> (normal.shape[1] + 1)
     for start in range(0, len(out), size):
         rows = slice(start, start + size)
         side = np.where(flat[rows], 0.5, 1.0)  # of the cell along axis 0; 1 along the others
@@ -405,9 +412,10 @@ def _squared_gaps(columns: Iterable[np.ndarray], center: Sequence[float]) -> np.
     summed a column at a time in axis order, as numpy sums a row shorter than
     8: bitwise ``np.sum((points - center) ** 2, axis=-1)``, and under a square
     root bitwise ``np.linalg.norm(points - center, axis=-1)``."""
+    columns = iter(columns)
     total = 0.0
-    for column, c in zip(columns, center):
-        gap = column - c
+    for c in center:  # not zip(), whose reused result tuple would keep each column alive
+        gap = next(columns) - c
         total = total + gap * gap
     return total
 
@@ -461,10 +469,11 @@ class Domain:
     """Immutable masked grid over a ball or clipped half-ball.
 
     Geometry that depends on the domain alone (the coordinate axes, centre
-    distances, mask, sqrt(det g) at nodes and faces, quadrature weights, the
-    measured metric deviation) is computed on first use, kept, and handed out
-    read-only. Node coordinates are gathered from the axes where they are
-    needed; ``points()`` builds the whole box's on request, uncached."""
+    distances, mask, sqrt(det g) at nodes and faces, the quadrature weights as
+    an in-mask vector, the measured metric deviation) is computed on first
+    use, kept, and handed out read-only. Node coordinates are gathered from
+    the axes where they are needed; ``points()`` builds the whole box's on
+    request, uncached."""
 
     kind: str
     center: np.ndarray
@@ -523,30 +532,79 @@ class Domain:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
-    def _columns(self, win: tuple[slice, ...] | None = None) -> list[np.ndarray]:
-        """Each axis, cut to ``win`` (default: the whole box), shaped
-        (len, 1, ..., 1) to broadcast over the box or window."""
-        if win is None:
-            win = (slice(None),) * self.dimension
-        return [ax[part].reshape((-1,) + (1,) * (self.dimension - 1 - k))
-                for k, (ax, part) in enumerate(zip(self.axes, win))]
-
-    def masked_points(self, mask: np.ndarray,
-                      win: tuple[slice, ...] | None = None) -> np.ndarray:
-        """Coordinates of the nodes where ``mask`` (box-shaped, or shaped as
-        the window ``win``) is True, C-order, shape (m, n): each column is
-        its broadcast axis gathered through the mask, with no index arrays."""
-        out = np.empty((np.count_nonzero(mask), self.dimension))
-        for k, column in enumerate(self._columns(win)):
-            out[:, k] = np.broadcast_to(column, mask.shape)[mask]
-        return out
+    def _columns(self) -> list[np.ndarray]:
+        """Each axis shaped (len, 1, ..., 1) to broadcast over the box."""
+        return [ax.reshape((-1,) + (1,) * (self.dimension - 1 - k))
+                for k, ax in enumerate(self.axes)]
 
     def in_mask_points(self) -> np.ndarray:
-        return self.masked_points(self.in_mask)
+        """Coordinates of the in-mask nodes, C order, shape (m, n)."""
+        out = np.empty((len(self._mask_nodes), self.dimension))
+        for k in range(self.dimension):
+            out[:, k] = self._in_mask_column(k)
+        return out
 
     def _in_mask_column(self, k: int) -> np.ndarray:
         """Column k of ``in_mask_points()``, gathered alone."""
         return np.broadcast_to(self._columns()[k], self.shape)[self.in_mask]
+
+    def _window_nodes(self, win: tuple[slice, ...]):
+        """The in-mask nodes of the ``window`` ``win``, C order, in blocks of
+        axis-0 rows of about ``_CHUNK`` box nodes (one empty block for an
+        empty window): per block, their positions in an in-mask vector and
+        their coordinates, shape (m, n). The nodes of one line along the last
+        axis have consecutive positions from the line's start, past the line's
+        in-mask nodes left of the window."""
+        lines = self._line_starts[:-1].reshape(self.shape[:-1])
+        rows = max(1, _CHUNK // max(1, math.prod(part.stop - part.start for part in win[1:])))
+        first, last = win[0].start, win[0].stop
+        for a in range(first, max(last, first + 1), rows):
+            block = (slice(a, min(a + rows, last)),) + win[1:]
+            inside = self.in_mask[block]
+            counts = np.count_nonzero(inside, axis=-1).ravel()  # per line of the block
+            left = np.count_nonzero(self.in_mask[block[:-1] + (slice(0, win[-1].start),)], axis=-1)
+            # a line's first position, less the block's nodes on the lines before it
+            offset = lines[block[:-1]].ravel() + left.ravel() - (np.cumsum(counts) - counts)
+            points = np.empty((int(counts.sum()), self.dimension))
+            for k, (column, part) in enumerate(zip(self._columns(), block)):
+                points[:, k] = np.broadcast_to(column[part], inside.shape)[inside]
+            yield np.arange(len(points)) + np.repeat(offset, counts), points
+
+    @cached_property
+    def _line_starts(self) -> np.ndarray:
+        """Position in an in-mask vector of the first node of each line of the
+        box along its last axis, the lines in C order, then the vector's length."""
+        counts = np.count_nonzero(self.in_mask, axis=-1).ravel()
+        return _read_only(np.concatenate([[0], np.cumsum(counts)]))
+
+    @property
+    def _row_starts(self) -> np.ndarray:
+        """Position in an in-mask vector of the first node of each axis-0 row
+        of the box, then the vector's length."""
+        return self._line_starts[::math.prod(self.shape[1:-1])]
+
+    @cached_property
+    def _lateral_faces(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per step (axis, +-1) along an axis above 0: the positions in an
+        in-mask vector of the nodes on the box face that step leaves."""
+        faces = {}
+        for ax, step in itertools.product(range(1, self.dimension), (1, -1)):
+            edge = 0 if step < 0 else self.shape[ax] - 1
+            face = np.nonzero(np.take(self.in_mask, edge, axis=ax))
+            index = face[:ax] + (np.full(len(face[0]), edge),) + face[ax:]
+            faces[ax, step] = _read_only(np.searchsorted(
+                self._mask_nodes, np.ravel_multi_index(index, self.shape)))
+        return faces
+
+    def _band(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The in-mask vector ``values`` scattered into the axis-0 rows [lo, hi)
+        of the box, NaN off the mask and on rows past the box: a fresh array
+        of shape (hi - lo,) + shape[1:], the only box-shaped form of a field."""
+        row = math.prod(self.shape[1:])
+        out = np.full((hi - lo) * row, np.nan)
+        first, last = self._row_starts[np.clip([lo, hi], 0, self.shape[0])]
+        out[self._mask_nodes[first:last] - lo * row] = values[first:last]
+        return out.reshape((hi - lo,) + self.shape[1:])
 
     def distance(self, points: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
         """Distance used by the mask: geodesic-corrected for metric balls."""
@@ -554,20 +612,11 @@ class Domain:
             base = self.center
         return segment_distance(self.metric, base, points)
 
-    def squared_distances(self, point: Sequence[float],
-                          win: tuple[slice, ...] | None = None) -> np.ndarray:
-        """Euclidean |x - point|^2 at every node of ``win`` (default: the whole
-        box), window-shaped: ``_squared_gaps`` of the broadcast axes, so the
-        result is bitwise the one a coordinate array would give."""
-        return _squared_gaps(self._columns(win), point)
-
-    def box_distances(self, base: np.ndarray) -> np.ndarray:
-        """``distance`` from ``base`` to every box node, box-shaped. On metric
-        balls the coordinates are built one block of nodes at a time."""
-        if self._euclidean:
-            squared = self.squared_distances(base)
-            return np.sqrt(squared, out=squared)
-        return self._segment_into(np.empty(self.shape), base, np.arange(math.prod(self.shape)))
+    def squared_distances(self, point: Sequence[float]) -> np.ndarray:
+        """Euclidean |x - point|^2 at every box node, box-shaped: ``_squared_gaps``
+        of the broadcast axes, so the result is bitwise the one a coordinate
+        array would give."""
+        return _squared_gaps(self._columns(), point)
 
     def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """``out`` with the segment distance from ``base`` at its raveled ``nodes``."""
@@ -711,7 +760,7 @@ class Domain:
         in_mask = self.in_mask.ravel()
         fractions = np.empty(len(nodes))
         receivers = np.empty(len(nodes), dtype=nodes.dtype)
-        size = _CHUNK >> (self.dimension - 1)  # cube_fraction sums 2^(n-1) terms a cell
+        size = _CHUNK >> (self.dimension + 1)  # cube_fraction sums 2^(n-1) terms a cell
         for start in range(0, len(nodes), size):
             block = nodes[start:start + size]
             part = slice(start, start + len(block))
@@ -746,22 +795,27 @@ class Domain:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Quadrature weight of every box node, 0 off the mask: h^n sqrt(det g)
-        times the in-region part of the node's cell (1, or 1/2 on the flat
-        plane) plus the cut cells it receives from ``cut_cells``."""
+        """Quadrature weight of every in-mask node, an in-mask vector: h^n
+        sqrt(det g) times the in-region part of the node's cell (1, or 1/2 on
+        the flat plane) plus the cut cells it receives from ``cut_cells``."""
+        nodes = self._mask_nodes
         cut = self.cut_cells()
-        weights = self.in_mask.astype(float)
-        if self.flat_plane_index is not None:
-            weights[self.flat_plane_index] *= 0.5
-        raveled = weights.reshape(-1)
-        raveled[cut.nodes] = 0.0
         kept = cut.receivers >= 0
+        own = self.in_mask.ravel()[cut.nodes[kept]]  # an in-mask cell is its own receiver
+        receivers = np.searchsorted(nodes, cut.receivers[kept])  # positions in the vector
         shares = cut.fractions[kept]
-        if not self._euclidean:  # else sqrt(det g) = 1, and no box of ones is built
-            sqrt_det = self.sqrt_det_metric().ravel()
-            raveled *= sqrt_det
-            shares = shares * sqrt_det[cut.nodes[kept]]
-        np.add.at(raveled, cut.receivers[kept], shares)
+        sqrt_det = None if self._euclidean else self.sqrt_det_metric().ravel()
+        if sqrt_det is not None:  # else sqrt(det g) = 1
+            shares *= sqrt_det[cut.nodes[kept]]
+        del cut, kept  # before the weights are allocated
+        weights = np.ones(len(nodes))
+        row = self.flat_plane_index
+        if row is not None:
+            weights[self._row_starts[row]:self._row_starts[row + 1]] *= 0.5
+        weights[receivers[own]] = 0.0
+        if sqrt_det is not None:
+            weights *= sqrt_det[nodes]
+        np.add.at(weights, receivers, shares)
         weights *= self.spacing ** self.dimension
         return _read_only(weights)
 
@@ -776,20 +830,18 @@ class Domain:
 
     def make_field(self, values: np.ndarray, density: bool = True,
                    facts: dict | None = None) -> "ScalarField":
-        """A field holding ``values`` on the mask and NaN off it, as
-        ``field_from_function`` builds it; values already NaN off the mask
-        are kept as they are (not copied)."""
+        """A field of ``values``: an in-mask vector (C order; kept, not
+        copied) or a box-shaped array, of which the in-mask nodes are read."""
         values = np.asarray(values, dtype=float)
-        if values.shape == self.shape and not np.all(np.isnan(values[~self.in_mask])):
-            values = np.where(self.in_mask, values, np.nan)
+        if values.shape == self.shape:
+            values = values[self.in_mask]
         return ScalarField(self, values, density, facts)
 
     def field_from_function(self, fn: Callable[[np.ndarray], np.ndarray],
                             density: bool = True, facts: dict | None = None) -> "ScalarField":
         """A field holding ``fn`` evaluated at the in-mask nodes ((m, n)
-        coordinates in, m values out) and NaN off the mask."""
-        values = np.full(self.shape, np.nan)
-        values[self.in_mask] = np.asarray(fn(self.in_mask_points()), dtype=float)
+        coordinates in, m values out)."""
+        values = np.asarray(fn(self.in_mask_points()), dtype=float)
         return ScalarField(self, values, density, facts)
 
 
@@ -797,10 +849,13 @@ class Domain:
 class ScalarField:
     """Nonnegative density values on the in-mask nodes of a domain.
 
-    Values at outside nodes are NaN so that any stencil reaching out of the
-    mask poisons its result visibly. Comparison functions reuse the container
-    with ``density=False`` and may be signed. ``values`` (the array passed
-    in, not a copy) is made read-only, so the checks below keep holding.
+    ``values`` is an in-mask vector: one float64 per in-mask node, in the C
+    order of ``Domain._mask_nodes``. A field has no value off the mask:
+    ``box()`` and every stencil read NaN there, so a stencil reaching out of
+    the mask poisons its result visibly. Comparison functions reuse the
+    container with ``density=False`` and may be signed. ``values`` (the
+    array passed in, not a copy) is made read-only, so the checks below keep
+    holding.
     """
 
     domain: Domain
@@ -809,25 +864,36 @@ class ScalarField:
     facts: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.values.shape != self.domain.shape:
-            raise MVLabError(
-                f"field shape {self.values.shape} != domain shape {self.domain.shape}")
+        count = len(self.domain._mask_nodes)
+        if self.values.shape != (count,):
+            raise MVLabError(f"field values of shape {self.values.shape} for "
+                             f"{count} in-mask nodes")
         _read_only(self.values)
         if self.density:
             # operator outputs (density=False) may carry NaN at in-mask nodes
             # whose stencil exits the mask; densities must be total and >= 0
-            vals = self.values.ravel()[self.domain._mask_nodes]
+            vals = self.values
             if not np.all(np.isfinite(vals)):
                 raise MVLabError("density field has non-finite in-mask values")
             if vals.size and np.min(vals) < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
                 raise MVLabError(f"density field has negative values (min {np.min(vals)})")
 
     def at(self, point: Sequence[float]) -> float:
-        return float(self.values[self.domain.node_index(point)])
+        """The value at the grid node ``point``; NaN off the mask."""
+        dom = self.domain
+        index = dom.node_index(point)
+        if not dom.in_mask[index]:
+            return math.nan
+        return float(self.values[np.searchsorted(dom._mask_nodes,
+                                                 np.ravel_multi_index(index, dom.shape))])
 
     def sup(self) -> float:
         """The largest in-mask value, NaN ones skipped."""
-        return float(np.nanmax(self.values.ravel()[self.domain._mask_nodes]))
+        return float(np.nanmax(self.values))
+
+    def box(self) -> np.ndarray:
+        """The values scattered into a fresh box-shaped array, NaN off the mask."""
+        return self.domain._band(self.values, 0, self.domain.shape[0])
 
 
 def _pad(values: np.ndarray, fill) -> np.ndarray:

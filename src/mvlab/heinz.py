@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import BoundParams
 from .errors import DomainNotHalfBall, EmptyBall, MVLabError
-from .grid import HALF_BALL, Domain, ScalarField, _segment_floor
+from .grid import HALF_BALL, Domain, ScalarField, _segment_floor, _squared_gaps
 from .report import record
 from .verify import _bound_margin
 from . import calculus
@@ -74,14 +74,9 @@ class _PrefixSup:
 
     def __init__(self, e: ScalarField, center: np.ndarray, reach: float | None = None):
         dom = e.domain
-        if reach is None:
-            nodes = dom._mask_nodes
-        else:
-            win = dom.window(center, reach)
-            local = np.nonzero(dom.in_mask[win])
-            nodes = np.ravel_multi_index(tuple(k + s.start for k, s in zip(local, win)),
-                                         dom.shape)
-        vals = e.values.ravel()[nodes]
+        positions = slice(None) if reach is None else np.concatenate(
+            [block for block, _ in dom._window_nodes(dom.window(center, reach))])
+        vals, nodes = e.values[positions], dom._mask_nodes[positions]
         dist = (dom.center_distances().ravel()[nodes] if np.array_equal(center, dom.center)
                 else dom.distance(dom.coordinates(np.unravel_index(nodes, dom.shape)), center))
         order = np.argsort(dist, kind="stable")
@@ -172,9 +167,10 @@ def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
     n = dom.dimension
     x_bar = np.asarray(x_bar, dtype=float)
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
-    values = np.where(dom.in_mask, e.values + k * dom.squared_distances(x_bar), np.nan)
-    v = ScalarField(dom, values, density=False)
-    ball = None if check_radius is None else dom.box_distances(x_bar) <= check_radius
+    squared = _squared_gaps(map(dom._in_mask_column, range(n)), x_bar)  # at the in-mask nodes
+    v = ScalarField(dom, e.values + k * squared, density=False)
+    ball = (None if check_radius is None
+            else dom.distance(dom.in_mask_points(), x_bar) <= check_radius)
     max_lap, _ = _bound_margin(v, BoundParams(n), False, ball)
     passed = calculus.judge([("laplacian", -max_lap)], calculus.verdict_tolerance(dom)) is None
     return ComparisonResult(v, max_lap, None, passed)
@@ -194,12 +190,11 @@ def comparison_function_boundary(e: ScalarField, y, a_bound: float,
     n = dom.dimension
     y = np.asarray(y, dtype=float)
     y0 = float(y[0])
-    values = e.values + a_bound / (2.0 * n) * dom.squared_distances(y)
+    squared = _squared_gaps(map(dom._in_mask_column, range(n)), y)  # at the in-mask nodes
+    values = e.values + a_bound / (2.0 * n) * squared
     use_x0_term = dom.radius > y0
     if use_x0_term:
-        x0 = dom.axes[0].reshape((-1,) + (1,) * (n - 1))
-        values = values + (b_bound + a_bound * y0 / n) * x0
-    values = np.where(dom.in_mask, values, np.nan)
+        values = values + (b_bound + a_bound * y0 / n) * dom._in_mask_column(0)
     v = ScalarField(dom, values, density=False)
     maxima = {"laplacian": _bound_margin(v, BoundParams(n), False)[0]}
     if dom.flat_node_count > 0:

@@ -19,7 +19,7 @@ import numpy as np
 from . import calculus
 from .constants import BoundParams, ConstantLedger, quantization_dichotomy
 from .errors import MVLabError, QuantizationViolated
-from .grid import HALF_BALL, ScalarField
+from .grid import HALF_BALL, ScalarField, _squared_gaps
 from .report import record
 
 
@@ -134,13 +134,14 @@ class ConcentrationReport:
 
 
 def _allowed_mask(domain, exclusions) -> np.ndarray:
-    """Flat in-mask nodes outside every exclusion ball, cleared window by window."""
-    allowed = domain.in_mask.copy()
+    """In-mask boolean vector: the nodes outside every exclusion ball, cleared
+    at the in-mask nodes of each ball's window."""
+    allowed = np.ones(len(domain._mask_nodes), dtype=bool)
     for center, radius in exclusions:
-        win = domain.window(center, radius)
-        dist = domain.squared_distances(center, win)
-        allowed[win] &= np.sqrt(dist, out=dist) > radius
-    return allowed.ravel()
+        for positions, points in domain._window_nodes(domain.window(center, radius)):
+            dist = _squared_gaps(points.T, center)
+            allowed[positions] &= np.sqrt(dist, out=dist) > radius
+    return allowed
 
 
 def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
@@ -183,9 +184,9 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             break
         argmaxes = {}
         for i in active:  # the first largest allowed value, in C order
-            vals = seq.fields[i].values.ravel()[nodes]
+            vals = seq.fields[i].values[nodes]
             k = int(np.argmax(vals))
-            argmaxes[i] = (dom.coordinates(np.unravel_index(nodes[k], dom.shape)),
+            argmaxes[i] = (dom.coordinates(np.unravel_index(dom._mask_nodes[nodes[k]], dom.shape)),
                            float(vals[k]))
         witnesses = [i for i in active if argmaxes[i][1] > divergence_threshold]
         if len(witnesses) < need:
@@ -260,9 +261,11 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             continue
 
         # onset: first witness index past which the fixed-scale ball at the
-        # extracted point always carries more than hbar
-        conc = {i: concentration_energy(seq.fields[i], location, delta_excl)
-                for i in cluster}
+        # extracted point always carries more than hbar; the ball's
+        # quadrature is built once and dotted with each field, as
+        # ``concentration_energy`` would
+        positions, weights = calculus._ball_weights(dom, location, delta_excl)
+        conc = {i: float(np.dot(seq.fields[i].values[positions], weights)) for i in cluster}
         onset = None
         for pos, i in enumerate(cluster):
             if all(conc[j] > hbar for j in cluster[pos:]):
@@ -281,7 +284,7 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     allowed = _allowed_mask(dom, excluded)
     residual = {}
     for i in active:
-        vals = seq.fields[i].values.ravel()[allowed]
+        vals = seq.fields[i].values[allowed]
         residual[i] = float(np.max(vals)) if vals.size else None
     return ConcentrationReport(
         tuple(points), tuple(bounded), tuple(merges), tuple(active), residual,

@@ -216,17 +216,14 @@ def _sample(spec: GeneratorSpec, domain: Domain, memo: dict):
     low = float(np.min(vals))
     if low < -1e-12 * max(1.0, float(np.max(np.abs(vals)))):
         raise SpecOutOfDomain(f"generator {spec.kind} goes negative (min {low:.3g})")
-    return np.maximum(vals, 0.0), facts
+    return np.maximum(vals, 0.0, out=vals), facts
 
 
 def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
-    """Sample the generator at the in-mask nodes, with analytic facts
-    attached; the field is NaN off the mask."""
+    """Sample the generator at the in-mask nodes, with analytic facts attached."""
     vals, facts = _sample(spec, domain, {})
-    values = np.full(domain.shape, np.nan)
-    values[domain.in_mask] = vals
     facts["spec"] = spec
-    return ScalarField(domain, values, density=True, facts=facts)
+    return ScalarField(domain, vals, density=True, facts=facts)
 
 
 def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
@@ -258,9 +255,7 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
     fields = []
     fitted = []
     for lam in schedule:
-        values = np.full(domain.shape, np.nan)
-        values[domain.in_mask] = sum((_sample(replace(s, scale=lam), domain, memo)[0]
-                                      for s in specs), base)
+        values = sum((_sample(replace(s, scale=lam), domain, memo)[0] for s in specs), base)
         field = ScalarField(domain, values, density=True)
         fields.append(field)
         if fit_bounds:

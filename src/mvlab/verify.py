@@ -79,11 +79,12 @@ def _operator_pairs(e: ScalarField, flat: bool) -> tuple[np.ndarray, np.ndarray,
     nodes. Interior: the Laplacian at the in-mask nodes (C order, raveled
     indices; NaN where the stencil exits the mask). Flat (``flat=True``): the
     outer normal derivative at the flat-boundary nodes (multi-indices)."""
+    dom = e.domain
     if flat:
         bv = calculus.normal_derivative(e)
-        return bv.values, e.values[tuple(bv.indices.T)], bv.indices
-    nodes = e.domain._mask_nodes
-    return calculus.laplacian(e).values.ravel()[nodes], e.values.ravel()[nodes], nodes
+        at = np.searchsorted(dom._mask_nodes, np.ravel_multi_index(tuple(bv.indices.T), dom.shape))
+        return bv.values, e.values[at], bv.indices
+    return calculus.laplacian(e).values, e.values, dom._mask_nodes
 
 
 def _fit(e: ScalarField, c0: float, c1: float, flat: bool) -> float:
@@ -116,10 +117,10 @@ def _bound_margin(e: ScalarField, params: BoundParams, flat: bool,
     (-inf, None) when no node qualifies.
 
     Interior: Delta e - (A0 + A1 e + a e^((n+2)/n)) over the stencil-valid
-    in-mask nodes (where the box-shaped ``select`` is set, if given). Flat
-    (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over the usable
-    flat-boundary nodes. A zero power coefficient drops its term, so zero
-    params give the operator itself, on signed fields too."""
+    in-mask nodes (where the in-mask boolean vector ``select`` is set, if
+    given). Flat (``flat=True``): de/dnu - (B0 + B1 e + b e^((n+1)/n)) over
+    the usable flat-boundary nodes. A zero power coefficient drops its term,
+    so zero params give the operator itself, on signed fields too."""
     n = e.domain.dimension
     op, ev, nodes = _operator_pairs(e, flat)
     c0, c1, c, power = ((params.B0, params.B1, params.b, (n + 1) / n) if flat
@@ -127,7 +128,7 @@ def _bound_margin(e: ScalarField, params: BoundParams, flat: bool,
     resid = op - (c0 + c1 * ev + (c * ev ** power if c else 0.0))
     finite = np.isfinite(resid)
     if select is not None:
-        finite &= select.ravel()[nodes]
+        finite &= select
     if not np.any(finite):
         return -math.inf, None
     k = int(np.argmax(np.where(finite, resid, -np.inf)))

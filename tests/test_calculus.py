@@ -40,6 +40,20 @@ def quadratic(p):
     return np.sum(p**2, axis=-1)
 
 
+def _weights_box(dom):
+    """``Domain.weights`` scattered into the box, 0 off the mask."""
+    out = np.zeros(dom.shape)
+    out[dom.in_mask] = dom.weights
+    return out
+
+
+def _window_points(dom, win):
+    """Coordinates of the in-mask nodes of a window, C order, from a meshgrid of its axes."""
+    mesh = np.meshgrid(*(ax[part] for ax, part in zip(dom.axes, win)), indexing="ij")
+    inside = dom.in_mask[win]
+    return np.stack([m[inside] for m in mesh], axis=-1)
+
+
 def test_laplacian_quadratic_exact():
     dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
     e = dom.field_from_function(quadratic)
@@ -62,7 +76,7 @@ def _lap_error(n, h):
     dom = make_ball_domain([0.0] * n, 1.0, h, n)
     e = dom.field_from_function(
         lambda p: sum(np.cos(p[:, k]) * np.cosh(p[:, k + 1]) for k in range(n - 1)))
-    lap = laplacian(e).values
+    lap = laplacian(e).box()
     dist = dom.center_distances()
     sel = np.isfinite(lap) & (dist <= 0.8)
     return float(np.max(np.abs(lap[sel])))
@@ -89,7 +103,7 @@ def _conformal_lap_error(n, h, c=0.01):
     f = 1.0 + c * pts[:, 1]
     du1 = np.cos(pts[:, 0]) * np.sinh(pts[:, 1]) + 0.6 * pts[:, 1]
     exact = (-0.6 / f - (n - 2) * c * du1 / (2.0 * f**2)).reshape(dom.shape)
-    lap = laplacian(e).values
+    lap = laplacian(e).box()
     sel = np.isfinite(lap) & (dom.center_distances() <= 0.8)
     return float(np.max(np.abs(lap[sel] - exact[sel])))
 
@@ -112,7 +126,7 @@ def test_metric_ball_needs_no_batched_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     dom = make_ball_domain([0.0] * 3, 1.0, 1 / 8, 3, conformal_metric(3, 0.01, axis=1))
     e = dom.field_from_function(lambda p: 1.0 + quadratic(p))
-    assert np.isfinite(laplacian(e).values[dom.center_distances() <= 0.8]).all()
+    assert np.isfinite(laplacian(e).box()[dom.center_distances() <= 0.8]).all()
     assert integrate(e) > 0.0
 
 
@@ -303,7 +317,7 @@ def _interpolate_reference(e, points):
     shape = np.asarray(dom.shape)
     valid = np.all((base >= 0) & (base + 1 <= shape - 1), axis=-1)
     base_safe = np.clip(base, 0, shape - 2)
-    flat_vals = e.values.ravel()
+    flat_vals = e.box().ravel()
     out = np.zeros(points.shape[0])
     for corner in itertools.product((0, 1), repeat=n):
         w = np.ones(points.shape[0])
@@ -397,12 +411,12 @@ def _subregion_integrate_gathered(e, sub_center, sub_radius):
     sub_center = np.asarray(sub_center, dtype=float)
     win = dom.window(sub_center, sub_radius + 0.5 * math.sqrt(dom.dimension) * h)
     sel = dom.in_mask[win].ravel()
-    pts = dom.masked_points(dom.in_mask[win], win)
+    pts = _window_points(dom, win)
     flat = (pts[:, 0] < 0.5 * h) & (dom.kind == "half_ball")
     share = _ball_shares(pts, sub_center, sub_radius, h, flat)
     keep = share > 0.0
-    weights = dom.weights[win].ravel()[sel][keep] * share[keep]
-    return float(np.dot(e.values[win].ravel()[sel][keep], weights))
+    weights = _weights_box(dom)[win].ravel()[sel][keep] * share[keep]
+    return float(np.dot(e.box()[win].ravel()[sel][keep], weights))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -569,9 +583,10 @@ def _shift_reference(values, offsets):
 
 
 def _laplacian_reference(e):
-    """The Laplacian built from full-array shifted copies, one per neighbour."""
+    """The Laplacian built box-wide from full-array shifted copies of the
+    field's box, one per neighbour."""
     dom = e.domain
-    n, h, v = dom.dimension, dom.spacing, e.values
+    n, h, v = dom.dimension, dom.spacing, e.box()
 
     def axis(ax, step, other=None, other_step=0):
         off = [0] * n
@@ -619,8 +634,8 @@ def _laplacian_reference(e):
     (2, "conformal"), (3, "conformal"), (4, "conformal"), (2, "sine"), (3, "sine"),
     (2, "half_ball"), (3, "half_ball"), (4, "half_ball"), (2, "lifted"), (3, "lifted"),
 ])
-def test_laplacian_bitwise_equals_shifted_copy_reference(n, kind):
-    from mvlab import ScalarField
+def test_laplacian_bitwise_equals_shifted_copy_reference(n, kind, monkeypatch):
+    from mvlab import calculus
 
     fn = lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + quadratic(p)  # noqa: E731
     if kind in ("half_ball", "lifted"):
@@ -632,16 +647,17 @@ def test_laplacian_bitwise_equals_shifted_copy_reference(n, kind):
         spec = {None: None, "conformal": conformal_metric(n, 0.01, axis=1),
                 "sine": sine_metric(n, 0.02, entry=(0, 1), axis=1)}[kind]
         dom = make_ball_domain([0.0] * n, 0.5, 1 / 16, n, spec)
-    fields = [dom.field_from_function(fn)]
-    if dom.metric is None:
-        # finite values off the mask reach the stencils of the nodes next to it
-        fields.append(ScalarField(dom, fn(dom.points()).reshape(dom.shape), density=False))
-    for e in fields:
-        got, want = laplacian(e).values, _laplacian_reference(e)
-        # with values off the mask, only the flat row's step below the box is NaN
-        nan_nodes = np.count_nonzero(np.isnan(want[dom.in_mask]))
-        assert nan_nodes > 0 if e is fields[0] else nan_nodes == dom.flat_node_count
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    e = dom.field_from_function(fn)
+    # values given off the mask are not stored, so no stencil reads them
+    assert _bitwise_equal(dom.make_field(fn(dom.points()).reshape(dom.shape)).values, e.values)
+    want = _laplacian_reference(e)
+    assert np.count_nonzero(np.isnan(want[dom.in_mask])) > 0
+    # the default slabs, then one and two axis-0 rows a slab: every row
+    # boundary is a slab boundary once
+    for rows in (None, 1, 2):
+        if rows is not None:
+            monkeypatch.setattr(calculus, "_SLAB", rows * math.prod(dom.shape[1:]))
+        assert _bitwise_equal(laplacian(e).box(), want), rows
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -856,7 +872,7 @@ def _integrate_reference(e, subregion=None):
                                       np.array([(sub_radius - d_sub) / h]),
                                       flat[node:node + 1])[0] / cell
             weights[node] *= share
-    return float(np.sum(e.values.ravel()[in_mask] * weights[in_mask])) * h**n
+    return float(np.sum(e.box().ravel()[in_mask] * weights[in_mask])) * h**n
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -889,8 +905,15 @@ def test_weak_test_values_equal_integrals_of_e_times_test_laplacian(n):
     tests = default_test_set(dom)
     report = weak_subharmonic_test(e, tests)
     assert [name for name, _ in report.values] == [fn.name for fn in tests.functions]
+    weights = _weights_box(dom)
     for fn, (_, value) in zip(tests.functions, report.values):
-        product = e.values * fn.laplacian(dom.points()).reshape(dom.shape)
+        # bitwise one dot product over the in-mask nodes of the support's window
+        win = dom.window(*fn.support)
+        inside = dom.in_mask[win]
+        window_dot = np.dot(fn.laplacian(_window_points(dom, win)),
+                            e.box()[win][inside] * weights[win][inside])
+        assert value == window_dot
+        product = e.box() * fn.laplacian(dom.points()).reshape(dom.shape)
         scale = integrate(dom.make_field(np.abs(product), density=False))
         assert scale > 0
         expected = integrate(dom.make_field(product, density=False))
@@ -925,7 +948,7 @@ def _metric_laplacian_reference(e):
     from mvlab.grid import _pad, _shifted
 
     dom = e.domain
-    h, v = dom.spacing, e.values
+    h, v = dom.spacing, e.box()
     padded = _pad(v, np.nan)
     div = np.zeros_like(v)
     for ax, (sqrt_det, rows) in enumerate(dom.face_metric):
@@ -954,8 +977,8 @@ def _metric_laplacian_reference(e):
 # spacings that are not powers of two, so that dividing by h rounds
 @pytest.mark.parametrize("n,h", ((2, 1 / 30), (3, 1 / 15), (4, 2 / 17)))
 @pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
-def test_metric_laplacian_at_in_mask_nodes_is_bitwise_the_box_wide_one(kind, n, h):
-    from mvlab import ScalarField, polynomial_metric
+def test_metric_laplacian_at_in_mask_nodes_is_bitwise_the_box_wide_one(kind, n, h, monkeypatch):
+    from mvlab import calculus, polynomial_metric
 
     metric = {"conformal": lambda: conformal_metric(n, 0.01, axis=1),
               "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
@@ -963,16 +986,19 @@ def test_metric_laplacian_at_in_mask_nodes_is_bitwise_the_box_wide_one(kind, n, 
                   n, [(0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
                       (0, 1, 0.005, (1, 1) + (0,) * (n - 2))], 0.03)}[kind]()
     fn = lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, -1]) + quadratic(p)  # noqa: E731
+    slab = calculus._SLAB
     for center in ([0.0] * n, [0.25, -0.125] + [0.0625] * (n - 2)):
         dom = make_ball_domain(center, 1.0, h, n, metric)
-        fields = [dom.field_from_function(fn, density=False),
-                  # finite values off the mask: only the face metric there is NaN
-                  ScalarField(dom, fn(dom.points()).reshape(dom.shape), density=False)]
-        for e in fields:
-            got, want = laplacian(e).values, _metric_laplacian_reference(e)
-            # NaN where a stencil or a face below leaves the mask, compared too
-            assert np.isnan(want[dom.in_mask]).any() and np.isfinite(want).any()
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        e = dom.field_from_function(fn, density=False)
+        want = _metric_laplacian_reference(e)
+        # NaN where a stencil or a face below leaves the mask, compared too
+        assert np.isnan(want[dom.in_mask]).any() and np.isfinite(want).any()
+        # the default slabs, then one and two axis-0 rows a slab: the fluxes
+        # of a slab's halo row cross every row boundary once
+        for rows in (None, 1, 2):
+            monkeypatch.setattr(calculus, "_SLAB", slab if rows is None
+                                else rows * math.prod(dom.shape[1:]))
+            assert _bitwise_equal(laplacian(e).box(), want), rows
 
 
 def test_metric_laplacian_evaluates_the_metric_once_per_domain():
@@ -1018,12 +1044,14 @@ def _subregion_integrate_full_box(e, sub_center, sub_radius):
                                          flat) / np.where(flat, 0.5, 1.0)
     share[centre] = min(1.0, vol_sphere(n - 1) / n * (sub_radius / h) ** n)
     nodes, share = nodes[share > 0.0], share[share > 0.0]
-    return float(np.dot(e.values.ravel()[nodes], dom.weights.ravel()[nodes] * share))
+    return float(np.dot(e.box().ravel()[nodes], _weights_box(dom).ravel()[nodes] * share))
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("ball", "half_ball", "lifted")
                                     for n in (2, 3, 4)] + [("conformal", n) for n in (2, 3, 4)])
-def test_subregion_integral_equals_full_box_reference(kind, n):
+def test_subregion_integral_equals_full_box_reference(kind, n, monkeypatch):
+    from mvlab import grid
+
     h = 1 / 16 if n == 2 else 1 / 8
     center = np.zeros(n)
     if kind == "ball":
@@ -1047,9 +1075,12 @@ def test_subregion_integral_equals_full_box_reference(kind, n):
         (dom.center + 0.3 * h, 0.2),        # centre off the grid
         (dom.center, 3.0),                  # larger than the domain
     ]
-    for sub_center, sub_radius in subregions:
-        assert integrate(e, (sub_center, sub_radius)) == _subregion_integrate_full_box(
-            e, sub_center, sub_radius)
+    # the window's rows in one block, then in blocks of a few rows
+    for chunk in (grid._CHUNK, 64):
+        monkeypatch.setattr(grid, "_CHUNK", chunk)
+        for sub_center, sub_radius in subregions:
+            assert integrate(e, (sub_center, sub_radius)) == _subregion_integrate_full_box(
+                e, sub_center, sub_radius), chunk
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

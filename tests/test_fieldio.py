@@ -33,7 +33,7 @@ def test_field_roundtrip_half_ball(tmp_path):
     assert back.domain.kind == dom.kind
     assert back.domain.shape == dom.shape
     inside = dom.in_mask
-    assert np.array_equal(back.values[inside], e.values[inside])
+    assert np.array_equal(back.box()[inside], e.box()[inside])
     assert back.density
 
     # shared-domain read skips the rebuild but still validates the header
@@ -50,7 +50,7 @@ def test_field_roundtrip_metric_ball(tmp_path):
     back = read_field(path)
     assert back.domain.metric is not None
     assert back.domain.metric.config["preset"] == "conformal"
-    assert np.array_equal(back.values[dom.in_mask], e.values[dom.in_mask])
+    assert np.array_equal(back.box()[dom.in_mask], e.box()[dom.in_mask])
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
@@ -68,14 +68,39 @@ def test_field_roundtrip_is_bitwise(tmp_path, kind, n):
         dom = make_ball_domain(origin, 0.5, 1 / 16, n, conformal_metric(n, 0.02, axis=1))
     vals = np.random.default_rng(n).random(dom.node_count)
     vals[:len(EDGE_VALUES)] = EDGE_VALUES
-    values = np.full(dom.shape, np.nan)
-    values[dom.in_mask] = vals
     path = tmp_path / "field.txt"
-    write_field(ScalarField(dom, values), path)
+    write_field(ScalarField(dom, vals.copy()), path)
     back = read_field(path)
     assert back.density
-    assert np.array_equal(back.values[dom.in_mask].view(np.uint64), vals.view(np.uint64))
-    assert np.all(np.isnan(back.values[~dom.in_mask]))
+    assert np.array_equal(back.box()[dom.in_mask].view(np.uint64), vals.view(np.uint64))
+    assert np.all(np.isnan(back.box()[~dom.in_mask]))
+
+
+# sha256 of the files these fields wrote when fields were stored box-shaped,
+# NaN off the mask: the stored bytes do not depend on how a field is held
+PINNED_FIELD_FILES = {
+    "density": "606a82a8670d6a9d19671f2d5cb2a4c8579a49d1909ec6d977844f042badf603",
+    "laplacian": "3049398cf01764b80044f02a4d62822cec2c5c78279a83781a4a8288399ff30d",
+    "metric-laplacian": "02eea41981eb520e3e7a3ad03f45f45848ca91f204d65eb83f4d1dd4eee8b089",
+}
+
+
+def test_field_file_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    from mvlab.calculus import laplacian
+
+    dom = make_half_ball_domain([0.0, 0.0, 0.0], 0.5, 1 / 16, 3)
+    e = dom.field_from_function(
+        lambda p: 2.0 + np.cos(3.0 * p[:, 0]) * np.exp(p[:, 1]) + np.sum(p**2, axis=-1))
+    metric_dom = make_ball_domain([0.0, 0.0], 0.5, 1 / 16, 2, conformal_metric(2, 0.01, axis=1))
+    metric_e = metric_dom.field_from_function(lambda p: 1.0 + np.sum(p**2, axis=-1))
+    # the Laplacians are NaN on the flat row and next to the mask's edge
+    fields = {"density": e, "laplacian": laplacian(e), "metric-laplacian": laplacian(metric_e)}
+    for name, field in fields.items():
+        path = tmp_path / f"{name}.txt"
+        write_field(field, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FIELD_FILES[name], name
 
 
 def test_read_rejects_mismatched_domain(tmp_path):

@@ -188,6 +188,20 @@ def test_density_field_validation():
     assert f.at([0.25, 0.0]) == 0.25
 
 
+def test_field_at_is_nan_off_the_mask():
+    dom = make_ball_domain([0, 0], 0.5, 1 / 16, 2)
+    f = dom.field_from_function(lambda p: 1.0 + p[:, 0], density=False)
+    box = f.box()
+    first, last = dom.origin, dom.node_point(np.asarray(dom.shape) - 1)
+    for point in (first, last, [0.5, 0.0], [0.4375, 0.25]):  # box corners, off the sphere
+        index = dom.node_index(point)
+        assert not dom.in_mask[index]
+        assert math.isnan(f.at(point)) and math.isnan(box[index])
+    for point in ([0.0, 0.0], [0.4375, 0.0], [-0.25, 0.3125]):
+        assert dom.in_mask[dom.node_index(point)]
+        assert f.at(point) == box[dom.node_index(point)] == 1.0 + point[0]
+
+
 def test_understated_metric_deviation_rejected():
     # declared deviation must cover the measured W^{1,inf} distance
     lying = polynomial_metric(2, [(0, 0, 0.04, (0, 0)), (1, 1, 0.04, (0, 0))],
@@ -246,15 +260,16 @@ def test_domain_arrays_are_read_only(metric):
 
 def test_field_values_are_read_only():
     dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 16, 2)
-    values = np.where(dom.in_mask, 1.0, np.nan)
+    values = np.ones(dom.node_count)
     fields = [dom.make_field(values), dom.field_from_function(lambda p: 1.0 + p[:, 0] ** 2),
-              dom.make_field(-values, density=False)]
+              dom.make_field(-values, density=False),
+              dom.make_field(np.where(dom.in_mask, 1.0, np.nan))]
     for f in fields:
         with pytest.raises(ValueError):
-            f.values[dom.node_index([0.0, 0.0])] = -1.0
-    # the array handed in is the field's own, so it is frozen too
+            f.values[0] = -1.0
+    # the in-mask vector handed in is the field's own, so it is frozen too
     with pytest.raises(ValueError):
-        values[dom.node_index([0.0, 0.0])] = -1.0
+        values[0] = -1.0
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -609,7 +624,9 @@ def test_cut_cells_hand_every_out_of_mask_cell_to_an_in_mask_neighbour(kind, n):
         base[dom.flat_plane_index] *= 0.5
     base = base.ravel()
     base[cut.nodes] = 0.0
-    moved = dom.weights.ravel() / h**n - base * sqrt_det
+    weights = np.zeros(dom.shape)
+    weights[dom.in_mask] = dom.weights
+    moved = weights.ravel() / h**n - base * sqrt_det
     own = np.zeros_like(moved)
     own[cut.nodes] = np.where(outside | ~in_mask[cut.nodes], 0.0, cut.fractions)
     own *= sqrt_det
@@ -629,11 +646,11 @@ def test_make_field_stores_nan_off_the_mask():
     for dom in (euclid, metric):
         values = 1.0 + np.sum(dom.points() ** 2, axis=-1).reshape(dom.shape)
         e = dom.make_field(values)
-        assert np.all(np.isnan(e.values[~dom.in_mask]))
-        assert np.array_equal(e.values[dom.in_mask], values[dom.in_mask])
-        lap = laplacian(e).values
+        assert np.all(np.isnan(e.box()[~dom.in_mask]))
+        assert np.array_equal(e.box()[dom.in_mask], values[dom.in_mask])
+        lap = laplacian(e).box()
         reference = laplacian(dom.field_from_function(
-            lambda p: 1.0 + np.sum(p**2, axis=-1))).values
+            lambda p: 1.0 + np.sum(p**2, axis=-1))).box()
         assert np.array_equal(lap, reference, equal_nan=True)
         laps.append(lap)
     finite_euclid, finite_metric = (np.isfinite(lap) for lap in laps)
@@ -804,7 +821,7 @@ def _metric_arrays(dom):
     from mvlab.grid import segment_distance
 
     off = dom.center + np.array([0.3] + [-0.2] * (dom.dimension - 1))
-    arrays = {"center_distances": dom.center_distances(), "box_distances": dom.box_distances(off),
+    arrays = {"center_distances": dom.center_distances(),
               "segment_distance": segment_distance(dom.metric, off, dom.in_mask_points()),
               "sqrt_det_metric": dom.sqrt_det_metric(), "weights": dom.weights,
               "measured_deviation": np.array(dom.measured_deviation)}
@@ -831,7 +848,7 @@ def test_metric_passes_are_bitwise_the_same_in_any_blocks_on_any_threads(kind, n
     # least two threads, against one worker with the whole box in one block
     threaded = arrays(max(2, grid._WORKERS), grid._BLOCK_BYTES)
     reference = arrays(1, 1 << 62)
-    assert np.isnan(reference["laplacian"]).any()  # NaN off the mask, compared too
+    assert np.isnan(reference["laplacian"]).any()  # NaN next to the mask's edge, compared too
     for name, ref in reference.items():
         array = threaded[name]
         assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), name
@@ -1007,9 +1024,9 @@ def _meshgrid_points(dom):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("kind", ("ball", "half_ball", "lifted_half_ball", "conformal"))
-def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n):
-    from mvlab.calculus import _window_points
-    from mvlab.grid import segment_distance
+def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n, monkeypatch):
+    from mvlab import grid as grid_module
+    from mvlab.grid import _squared_gaps, segment_distance
 
     h = 1 / 8
     dom = {"ball": lambda: make_ball_domain([0.0] * n, 1.0, h, n),
@@ -1037,32 +1054,39 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n):
         assert not near.all()
         assert np.all(dom.center_distances()[~near] > dom.radius + dom.cut_margin)
     assert np.array_equal(dom.center_distances()[near], exact[near])
-    off = dom.center + np.array([0.3] + [-0.2] * (n - 1))
-    assert np.array_equal(dom.box_distances(off),
-                          segment_distance(dom.metric, off, ref).reshape(dom.shape))
     rng = np.random.default_rng(n)
     for center, radius in [(dom.center, 0.5), (dom.origin, 0.3), (dom.center, 10.0)] + [
             (dom.center + rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 0.6)) for _ in range(5)]:
         win = dom.window(center, radius)
-        inside = dom.in_mask[win].ravel()
-        window_ref = grid[win].reshape(-1, n)
-        assert np.array_equal(_window_points(dom, win), window_ref[inside])
-        assert np.array_equal(np.sqrt(dom.squared_distances(center, win)),
-                              np.linalg.norm(grid[win] - center, axis=-1))
+        inside = dom.in_mask[win]
+        # one block of rows, or blocks of a few rows
+        monkeypatch.setattr(grid_module, "_CHUNK", 64 if radius < 0.5 else 1 << 17)
+        blocks = list(dom._window_nodes(win))
+        positions = np.concatenate([positions for positions, _ in blocks])
+        points = np.concatenate([points for _, points in blocks])
+        # the window's in-mask nodes, C order, and their places in the in-mask vector
+        assert np.array_equal(points, grid[win][inside])
+        index = tuple(k + part.start for k, part in zip(np.nonzero(inside), win))
+        assert np.array_equal(dom._mask_nodes[positions], np.ravel_multi_index(index, dom.shape))
+        assert np.array_equal(np.sqrt(_squared_gaps(points.T, center)),
+                              np.linalg.norm(grid[win][inside] - center, axis=-1))
+        assert np.array_equal(np.sqrt(dom.squared_distances(center)),
+                              np.linalg.norm(grid - center, axis=-1))
 
 
-def test_euclidean_n4_pipeline_allocates_no_coordinate_box():
+def test_euclidean_n4_pipeline_holds_no_box_sized_float64():
     import math
     import tracemalloc
 
     from mvlab import GeneratorSpec, gen
-    from mvlab.calculus import laplacian
+    from mvlab.calculus import integrate, laplacian
 
-    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. Each step may keep box-sized
-    # scalar arrays (centre distances, weights, the field, the Laplacian),
-    # but none may allocate, over what was traced when it began, as much as
-    # one (nodes x n) float64 coordinate array.
-    limit = 35**4 * 4 * 8
+    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. The domain keeps box-sized
+    # geometry (the mask and the centre distances), but no later step may
+    # allocate, over what was traced when it began, as much as one box-sized
+    # float64 array: the weights, the field and the Laplacian are in-mask
+    # vectors, and the stencils scatter the field a slab at a time.
+    limit = 35**4 * 8
     over = {}
 
     def step(name, work):
@@ -1074,11 +1098,13 @@ def test_euclidean_n4_pipeline_allocates_no_coordinate_box():
 
     tracemalloc.start()
     try:
-        dom = step("domain", lambda: make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4))
+        dom = make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4)
+        dom._mask_nodes  # the mask, from the centre distances
         step("weights", lambda: dom.weights)
         field = step("gen", lambda: gen(GeneratorSpec("quadratic"), dom))
         step("laplacian", lambda: laplacian(field))
+        step("integrate", lambda: integrate(field))
     finally:
         tracemalloc.stop()
-    assert math.prod(dom.shape) * dom.dimension * 8 == limit
+    assert math.prod(dom.shape) * 8 == limit
     assert all(peak < limit for peak in over.values()), over

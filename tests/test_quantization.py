@@ -54,6 +54,20 @@ def test_two_bubble_detection_record_is_pinned():
     assert digest == "4cd5384eda1de2afb157e1c928ebfc97e28b9efc27281071c4636539fa2dc019"
 
 
+def test_onset_energies_are_the_concentration_energies():
+    # the onset loop builds its ball's quadrature once for every cluster
+    # field; each energy is bitwise the one concentration_energy gives
+    dom = make_ball_domain([0, 0], 0.5, 1 / 256, 2)
+    seq = gen_sequence([GeneratorSpec("bubble", center=(0.125, -0.0625))],
+                       [1 / 8, 1 / 16, 1 / 32, 1 / 64], dom)
+    ledger = make_ledger(2, seq.params.a, seq.params.b, 3.0)
+    point, = detect_concentration(seq, ledger, divergence_threshold=100.0).points
+    energies = [concentration_energy(seq.fields[i], point.location, point.exclusion_radius)
+                for i in point.witness_indices if i >= point.onset_index]
+    assert point.certified_energy == min(energies)
+    assert all(energy > ledger.hbar for energy in energies)
+
+
 def test_constant_sequence_no_blowup():
     dom = make_ball_domain([0, 0], 0.5, 1 / 32, 2)
     fields = [gen(GeneratorSpec("constant", amplitude=2.0), dom) for _ in range(4)]
@@ -237,7 +251,8 @@ def test_exclusion_overlap_merges_candidates():
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_allowed_mask_equals_full_box_computation(n):
+def test_allowed_mask_equals_full_box_computation(n, monkeypatch):
+    from mvlab import grid
     from mvlab.quantization import _allowed_mask
 
     h = 1 / 16 if n == 2 else 1 / 8
@@ -257,4 +272,9 @@ def test_allowed_mask_equals_full_box_computation(n):
             reference = dom.in_mask.ravel().copy()
             for center, radius in chosen:
                 reference &= np.linalg.norm(dom.points() - center, axis=-1) > radius
-            assert np.array_equal(_allowed_mask(dom, chosen), reference)
+            # an in-mask vector, worked one block of window rows at a time
+            # and then a few rows at a time
+            for chunk in (grid._CHUNK, 64):
+                monkeypatch.setattr(grid, "_CHUNK", chunk)
+                assert np.array_equal(_allowed_mask(dom, chosen),
+                                      reference[dom.in_mask.ravel()])

@@ -40,14 +40,12 @@ def test_fit_nonlinearity_examples():
 
 
 def test_sup_and_fit_read_the_in_mask_nodes_only():
-    # finite values off the mask, which ScalarField allows, move neither the
+    # finite values off the mask are not stored, so they move neither the
     # sup nor the density floor of the fit
-    from mvlab.grid import ScalarField
-
     dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
     e = gen(GeneratorSpec("bubble", center=(0.25, 0.0), scale=0.125), dom)
-    loud = ScalarField(dom, np.where(dom.in_mask, e.values, 1e12))
-    assert loud.sup() == e.sup() == float(np.max(e.values[dom.in_mask]))
+    loud = dom.make_field(np.where(dom.in_mask, e.box(), 1e12))
+    assert loud.sup() == e.sup() == float(np.max(e.box()[dom.in_mask]))
     assert fit_nonlinearity(loud, 0.0, 0.0) == fit_nonlinearity(e, 0.0, 0.0)
 
 
