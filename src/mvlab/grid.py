@@ -830,12 +830,8 @@ class Domain:
 
     def make_field(self, values: np.ndarray, density: bool = True,
                    facts: dict | None = None) -> "ScalarField":
-        """A field of ``values``: an in-mask vector (C order; kept, not
-        copied) or a box-shaped array, of which the in-mask nodes are read."""
-        values = np.asarray(values, dtype=float)
-        if values.shape == self.shape:
-            values = values[self.in_mask]
-        return ScalarField(self, values, density, facts)
+        """A field of ``values``, an in-mask vector (C order; kept, not copied)."""
+        return ScalarField(self, np.asarray(values, dtype=float), density, facts)
 
     def field_from_function(self, fn: Callable[[np.ndarray], np.ndarray],
                             density: bool = True, facts: dict | None = None) -> "ScalarField":

@@ -74,11 +74,17 @@ class _PrefixSup:
 
     def __init__(self, e: ScalarField, center: np.ndarray, reach: float | None = None):
         dom = e.domain
-        positions = slice(None) if reach is None else np.concatenate(
-            [block for block, _ in dom._window_nodes(dom.window(center, reach))])
+        if reach is None:
+            positions, points = slice(None), None
+        else:
+            blocks = list(dom._window_nodes(dom.window(center, reach)))
+            positions = np.concatenate([block for block, _ in blocks])
+            points = np.concatenate([block for _, block in blocks])
         vals, nodes = e.values[positions], dom._mask_nodes[positions]
-        dist = (dom.center_distances().ravel()[nodes] if np.array_equal(center, dom.center)
-                else dom.distance(dom.coordinates(np.unravel_index(nodes, dom.shape)), center))
+        if np.array_equal(center, dom.center):
+            dist = dom.center_distances().ravel()[nodes]
+        else:
+            dist = dom.distance(dom.in_mask_points() if points is None else points, center)
         order = np.argsort(dist, kind="stable")
         self.dist_sorted = dist[order]
         self.vals_sorted = vals[order]
@@ -169,8 +175,14 @@ def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
     squared = _squared_gaps(map(dom._in_mask_column, range(n)), x_bar)  # at the in-mask nodes
     v = ScalarField(dom, e.values + k * squared, density=False)
-    ball = (None if check_radius is None
-            else dom.distance(dom.in_mask_points(), x_bar) <= check_radius)
+    if check_radius is None:
+        ball = None
+    elif dom._euclidean:  # the Euclidean distance is sqrt(squared), bitwise
+        ball = np.sqrt(squared) <= check_radius
+    else:  # segment distances, a block of in-mask nodes at a time
+        whole = tuple(slice(0, size) for size in dom.shape)
+        ball = np.concatenate([dom.distance(points, x_bar) <= check_radius
+                               for _, points in dom._window_nodes(whole)])
     max_lap, _ = _bound_margin(v, BoundParams(n), False, ball)
     passed = calculus.judge([("laplacian", -max_lap)], calculus.verdict_tolerance(dom)) is None
     return ComparisonResult(v, max_lap, None, passed)

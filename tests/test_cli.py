@@ -550,7 +550,7 @@ def test_detect_bubbles_quantization_violated_exit(tmp_path):
         vals = np.where(dom.in_mask, 0.01, np.nan)
         vals[dom.node_index([0.0, 0.0])] = height
         p = tmp_path / f"spike_{i}.txt"
-        write_field(dom.make_field(vals), p)
+        write_field(dom.make_field(vals[dom.in_mask]), p)
         paths.append(str(p))
     cfg = write_config(tmp_path, "viol.json", {
         "manifest": {"fields": paths, "params": {"a": 0.01},

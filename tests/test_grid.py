@@ -263,7 +263,7 @@ def test_field_values_are_read_only():
     values = np.ones(dom.node_count)
     fields = [dom.make_field(values), dom.field_from_function(lambda p: 1.0 + p[:, 0] ** 2),
               dom.make_field(-values, density=False),
-              dom.make_field(np.where(dom.in_mask, 1.0, np.nan))]
+              dom.make_field(np.where(dom.in_mask, 1.0, np.nan)[dom.in_mask])]
     for f in fields:
         with pytest.raises(ValueError):
             f.values[0] = -1.0
@@ -645,7 +645,10 @@ def test_make_field_stores_nan_off_the_mask():
     laps = []
     for dom in (euclid, metric):
         values = 1.0 + np.sum(dom.points() ** 2, axis=-1).reshape(dom.shape)
-        e = dom.make_field(values)
+        # a field holds the in-mask nodes only: a box is refused
+        with pytest.raises(MVLabError):
+            dom.make_field(values)
+        e = dom.make_field(values[dom.in_mask])
         assert np.all(np.isnan(e.box()[~dom.in_mask]))
         assert np.array_equal(e.box()[dom.in_mask], values[dom.in_mask])
         lap = laplacian(e).box()
@@ -1081,12 +1084,15 @@ def test_euclidean_n4_pipeline_holds_no_box_sized_float64():
     from mvlab import GeneratorSpec, gen
     from mvlab.calculus import integrate, laplacian
 
-    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. The domain keeps box-sized
-    # geometry (the mask and the centre distances), but no later step may
-    # allocate, over what was traced when it began, as much as one box-sized
-    # float64 array: the weights, the field and the Laplacian are in-mask
-    # vectors, and the stencils scatter the field a slab at a time.
-    limit = 35**4 * 8
+    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. Building the domain and its
+    # mask keeps box-sized geometry (the centre distances, the mask), but may
+    # not allocate, over what was traced when it began, as much as one
+    # (nodes x n) float64 coordinate array. No later step may allocate as
+    # much as one box-sized float64 array: the weights, the field and the
+    # Laplacian are in-mask vectors, and the stencils scatter the field a
+    # slab at a time.
+    coordinates = 35**4 * 4 * 8
+    box = 35**4 * 8
     over = {}
 
     def step(name, work):
@@ -1096,15 +1102,21 @@ def test_euclidean_n4_pipeline_holds_no_box_sized_float64():
         over[name] = tracemalloc.get_traced_memory()[1] - start
         return result
 
-    tracemalloc.start()
-    try:
+    def build():
         dom = make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4)
         dom._mask_nodes  # the mask, from the centre distances
+        return dom
+
+    tracemalloc.start()
+    try:
+        dom = step("domain", build)
         step("weights", lambda: dom.weights)
         field = step("gen", lambda: gen(GeneratorSpec("quadratic"), dom))
         step("laplacian", lambda: laplacian(field))
         step("integrate", lambda: integrate(field))
     finally:
         tracemalloc.stop()
-    assert math.prod(dom.shape) * 8 == limit
-    assert all(peak < limit for peak in over.values()), over
+    assert math.prod(dom.shape) * dom.dimension * 8 == coordinates
+    assert math.prod(dom.shape) * 8 == box
+    assert over["domain"] < coordinates, over
+    assert all(peak < box for name, peak in over.items() if name != "domain"), over

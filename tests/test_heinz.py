@@ -55,7 +55,7 @@ def test_spike_scan_matches_bruteforce():
     values = np.where(dom.in_mask, 1.0, np.nan)
     spike_at = dom.node_index([0.375, 0.0])
     values[spike_at] = 50.0
-    e = dom.make_field(values)
+    e = dom.make_field(values[dom.in_mask])
     rep = heinz_scan(e, [0, 0], 1.0)
 
     assert rep.rho_bar == _bruteforce_rho_bar(e, [0, 0], 1.0)
@@ -73,7 +73,7 @@ def test_two_spike_field_passes_both_checks():
     values = np.where(dom.in_mask, 1e-3, np.nan)
     values[dom.node_index([63 * h, 0.0])] = 1.0
     values[dom.node_index([159 * h, -9 * h])] = 4.01
-    rep = heinz_scan(dom.make_field(values), [0, 0], 1.0)
+    rep = heinz_scan(dom.make_field(values[dom.in_mask]), [0, 0], 1.0)
     assert rep.c_bar == 4.01
     assert rep.x_bar == (159 * h, -9 * h)
     assert rep.rho_bar == np.hypot(159 * h, -9 * h)
@@ -261,7 +261,7 @@ def test_neighbourhood_window_matches_the_full_scan(monkeypatch, n, metric):
     dom = make_ball_domain([0.0] * n, 1.0, 1 / 16, n, spec)
     rng = np.random.default_rng(n)
     # a rough field, so the sup changes with almost every node taken in
-    e = dom.make_field(rng.uniform(0.0, 1.0, dom.shape))
+    e = dom.make_field(rng.uniform(0.0, 1.0, dom.shape)[dom.in_mask])
     h = dom.spacing
     axis_steps = np.concatenate([k * h * np.eye(n) for k in range(-7, 8) if k])
     for x_bar in ([0.25] + [0.0] * (n - 1), [-0.5, -0.375] + [0.125] * (n - 2)):
@@ -287,6 +287,29 @@ def test_neighbourhood_window_matches_the_full_scan(monkeypatch, n, metric):
 
 def _domains(n, h=1 / 16):
     return make_ball_domain([0.0] * n, 1.0, h, n), make_half_ball_domain([0.0] * n, 1.0, h, n)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+@pytest.mark.parametrize("chunk", [1 << 17, 64])
+def test_interior_check_ball_is_the_distance_ball_at_the_in_mask_nodes(monkeypatch, metric,
+                                                                       chunk):
+    from mvlab.verify import _bound_margin
+
+    # the check ball, read a block of rows at a time (blocks of a few rows
+    # with _CHUNK = 64), picks the in-mask nodes within the domain's distance
+    spec = conformal_metric(2, 0.01, axis=1) if metric else None
+    dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 32, 2, spec)
+    monkeypatch.setattr(grid, "_CHUNK", chunk)
+    x_bar = np.array([0.25, 0.0])
+    # Delta e = 16 |x - x_bar|^2: the largest value sits on the ball's rim
+    e = dom.field_from_function(lambda p: -np.sum((p - x_bar) ** 2, axis=-1) ** 2,
+                                density=False)
+    res = comparison_function_interior(e, x_bar, BoundParams(2), 0.0, check_radius=0.3)
+    distance = dom.distance(dom.in_mask_points(), x_bar)
+    ball = distance <= 0.3
+    assert res.max_laplacian == _bound_margin(res.field, BoundParams(2), False, ball)[0]
+    wider = distance <= 0.3 + dom.spacing / 2
+    assert res.max_laplacian < _bound_margin(res.field, BoundParams(2), False, wider)[0]
 
 
 @pytest.mark.parametrize("n", [3, 4])
