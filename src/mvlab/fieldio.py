@@ -1,4 +1,4 @@
-"""Field serialization: a key=value text header with a run-length encoded
+"""Field serialization: a key=value text header with a sha256 digest of the
 mask, then the in-mask node values in lexicographic (C) order as one base64
 line of little-endian float64."""
 
@@ -6,37 +6,23 @@ from __future__ import annotations
 
 import base64
 import json
-import re
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import domain_from_config, domain_to_config
-from .errors import ConfigError, MVLabError
+from .errors import ConfigError
 from .grid import Domain, ScalarField
 
-FORMAT_TAG = "mvlab-field v2"
-_RLE = re.compile(r"[0-9]+x-?[0-9]+(?:,[0-9]+x-?[0-9]+)*")
+FORMAT_TAG = "mvlab-field v3"
 
 
-def mask_rle(mask: np.ndarray) -> str:
-    flat = mask.ravel()
-    change = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate([[0], change])
-    counts = np.diff(np.concatenate([starts, [flat.size]]))
-    return ",".join(map("{}x{}".format, flat[starts].tolist(), counts.tolist()))
+def _mask_digest(dom: Domain) -> str:
+    """sha256 of the domain mask's int8 bytes in C order, as hex."""
+    import hashlib  # here, so importing the CLI does not load it
 
-
-def mask_from_rle(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    if not _RLE.fullmatch(text):
-        raise MVLabError("mask run-length data is not a list of <code>x<count> runs")
-    codes, counts = np.array(re.split("[x,]", text), dtype=np.int64).reshape(-1, 2).T
-    if np.any(counts < 0):
-        raise MVLabError("mask run-length data has a negative count")
-    if counts.sum() != np.prod(shape):
-        raise MVLabError("mask run-length data does not fill the grid box")
-    return np.repeat(codes.astype(np.int8), counts).reshape(shape)
+    return hashlib.sha256(dom.mask.tobytes()).hexdigest()
 
 
 def write_field(e: ScalarField, path: str | Path) -> None:
@@ -46,7 +32,7 @@ def write_field(e: ScalarField, path: str | Path) -> None:
     lines.append(f"origin={','.join(repr(float(x)) for x in dom.origin)}")
     lines.append(f"shape={','.join(str(s) for s in dom.shape)}")
     lines.append(f"density={'true' if e.density else 'false'}")
-    lines.append(f"mask_rle={mask_rle(dom.mask)}")
+    lines.append(f"mask_sha256={_mask_digest(dom)}")
     lines.append("values:")
     vals = e.values.astype("<f8", copy=False)
     lines.append(base64.b64encode(vals.tobytes()).decode("ascii"))
@@ -60,7 +46,7 @@ def _malformed(path):
         yield
     except KeyError as exc:
         raise ConfigError(f"{path}: missing header line {exc.args[0]}=") from exc
-    except (ValueError, OverflowError, MVLabError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed field file: {exc}") from exc
 
 
@@ -91,7 +77,7 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
         dom_cfg = json.loads(header["domain"])
         stored_shape = tuple(int(s) for s in header["shape"].split(","))
         stored_origin = np.array([float(x) for x in header["origin"].split(",")])
-        rle = header["mask_rle"]
+        digest = header["mask_sha256"]
         payload = text[value_start:]
         if len(payload) != 1:
             raise ValueError(f"{len(payload)} lines after 'values:', expected one")
@@ -109,9 +95,7 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
                           f"shape {domain.shape}")
     if not np.allclose(stored_origin, domain.origin, atol=1e-12):
         raise ConfigError(f"{path}: stored origin differs from the rebuilt grid")
-    with _malformed(path):
-        stored_mask = mask_from_rle(rle, domain.shape)
-    if not np.array_equal(stored_mask, domain.mask):
+    if digest != _mask_digest(domain):
         raise ConfigError(f"{path}: stored mask differs from the rebuilt grid")
 
     count = len(domain._mask_nodes)

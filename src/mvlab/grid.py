@@ -420,12 +420,6 @@ def _squared_gaps(columns: Iterable[np.ndarray], center: Sequence[float]) -> np.
     return total
 
 
-def _box_points(axes: tuple[np.ndarray, ...], nodes: slice | np.ndarray) -> np.ndarray:
-    """``Domain.coordinates`` of the box ``nodes`` (C-order indices or a slice), shape (m, n)."""
-    index = np.unravel_index(np.r_[nodes], tuple(map(len, axes)))
-    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
-
-
 def _segment_block(metric: MetricSpec, base: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``segment_distance`` with a metric, for one block of points (m, n)."""
     v = points - base
@@ -511,20 +505,23 @@ class Domain:
 
     @property
     def node_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return len(self._mask_nodes)
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates along each axis, origin[k] + h * arange(shape[k]):
         the node with multi-index i sits at (axes[0][i_0], ..., axes[n-1][i_(n-1)]).
-        Every coordinate below is gathered from these; none is cached box-sized."""
+        Every coordinate below is gathered from these, or computed as they are
+        by ``_node_points``; none is cached box-sized."""
         return tuple(_read_only(o + self.spacing * np.arange(k))
                      for o, k in zip(self.origin, self.shape))
 
-    def coordinates(self, index: Sequence[np.ndarray]) -> np.ndarray:
-        """Coordinates of the nodes with multi-index arrays ``index`` (n arrays
-        of m entries, as ``np.nonzero`` gives them), shape (m, n)."""
-        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=-1)
+    def _node_points(self, nodes: slice | np.ndarray) -> np.ndarray:
+        """Coordinates of the box nodes with raveled C-order indices ``nodes``
+        (an array or a slice), shape (m, n): origin + h * index, bitwise the
+        ``axes`` entries, and safe on pool threads (it reads no cached geometry)."""
+        index = np.stack(np.unravel_index(np.r_[nodes], self.shape), axis=-1)
+        return self.origin + self.spacing * index
 
     def points(self) -> np.ndarray:
         """All box node coordinates, shape (prod(shape), n), C-order. Built on
@@ -622,7 +619,7 @@ class Domain:
         """``out`` with the segment distance from ``base`` at its raveled ``nodes``."""
         def block(rows):
             out.reshape(-1)[nodes[rows]] = _segment_block(self.metric, base,
-                                                          _box_points(self.axes, nodes[rows]))
+                                                          self._node_points(nodes[rows]))
 
         _map_blocks(len(nodes), self.dimension, block)
         return out
@@ -690,7 +687,10 @@ class Domain:
 
     @property
     def flat_node_count(self) -> int:
-        return int(np.count_nonzero(self.mask == FLAT_BOUNDARY))
+        """In-mask nodes on the flat plane, all of them FLAT_BOUNDARY: one run
+        of an in-mask vector, ``_row_starts[row]:_row_starts[row + 1]``."""
+        row = self.flat_plane_index
+        return 0 if row is None else int(self._row_starts[row + 1] - self._row_starts[row])
 
     @property
     def _euclidean(self) -> bool:
@@ -701,9 +701,9 @@ class Domain:
         if self._euclidean:
             return _read_only(np.ones(self.shape))
         out = np.empty(self.shape)
-        flat, axes = out.reshape(-1), self.axes
+        flat = out.reshape(-1)
         lowest = _map_blocks(flat.size, self.dimension, lambda rows: _gated_sqrt_det(
-            self.metric(_box_points(axes, rows)), flat[rows]))
+            self.metric(self._node_points(rows)), flat[rows]))
         failed = [low for low in lowest if low is not None]
         if failed:
             raise MetricNotPositiveDefinite(
@@ -765,7 +765,7 @@ class Domain:
             block = nodes[start:start + size]
             part = slice(start, start + len(block))
             index = np.stack(np.unravel_index(block, self.shape), axis=-1)
-            points = self.coordinates(index.T)
+            points = self._node_points(block)
             d = raveled[block]
             if self._euclidean:
                 normal = (points - self.center) / d[:, None]

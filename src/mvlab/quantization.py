@@ -186,8 +186,7 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
         for i in active:  # the first largest allowed value, in C order
             vals = seq.fields[i].values[nodes]
             k = int(np.argmax(vals))
-            argmaxes[i] = (dom.coordinates(np.unravel_index(dom._mask_nodes[nodes[k]], dom.shape)),
-                           float(vals[k]))
+            argmaxes[i] = (dom._node_points(dom._mask_nodes[nodes[k]])[0], float(vals[k]))
         witnesses = [i for i in active if argmaxes[i][1] > divergence_threshold]
         if len(witnesses) < need:
             break

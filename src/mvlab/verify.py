@@ -78,12 +78,13 @@ def _operator_pairs(e: ScalarField, flat: bool) -> tuple[np.ndarray, np.ndarray,
     """The operator at the nodes it is checked on, the density there, and the
     nodes. Interior: the Laplacian at the in-mask nodes (C order, raveled
     indices; NaN where the stencil exits the mask). Flat (``flat=True``): the
-    outer normal derivative at the flat-boundary nodes (multi-indices)."""
+    outer normal derivative at the flat-boundary nodes (multi-indices), which
+    are the in-mask nodes of the flat row, one run of the in-mask vector."""
     dom = e.domain
     if flat:
         bv = calculus.normal_derivative(e)
-        at = np.searchsorted(dom._mask_nodes, np.ravel_multi_index(tuple(bv.indices.T), dom.shape))
-        return bv.values, e.values[at], bv.indices
+        row = dom.flat_plane_index
+        return bv.values, e.values[dom._row_starts[row]:dom._row_starts[row + 1]], bv.indices
     return calculus.laplacian(e).values, e.values, dom._mask_nodes
 
 

@@ -151,13 +151,14 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
      "field.txt"),
     ("verify-morrey", _field_morrey(_replace("domain=", "domain={")), "field.txt"),
     ("verify-morrey", _field_morrey(lambda lines: lines[:-1] + ["one"]), "field.txt"),
-    ("verify-morrey", _field_morrey(_replace("mask_rle=", "mask_rle=1y5")), "field.txt"),
-    ("verify-morrey", _field_morrey(_as_v1), "field.txt: not a mvlab-field v2 file"),
+    ("verify-morrey", _field_morrey(_replace("mask_sha256=", "mask_sha256=" + "0" * 64)),
+     "field.txt: stored mask differs"),
+    ("verify-morrey", _field_morrey(_as_v1), "field.txt: not a mvlab-field v3 file"),
     ("verify-morrey", _field_morrey(lambda lines: lines[:-1] + [lines[-1][:-3]]),
      "field.txt"),
     ("verify-morrey", _field_morrey(_drop_last_value), "in-mask nodes"),
-    ("verify-morrey", _field_morrey(_replace("mask_rle=", "mask_rle=0x-1")),
-     "negative count"),
+    ("verify-morrey", _field_morrey(_replace("# mvlab-field", "# mvlab-field v2")),
+     "field.txt: not a mvlab-field v3 file"),
     ("verify-morrey", lambda _: {**MORREY, "domain": {**COARSE, "spacing": "fine"}},
      "'spacing'"),
     ("verify-morrey",
@@ -224,9 +225,9 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
                 "ledger": {"C": 3.0}}, "'schedule'"),
     ("verify-interior", lambda _: {**MORREY, "params": {"A0": math.nan, "a": 0.01}}, "'A0'"),
     ("verify-interior", lambda _: {**MORREY, "params": {"A1": math.inf, "a": 0.01}}, "'A1'"),
-], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-bad-mask-token",
+], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-wrong-mask-digest",
         "field-v1", "field-truncated-payload", "field-one-value-short",
-        "field-negative-mask-count", "string-spacing", "string-amplitude", "string-params-a",
+        "field-v2", "string-spacing", "string-amplitude", "string-params-a",
         "string-radius",
         "string-tolerance-k", "numeric-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",

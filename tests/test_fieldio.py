@@ -1,5 +1,7 @@
 """Field file round-trips and configuration parsing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,23 @@ from mvlab.config import (
     params_from_config,
 )
 from mvlab.errors import ConfigError
-from mvlab.fieldio import mask_from_rle, mask_rle, read_field, write_field
+from mvlab.fieldio import read_field, write_field
 from mvlab.grid import ScalarField
 from mvlab.synth import GeneratorSpec, gen
 
 
-def test_mask_rle_roundtrip():
-    dom = make_half_ball_domain([0.25, 0.0], 0.5, 1 / 16, 2)
-    text = mask_rle(dom.mask)
-    back = mask_from_rle(text, dom.shape)
-    assert np.array_equal(back, dom.mask)
+def test_read_rejects_a_different_mask_by_its_digest(tmp_path):
+    dom = make_ball_domain([0.0] * 3, 0.5, 1 / 16, 3)
+    path = tmp_path / "field.txt"
+    write_field(dom.field_from_function(lambda p: np.ones(len(p))), path)
+    # same box, but the nodes at distance 0.49 <= d < 0.5 leave the mask (built
+    # directly: make_ball_domain wants h <= r/8)
+    other = dataclasses.replace(dom, radius=0.49)
+    assert other.shape == dom.shape and np.array_equal(other.origin, dom.origin)
+    assert not np.array_equal(other.mask, dom.mask)
+    with pytest.raises(ConfigError, match="stored mask differs from the rebuilt grid"):
+        read_field(path, other)
+    assert read_field(path, dom).domain is dom
 
 
 def test_field_roundtrip_half_ball(tmp_path):
@@ -76,12 +85,17 @@ def test_field_roundtrip_is_bitwise(tmp_path, kind, n):
     assert np.all(np.isnan(back.box()[~dom.in_mask]))
 
 
-# sha256 of the files these fields wrote when fields were stored box-shaped,
-# NaN off the mask: the stored bytes do not depend on how a field is held
+# sha256 of the files these fields write, then of the same files without
+# their tag and mask lines. The second is also what the v2 files (mask run-length
+# encoded) gave, written when fields were stored box-shaped, NaN off the mask:
+# v3 changed those two lines only, and the bytes do not depend on how a field is held
 PINNED_FIELD_FILES = {
-    "density": "606a82a8670d6a9d19671f2d5cb2a4c8579a49d1909ec6d977844f042badf603",
-    "laplacian": "3049398cf01764b80044f02a4d62822cec2c5c78279a83781a4a8288399ff30d",
-    "metric-laplacian": "02eea41981eb520e3e7a3ad03f45f45848ca91f204d65eb83f4d1dd4eee8b089",
+    "density": ("602cfaade5ab271a2e898d029a85b99eadd2be870abbddb49635841c457ab80d",
+                "6342e385891d8eb927c089d3a71ce8857f7029f407c8850c9e1b89fdf90323d4"),
+    "laplacian": ("04ec15be06ed7f42d5405bd3d12770ccc7660f4a73ad69b485ebad89d2a55c21",
+                  "97030b6e5a499eec13a64de2dc465e9d3d2c2f1a77d90e0f01855257f9771d7c"),
+    "metric-laplacian": ("7152948406b57b757ac5e13b053109550e23a7dcad602a9e5ea9c811d5271b65",
+                         "ecdef6a60920c43f29e76798ad6394a8a5856b2cdc217eb3a9ea94599cbfcf5c"),
 }
 
 
@@ -100,7 +114,12 @@ def test_field_file_bytes_are_pinned(tmp_path):
     for name, field in fields.items():
         path = tmp_path / f"{name}.txt"
         write_field(field, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FIELD_FILES[name], name
+        data = path.read_bytes()
+        tag, *lines = data.split(b"\n")
+        assert tag == b"# mvlab-field v3"
+        body = b"\n".join(line for line in lines if not line.startswith(b"mask_sha256="))
+        assert (hashlib.sha256(data).hexdigest(),
+                hashlib.sha256(body).hexdigest()) == PINNED_FIELD_FILES[name], name
 
 
 def test_read_rejects_mismatched_domain(tmp_path):

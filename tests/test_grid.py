@@ -76,6 +76,17 @@ def test_half_ball_flat_segment():
     assert abs(width - 2.0) < 3 * h
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("y0", (0.0, 0.25, 0.5))
+def test_flat_nodes_are_one_run_of_the_in_mask_vector(n, y0):
+    dom = make_half_ball_domain([y0] + [0.0] * (n - 1), 1.0, 1 / 8, n)
+    row = dom.flat_plane_index
+    run = dom._mask_nodes[dom._row_starts[row]:dom._row_starts[row + 1]]
+    assert np.array_equal(run, np.flatnonzero(dom.mask == FLAT_BOUNDARY))
+    assert dom.flat_node_count == len(run) > 0
+    assert dom.node_count == np.count_nonzero(dom.mask)
+
+
 def test_half_ball_center_above_radius_equals_ball():
     h = 1 / 64
     hb = make_half_ball_domain([2.0, 0.0], 1.0, h, 2)
@@ -1042,6 +1053,8 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n, monkey
     grid = ref.reshape(dom.shape + (n,))
     assert np.array_equal(dom.points(), ref)
     assert np.array_equal(dom.in_mask_points(), ref[dom.in_mask.ravel()])
+    assert np.array_equal(dom._node_points(slice(0, len(ref))), ref)
+    assert np.array_equal(dom._node_points(dom._mask_nodes), ref[dom._mask_nodes])
     # the centre distances, Euclidean or block by block on the metric ball;
     # there exact only within (r + cut_margin) / f + h of the centre, f =
     # _segment_floor at the accepted deviation, and beyond it a lower bound
