@@ -10,8 +10,10 @@ Fields, operator outputs and quadrature weights are in-mask vectors: one
 float64 per in-mask node, in the C order of the box (``Domain._mask_nodes``).
 Box-shaped values exist only as short-lived scratch, scattered a band of
 axis-0 rows at a time with NaN off the mask (``Domain._band``,
-``ScalarField.box``). The box-shaped arrays a domain keeps are its mask, its
-centre distances and, on metric balls, sqrt(det g) at every box node.
+``ScalarField.box``). The only box-shaped arrays a domain keeps are its
+int8 mask and bool ``in_mask``: its centre distances are kept on the cut band
+(and, on metric balls, at the in-mask nodes), and sqrt(det g) at the in-mask
+nodes; the box-shaped forms are built on request and not kept.
 """
 
 from __future__ import annotations
@@ -216,6 +218,21 @@ class CutCells(NamedTuple):
     nodes: np.ndarray
     fractions: np.ndarray
     receivers: np.ndarray
+
+
+class _Geometry(NamedTuple):
+    """What a domain keeps of its centre distances, from ``Domain._geometry``:
+    the mask; the cut band, the raveled nodes within ``Domain.cut_margin`` of
+    the sphere (C order); and on metric balls the band's exact distances, its
+    normals (central differences of the distances, which read neighbours no
+    one keeps) and the exact distance of every in-mask node, an in-mask
+    vector. Euclidean domains keep none of those three: a distance is the
+    norm of the node's offset, computed again where it is read."""
+    mask: np.ndarray
+    band: np.ndarray
+    band_distances: np.ndarray | None
+    band_normals: np.ndarray | None
+    distances: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -462,12 +479,15 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
 class Domain:
     """Immutable masked grid over a ball or clipped half-ball.
 
-    Geometry that depends on the domain alone (the coordinate axes, centre
-    distances, mask, sqrt(det g) at nodes and faces, the quadrature weights as
-    an in-mask vector, the measured metric deviation) is computed on first
-    use, kept, and handed out read-only. Node coordinates are gathered from
-    the axes where they are needed; ``points()`` builds the whole box's on
-    request, uncached."""
+    Geometry that depends on the domain alone (the coordinate axes, the mask
+    and cut band, sqrt(det g) at the in-mask nodes and faces, the quadrature
+    weights as an in-mask vector, the measured metric deviation) is computed
+    on first use, kept, and handed out read-only. The box-shaped arrays a
+    domain keeps are its int8 mask and bool ``in_mask``; every other kept
+    array holds one entry per in-mask or cut-band node. Node coordinates are
+    gathered from the axes where they are needed. ``points()``,
+    ``center_distances()`` and ``sqrt_det_metric()`` build their box on
+    request and keep nothing; no lab routine calls them."""
 
     kind: str
     center: np.ndarray
@@ -488,11 +508,79 @@ class Domain:
 
     # -- geometry ---------------------------------------------------------
 
-    @cached_property
+    @property
     def mask(self) -> np.ndarray:
         """Node classes (int8): OUTSIDE, INTERIOR, FLAT_BOUNDARY, CAP_BOUNDARY."""
-        inside = self.center_distances() < self.radius
-        return _read_only(_classify(self.kind, inside, self.flat_plane_index))
+        return self._geometry.mask
+
+    @cached_property
+    def _geometry(self) -> _Geometry:
+        """The mask and the cut band from one pass over slabs of axis-0 rows of
+        the centre distances (``_slab_distances``, about ``_CHUNK`` box nodes
+        a slab, so that a metric ball's segment rule runs in enough blocks to
+        share among the threads), each slab computed once and read with one
+        row of each neighbouring slab: the classes and the normals look one
+        step along axis 0. A node is inside when its distance is below r."""
+        extent, row = self.shape[0], math.prod(self.shape[1:])
+        step = max(1, _CHUNK // row)
+        flat_row = self.flat_plane_index
+        mask = np.empty(self.shape, dtype=np.int8)
+        band, band_distances, band_normals, distances = [], [], [], []
+        ahead = self._slab_distances(0, min(step, extent))
+        below = ahead[:0]  # the row before the slab
+        for a in range(0, extent, step):
+            b = min(a + step, extent)
+            dist = ahead
+            ahead = self._slab_distances(b, min(b + step, extent)) if b < extent else dist[:0]
+            lo = a - len(below)
+            context = [below, dist, ahead[:1]]  # rows [lo, b + 1) of the box
+            inside = np.concatenate([rows < self.radius for rows in context])
+            padded = _pad(inside, False)[a - lo:b - lo + 2]  # rows [a - 1, b + 1)
+            flat = flat_row - a if flat_row is not None and a <= flat_row < b else None
+            mask[a:b] = _classify(padded, flat)
+            cut = np.flatnonzero(np.abs(dist.ravel() - self.radius) <= self.cut_margin)
+            band.append(a * row + cut)
+            if not self._euclidean:
+                band_distances.append(dist.ravel()[cut])
+                band_normals.append(self._normals(np.concatenate(context), lo, band[-1]))
+                distances.append(dist[_shifted(padded, {})])
+            below = dist[-1:]
+        metric = [None if self._euclidean else _read_only(np.concatenate(part))
+                  for part in (band_distances, band_normals, distances)]
+        return _Geometry(_read_only(mask), _read_only(np.concatenate(band)), *metric)
+
+    def _slab_distances(self, a: int, b: int) -> np.ndarray:
+        """The centre distances of the box's axis-0 rows [a, b), shape
+        (b - a,) + shape[1:]: ``_squared_gaps`` of the broadcast axes under a
+        root, and on metric balls the segment rule at the nodes within
+        (r + cut_margin)/f + h of the centre and f L beyond (``center_distances``)."""
+        columns = self._columns()
+        columns[0] = columns[0][a:b]
+        dist = _squared_gaps(columns, self.center)
+        np.sqrt(dist, out=dist)
+        if not self._euclidean:  # nodes past (r + cut_margin) / f + h keep f L
+            factor = _segment_floor(self.dimension, self._deviation_limit)
+            dist *= factor
+            near = dist.ravel() <= self.radius + self.cut_margin + factor * self.spacing
+            first = a * math.prod(self.shape[1:])
+            self._segment_into(dist, self.center, np.flatnonzero(near), first)
+        return dist
+
+    def _normals(self, dist: np.ndarray, lo: int, nodes: np.ndarray) -> np.ndarray:
+        """The central differences of the centre distances ``dist`` (the box's
+        axis-0 rows from ``lo``) at the raveled ``nodes``, one-sided on the box's
+        faces: the gradient whose direction is a cut cell's normal."""
+        index = np.stack(np.unravel_index(nodes, self.shape), axis=-1)
+        normal = np.empty(index.shape)
+        for ax, extent in enumerate(self.shape):
+            up, down = index.copy(), index.copy()
+            up[:, ax] = np.minimum(index[:, ax] + 1, extent - 1)
+            down[:, ax] = np.maximum(index[:, ax] - 1, 0)
+            spread = (up[:, ax] - down[:, ax]) * self.spacing
+            up[:, 0] -= lo
+            down[:, 0] -= lo
+            normal[:, ax] = (dist[tuple(up.T)] - dist[tuple(down.T)]) / spread
+        return normal
 
     @cached_property
     def in_mask(self) -> np.ndarray:
@@ -520,8 +608,13 @@ class Domain:
         """Coordinates of the box nodes with raveled C-order indices ``nodes``
         (an array or a slice), shape (m, n): origin + h * index, bitwise the
         ``axes`` entries, and safe on pool threads (it reads no cached geometry)."""
-        index = np.stack(np.unravel_index(np.r_[nodes], self.shape), axis=-1)
-        return self.origin + self.spacing * index
+        index = np.unravel_index(np.r_[nodes], self.shape)
+        out = np.empty((len(index[0]), self.dimension))
+        for k, column in enumerate(index):
+            out[:, k] = column
+        out *= self.spacing
+        out += self.origin
+        return out
 
     def points(self) -> np.ndarray:
         """All box node coordinates, shape (prod(shape), n), C-order. Built on
@@ -615,30 +708,24 @@ class Domain:
         array would give."""
         return _squared_gaps(self._columns(), point)
 
-    def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """``out`` with the segment distance from ``base`` at its raveled ``nodes``."""
+    def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray,
+                      first: int) -> None:
+        """Write the segment distance from ``base`` into ``out`` at its raveled
+        ``nodes``, ``out`` holding the box nodes from raveled index ``first`` on."""
         def block(rows):
-            out.reshape(-1)[nodes[rows]] = _segment_block(self.metric, base,
-                                                          self._node_points(nodes[rows]))
+            out.reshape(-1)[nodes[rows]] = _segment_block(
+                self.metric, base, self._node_points(first + nodes[rows]))
 
         _map_blocks(len(nodes), self.dimension, block)
-        return out
-
-    @cached_property
-    def _center_distances(self) -> np.ndarray:
-        dist = self.squared_distances(self.center)
-        np.sqrt(dist, out=dist)
-        if not self._euclidean:  # nodes past (r + cut_margin) / f + h keep f L
-            factor = _segment_floor(self.dimension, self._deviation_limit)
-            dist *= factor
-            near = dist.ravel() <= self.radius + self.cut_margin + factor * self.spacing
-            self._segment_into(dist, self.center, np.flatnonzero(near))
-        return _read_only(dist)
 
     def center_distances(self) -> np.ndarray:
-        """Distance from the center to every box node, box-shaped; on metric balls exact within
-        (r + cut_margin)/f + h, f = ``_segment_floor(n, _deviation_limit)``, beyond that f L."""
-        return self._center_distances
+        """Distance from the center to every box node, box-shaped, built on each
+        call and not kept (the domain keeps them on the cut band and, on metric
+        balls, at the in-mask nodes; no lab routine calls this). On metric balls
+        exact within (r + cut_margin)/f + h, f = ``_segment_floor(n,
+        _deviation_limit)``, beyond that f L: the values the mask and the cut
+        band are read from."""
+        return _read_only(self._slab_distances(0, self.shape[0]))
 
     @property
     def _deviation_limit(self) -> float:
@@ -696,44 +783,75 @@ class Domain:
     def _euclidean(self) -> bool:
         return self.metric is None
 
-    @cached_property
-    def _sqrt_det_metric(self) -> np.ndarray:
-        if self._euclidean:
-            return _read_only(np.ones(self.shape))
-        out = np.empty(self.shape)
-        flat = out.reshape(-1)
-        lowest = _map_blocks(flat.size, self.dimension, lambda rows: _gated_sqrt_det(
-            self.metric(self._node_points(rows)), flat[rows]))
-        failed = [low for low in lowest if low is not None]
+    def _gate(self, nodes: np.ndarray | None) -> np.ndarray:
+        """sqrt(det g) at the raveled, sorted box ``nodes`` (at every box node
+        when None), from one pass over every box node that is also the gate
+        of a metric ball: MetricNotPositiveDefinite unless g is symmetric and
+        positive definite at every box node; the error names the smallest
+        eigenvalue over all box nodes that fail."""
+        count = math.prod(self.shape)
+        out = np.empty(count if nodes is None else len(nodes))
+
+        def block(rows):
+            values = out[rows] if nodes is None else np.empty(rows.stop - rows.start)
+            lowest = _gated_sqrt_det(self.metric(self._node_points(rows)), values)
+            if nodes is not None:
+                lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
+                out[lo:hi] = values[nodes[lo:hi] - rows.start]
+            return lowest
+
+        failed = [low for low in _map_blocks(count, self.dimension, block) if low is not None]
         if failed:
             raise MetricNotPositiveDefinite(
                 f"metric has eigenvalue {np.min(failed)} <= 0 on the grid box")
-        return _read_only(out)
+        return out
+
+    @cached_property
+    def _sqrt_det(self) -> np.ndarray:
+        """sqrt(det g) at the in-mask nodes of a metric ball, an in-mask vector,
+        from the gate's pass over the box (which ``make_ball_domain`` runs)."""
+        return _read_only(self._gate(self._mask_nodes))
+
+    def _sqrt_det_at(self, nodes: np.ndarray) -> np.ndarray:
+        """sqrt(det g) at the raveled box ``nodes`` of a metric ball that has
+        passed its gate: per node the gate's value, block by block."""
+        out = np.empty(len(nodes))
+
+        def block(rows):
+            _, det, _ = _ldl(self.metric(self._node_points(nodes[rows])))
+            np.sqrt(det, out=out[rows])
+
+        _map_blocks(len(nodes), self.dimension, block)
+        return out
 
     def sqrt_det_metric(self) -> np.ndarray:
-        """sqrt(det g) at every box node (ones for Euclidean domains). On metric
-        balls this pass is also the gate: MetricNotPositiveDefinite unless g is
-        symmetric and positive definite at every box node; the error names the
-        smallest eigenvalue over all box nodes that fail."""
-        return self._sqrt_det_metric
+        """sqrt(det g) at every box node (ones for Euclidean domains), built on
+        each call and not kept: the domain keeps it at the in-mask nodes, and
+        no lab routine calls this. On metric balls the pass is the gate
+        (``_gate``) and raises its error."""
+        if self._euclidean:
+            return _read_only(np.ones(self.shape))
+        return _read_only(self._gate(None).reshape(self.shape))
 
     @cached_property
     def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis a, at the faces x + h/2 e_a of the in-mask nodes x, in C
-        order: sqrt(det g), shape (m,), and the rows g^{aj} of g^-1, shape (n, m)."""
+        order: sqrt(det g), shape (m,), and the rows g^{aj} of g^-1, shape (n, m).
+        The node coordinates are gathered a block at a time."""
         n = self.dimension
-        points = self.in_mask_points()
-        faces = np.empty((n, n + 1, len(points)))
+        nodes = self._mask_nodes
+        faces = np.empty((n, n + 1, len(nodes)))
 
         def block(rows):
+            points = self._node_points(nodes[rows])
             for ax, face in enumerate(faces):
-                face_pts = points[rows].copy()
+                face_pts = points.copy()
                 face_pts[:, ax] += 0.5 * self.spacing
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
                 face[0, rows] = np.sqrt(det)
                 face[1:, rows] = inv[ax]
 
-        _map_blocks(len(points), n, block)
+        _map_blocks(len(nodes), n, block)
         return tuple((face[0], face[1:]) for face in _read_only(faces))
 
     @property
@@ -744,18 +862,16 @@ class Domain:
         return 0.5 * math.sqrt(self.dimension) * self.spacing * pad
 
     def cut_cells(self) -> CutCells:
-        """The cells the domain's sphere may cut, with the sphere replaced by
-        its tangent half space at their node, normal to the gradient of the
-        centre distance: (x - c)/|x - c|, or on metric balls the central
-        difference of ``center_distances()``. An out-of-mask node hands its
-        cell to its in-mask neighbour one axis step toward the centre, else
-        one diagonal step toward it."""
+        """The cells of the cut band (the nodes within ``cut_margin`` of the
+        sphere), with the sphere replaced by its tangent half space at their
+        node, normal to the gradient of the centre distance: (x - c)/|x - c|,
+        or on metric balls the central difference of ``center_distances()``,
+        kept with the band. An out-of-mask node hands its cell to its in-mask
+        neighbour one axis step toward the centre, else one diagonal step
+        toward it. Worked a block of cells at a time."""
         h = self.spacing
-        dist = self.center_distances()
-        raveled, r, margin = dist.reshape(-1), self.radius, self.cut_margin
-        nodes = np.concatenate([  # a block at a time, with no box-sized temporaries
-            start + np.flatnonzero(np.abs(raveled[start:start + _CHUNK] - r) <= margin)
-            for start in range(0, raveled.size, _CHUNK)])
+        geometry = self._geometry
+        nodes = geometry.band
         centre = np.rint((self.center - self.origin) / h).astype(int)
         in_mask = self.in_mask.ravel()
         fractions = np.empty(len(nodes))
@@ -766,17 +882,11 @@ class Domain:
             part = slice(start, start + len(block))
             index = np.stack(np.unravel_index(block, self.shape), axis=-1)
             points = self._node_points(block)
-            d = raveled[block]
             if self._euclidean:
+                d = np.sqrt(_squared_gaps(points.T, self.center))
                 normal = (points - self.center) / d[:, None]
             else:
-                normal = np.empty(index.shape)
-                for ax, extent in enumerate(self.shape):
-                    up, down = index.copy(), index.copy()
-                    up[:, ax] = np.minimum(index[:, ax] + 1, extent - 1)
-                    down[:, ax] = np.maximum(index[:, ax] - 1, 0)
-                    normal[:, ax] = ((dist[tuple(up.T)] - dist[tuple(down.T)])
-                                     / ((up[:, ax] - down[:, ax]) * h))
+                d, normal = geometry.band_distances[part], geometry.band_normals[part]
             norm = np.sqrt(_squared_gaps(normal.T, np.zeros(self.dimension)))
             flat = (points[:, 0] < 0.5 * h) & (self.kind == HALF_BALL)
             fractions[part] = cut_fractions(normal / norm[:, None],
@@ -804,17 +914,16 @@ class Domain:
         own = self.in_mask.ravel()[cut.nodes[kept]]  # an in-mask cell is its own receiver
         receivers = np.searchsorted(nodes, cut.receivers[kept])  # positions in the vector
         shares = cut.fractions[kept]
-        sqrt_det = None if self._euclidean else self.sqrt_det_metric().ravel()
-        if sqrt_det is not None:  # else sqrt(det g) = 1
-            shares *= sqrt_det[cut.nodes[kept]]
+        if not self._euclidean:  # else sqrt(det g) = 1
+            shares *= self._sqrt_det_at(cut.nodes[kept])
         del cut, kept  # before the weights are allocated
         weights = np.ones(len(nodes))
         row = self.flat_plane_index
         if row is not None:
             weights[self._row_starts[row]:self._row_starts[row + 1]] *= 0.5
         weights[receivers[own]] = 0.0
-        if sqrt_det is not None:
-            weights *= sqrt_det[nodes]
+        if not self._euclidean:
+            weights *= self._sqrt_det
         np.add.at(weights, receivers, shares)
         weights *= self.spacing ** self.dimension
         return _read_only(weights)
@@ -906,17 +1015,20 @@ def _shifted(padded: np.ndarray, steps: dict[int, int]) -> np.ndarray:
     return padded[tuple(sel)]
 
 
-def _classify(kind: str, inside: np.ndarray, flat_row: int | None) -> np.ndarray:
-    """Interior nodes have all 2n axis neighbors inside; flat-plane nodes win
-    over the cap classification."""
-    padded = _pad(inside, False)
+def _classify(padded: np.ndarray, flat_row: int | None) -> np.ndarray:
+    """The classes of the nodes of ``_shifted(padded, {})``, ``padded`` being
+    inside flags with one layer of neighbours around them (False past the
+    box). Interior nodes have all 2n axis neighbors inside; the inside nodes
+    of row ``flat_row`` (the flat plane, when given) are flat boundary
+    whatever their neighbours."""
+    inside = _shifted(padded, {})
     interior = inside.copy()
-    for ax in range(inside.ndim):
+    for ax in range(padded.ndim):
         for step in (1, -1):
             interior &= _shifted(padded, {ax: step})
     mask = np.where(inside, np.int8(CAP_BOUNDARY), np.int8(OUTSIDE))
     mask[interior] = INTERIOR
-    if kind == HALF_BALL and flat_row is not None:
+    if flat_row is not None:
         mask[flat_row] = np.where(inside[flat_row], FLAT_BOUNDARY, OUTSIDE)
     return mask
 
@@ -958,7 +1070,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
 
     domain = Domain(BALL, center, float(r), float(h), n, origin, shape, metric)
     if metric is not None:
-        domain.sqrt_det_metric()  # the positive-definite gate
+        domain._sqrt_det  # the positive-definite gate, over every box node, after the mask
         measured = domain.measured_deviation
         if measured > domain._deviation_limit:
             raise MVLabError(
@@ -993,17 +1105,17 @@ def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     max of |g - identity| entries and central-difference |dg| entries."""
     if domain.kind != BALL:
         raise MVLabError("metric deviation is measured on ball domains only")
-    pts = domain.in_mask_points()
+    nodes = domain._mask_nodes
     n = domain.dimension
     h = domain.spacing
     eye = np.eye(n)
 
     def block(rows):
-        chunk = pts[rows]
+        chunk = domain._node_points(nodes[rows])
         worst = float(np.max(np.abs(metric(chunk) - eye)))
         for step in h * eye:
             dg = (metric(chunk + step) - metric(chunk - step)) / (2.0 * h)
             worst = max(worst, float(np.max(np.abs(dg))))
         return worst
 
-    return max([0.0] + _map_blocks(len(pts), n, block))
+    return max([0.0] + _map_blocks(len(nodes), n, block))

@@ -23,7 +23,7 @@ from .errors import (
     MVLabError,
     RadiusOutOfRange,
 )
-from .grid import BALL, HALF_BALL, ScalarField
+from .grid import _CHUNK, BALL, HALF_BALL, ScalarField
 from .report import record
 
 HOLDS = "Holds"
@@ -89,16 +89,24 @@ def _operator_pairs(e: ScalarField, flat: bool) -> tuple[np.ndarray, np.ndarray,
 
 
 def _fit(e: ScalarField, c0: float, c1: float, flat: bool) -> float:
+    """The largest ratio (op - c0 - c1 e) / e^p over the nodes with a finite
+    operator and e above the floor, clamped at 0; worked a block of
+    ``_CHUNK`` nodes at a time, so its temporaries stay block-sized."""
     n = e.domain.dimension
     op, ev, _ = _operator_pairs(e, flat)
     floor = _E_FLOOR_FACTOR * max(e.sup(), 0.0)
-    mask = np.isfinite(op) & (ev > floor)
-    if not np.any(mask):
+    power = (n + (1 if flat else 2)) / n
+    worst = []
+    for start in range(0, len(op), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        keep = np.isfinite(op[part]) & (ev[part] > floor)
+        if keep.any():
+            kept = ev[part][keep]
+            worst.append(np.max((op[part][keep] - c0 - c1 * kept) / kept ** power))
+    if not worst:
         where = "flat-boundary" if flat else "stencil-valid"
         raise AllNodesBelowFloor(f"no {where} node above the density floor")
-    ev = ev[mask]
-    ratio = (op[mask] - c0 - c1 * ev) / ev ** ((n + (1 if flat else 2)) / n)
-    return max(0.0, float(np.max(ratio)))
+    return max(0.0, float(np.max(worst)))
 
 
 def fit_nonlinearity(e: ScalarField, a0: float, a1: float) -> float:

@@ -262,6 +262,53 @@ def test_shell_profile_constant_and_quadratic():
         assert abs(m - 2 * np.pi * r**2) <= 10 * h
 
 
+def _shell_reference(e, center, radii):
+    """shell_profile as shell_nodes + interpolate: per shell (r, M(r), node
+    count, clipped), or the ShellExitsDomain message of the first shell that
+    leaves the mask."""
+    dom = e.domain
+    y0 = float(center[0]) if dom.kind == "half_ball" else None
+    out = []
+    for r in radii:
+        shell = shell_nodes(np.asarray(center, dtype=float), r, dom.dimension, dom.spacing, y0)
+        vals = interpolate(e, shell.points)
+        if not np.all(np.isfinite(vals)):
+            return out, (f"shell r={shell.radius} leaves the domain mask "
+                         f"({int(np.sum(~np.isfinite(vals)))} of {vals.size} nodes)")
+        out.append((shell.radius, float(np.dot(shell.weights, vals)), vals.size, shell.clipped))
+    return out, None
+
+
+@pytest.mark.parametrize("n,h", ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)))
+@pytest.mark.parametrize("where", ("ball", "plane", "lifted"))
+@pytest.mark.parametrize("slab", (None, 64), ids=("one-block", "polar-blocks"))
+def test_shell_profile_is_bitwise_shell_nodes_and_interpolate(where, n, h, slab, monkeypatch):
+    from mvlab import calculus
+
+    if slab is not None:  # a few polar rows a block
+        monkeypatch.setattr(calculus, "_SHELL_BLOCK", slab)
+    if where == "ball":
+        dom, center = make_ball_domain([0.0] * n, 1.0, h, n), [0.125] + [-0.0625] * (n - 1)
+    else:  # on the plane, or at y0 = 0.25, where the shells past 0.25 are clipped
+        center = [0.0 if where == "plane" else 0.25] + [0.0] * (n - 1)
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    e = dom.field_from_function(lambda p: np.exp(np.sin(3.0 * p[:, 0]) + p[:, -1]) + 1.0)
+    radii = [4 * h, max(4 * h, 0.3) + 0.05, 0.6]
+    want, error = _shell_reference(e, center, radii)
+    assert error is None
+    got = shell_profile(e, center, radii)
+    assert [(s.r, s.m, s.node_count, s.clipped) for s in got.samples] == want
+    assert all(type(s.m) is float for s in got.samples)
+    assert any(s.clipped for s in got.samples) == (where != "ball")
+    # a shell that leaves the mask: the same message, with the same count
+    radii = [4 * h, 0.99, 1.2]
+    want, error = _shell_reference(e, center, radii)
+    assert error is not None and len(want) == 1
+    with pytest.raises(ShellExitsDomain) as caught:
+        shell_profile(e, center, radii)
+    assert str(caught.value) == error
+
+
 def test_shell_profile_small_radius_limit():
     h = 1 / 128
     dom = make_ball_domain([0, 0], 1.0, h, 2)

@@ -583,7 +583,10 @@ def test_cut_cells_select_their_nodes_without_a_box_sized_temporary():
     import tracemalloc
 
     dom = make_ball_domain([0.0, 0.0], 1.0, 1 / 512, 2)
-    dist = dom.center_distances()  # cached box arrays, built before the count starts
+    # the reference box of centre distances, built on request (the domain
+    # keeps none), and the mask pass, which selects the cut band, both
+    # before the count starts
+    dist = dom.center_distances()
     dom.in_mask
     box_bytes = dist.nbytes  # 8.05 MB: 1,054,729 nodes
     tracemalloc.start()
@@ -1015,11 +1018,15 @@ def _assert_the_full_box_ball(dom):
                  dom.metric)
     full = segment_distance(dom.metric, dom.center, ref.points()).reshape(dom.shape)
     full.flags.writeable = False
-    ref.__dict__["_center_distances"] = full
+    # the geometry pass of ``ref`` reads its slabs of centre distances from the full box
+    ref.__dict__["_slab_distances"] = lambda a, b: full[a:b]
+    assert ref.center_distances().tobytes() == full.tobytes()
     skipped = dom.center_distances() != full
     assert skipped.any() and not skipped[dom.in_mask].any()
     assert np.all(dom.center_distances()[skipped] <= full[skipped])  # a lower bound there
     assert np.array_equal(dom.mask, ref.mask)
+    for got, want in zip(dom._geometry, ref._geometry):  # the band, its normals, the in-mask distances
+        assert got.tobytes() == want.tobytes()
     for got, want in zip(dom.cut_cells(), ref.cut_cells()):
         assert got.tobytes() == want.tobytes()
     assert dom.weights.tobytes() == ref.weights.tobytes()
@@ -1090,46 +1097,171 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n, monkey
                               np.linalg.norm(grid - center, axis=-1))
 
 
-def test_euclidean_n4_pipeline_holds_no_box_sized_float64():
-    import math
+def _box_sized_float64(dom):
+    """The float64 arrays the domain keeps with one entry per box node (a
+    box-shaped one, or one with a box-node-long axis), by attribute."""
+    nodes = math.prod(dom.shape)
+    found = []
+
+    def visit(name, value):
+        if isinstance(value, np.ndarray):
+            if value.dtype == np.float64 and (value.shape == dom.shape or nodes in value.shape):
+                found.append(name)
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                visit(f"{name}[{i}]", item)
+
+    for name, value in vars(dom).items():
+        visit(name, value)
+    return found
+
+
+def _traced_pipeline(build):
+    """Build a domain, its face metric (metric balls), weights, a quadratic
+    field, its Laplacian and its integral, each as one tracemalloc step; per
+    step the peak over what was traced when it began and over what was
+    traced when it ended."""
     import tracemalloc
 
     from mvlab import GeneratorSpec, gen
     from mvlab.calculus import integrate, laplacian
 
-    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. Building the domain and its
-    # mask keeps box-sized geometry (the centre distances, the mask), but may
-    # not allocate, over what was traced when it began, as much as one
-    # (nodes x n) float64 coordinate array. No later step may allocate as
-    # much as one box-sized float64 array: the weights, the field and the
-    # Laplacian are in-mask vectors, and the stencils scatter the field a
-    # slab at a time.
-    coordinates = 35**4 * 4 * 8
-    box = 35**4 * 8
-    over = {}
+    over_start, over_end = {}, {}
 
     def step(name, work):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = work()
-        over[name] = tracemalloc.get_traced_memory()[1] - start
+        end, peak = tracemalloc.get_traced_memory()
+        over_start[name], over_end[name] = peak - start, peak - end
         return result
-
-    def build():
-        dom = make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4)
-        dom._mask_nodes  # the mask, from the centre distances
-        return dom
 
     tracemalloc.start()
     try:
         dom = step("domain", build)
+        if dom.metric is not None:
+            step("face_metric", lambda: dom.face_metric)
         step("weights", lambda: dom.weights)
         field = step("gen", lambda: gen(GeneratorSpec("quadratic"), dom))
         step("laplacian", lambda: laplacian(field))
         step("integrate", lambda: integrate(field))
     finally:
         tracemalloc.stop()
-    assert math.prod(dom.shape) * dom.dimension * 8 == coordinates
+    return dom, over_start, over_end
+
+
+def test_euclidean_n4_pipeline_holds_no_box_sized_float64():
+    # n = 4, h = 1/16: 35^4 = 1.5M box nodes. No step, the domain build
+    # included, may allocate, over what was traced when it began, as much as
+    # one box-sized float64 array: the mask pass reads the centre distances
+    # a slab of rows at a time and keeps them nowhere (a Euclidean domain
+    # keeps only its cut band's nodes), the weights, the field and the
+    # Laplacian are in-mask vectors, and the stencils scatter the field a
+    # slab at a time.
+    box = 35**4 * 8
+
+    def build():
+        dom = make_ball_domain([0.0] * 4, 1.0, 1 / 16, 4)
+        dom._mask_nodes  # the mask and the cut band, from one pass over slabs
+        dom._line_starts
+        return dom
+
+    dom, over, _ = _traced_pipeline(build)
     assert math.prod(dom.shape) * 8 == box
-    assert over["domain"] < coordinates, over
-    assert all(peak < box for name, peak in over.items() if name != "domain"), over
+    assert all(peak < box for peak in over.values()), over
+    assert _box_sized_float64(dom) == []
+
+
+def test_conformal_n3_pipeline_holds_no_box_sized_float64():
+    # n = 3, h = 1/48: 107^3 = 1.2M box nodes, 35% of them in the mask. A
+    # metric ball keeps more than one box's bytes of in-mask vectors (its
+    # index, centre distances and sqrt(det g); the face metric alone holds 12
+    # of them), so here a step may not allocate, over what it keeps, as much
+    # as one box-sized float64 array: the segment rule, the gate, the
+    # measured deviation and the face metric go a block of nodes at a time,
+    # and none of them, nor the mask pass, gathers the (m, n) in-mask
+    # coordinates. And the domain keeps no box-sized float64 array.
+    box = 107**3 * 8
+
+    def build():
+        dom = make_ball_domain([0.0] * 3, 1.0, 1 / 48, 3, conformal_metric(3, 0.01, axis=1))
+        dom._line_starts
+        return dom
+
+    dom, _, over = _traced_pipeline(build)
+    assert math.prod(dom.shape) * 8 == box
+    assert all(peak < box for peak in over.values()), over
+    assert _box_sized_float64(dom) == []
+    assert dom._geometry.distances is not None and dom._sqrt_det.shape == (dom.node_count,)
+
+
+def _cached_center_distances(dom):
+    """The box of centre distances a domain used to cache, rebuilt as it was:
+    the broadcast squared axis gaps under a root; on metric balls f L, with
+    the segment rule at the nodes within (r + cut_margin) / f + h."""
+    from mvlab.grid import _segment_floor, segment_distance
+
+    dist = np.sqrt(dom.squared_distances(dom.center))
+    if dom.metric is not None:
+        factor = _segment_floor(dom.dimension, dom._deviation_limit)
+        dist *= factor
+        near = np.flatnonzero(dist.ravel() <= dom.radius + dom.cut_margin + factor * dom.spacing)
+        dist.reshape(-1)[near] = segment_distance(dom.metric, dom.center, dom._node_points(near))
+    return dist
+
+
+def _cached_sqrt_det(dom):
+    """The box of sqrt(det g) a domain used to cache, rebuilt as it was."""
+    from mvlab.grid import _ldl
+
+    if dom.metric is None:
+        return np.ones(dom.shape)
+    return np.sqrt(_ldl(dom.metric(dom.points()))[1]).reshape(dom.shape)
+
+
+@pytest.mark.parametrize("n,h", ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)))
+@pytest.mark.parametrize("kind", ("euclidean", "half_ball", "conformal", "sine"))
+def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
+    from mvlab.heinz import _PrefixSup
+
+    center = [0.25, -0.125] + [0.0625] * (n - 2)
+    if kind == "half_ball":
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    else:
+        dom = make_ball_domain(center, 1.0, h, n,
+                               None if kind == "euclidean" else _metric_spec(kind, n))
+    dist, sqrt_det = _cached_center_distances(dom), _cached_sqrt_det(dom)
+    # built on each call, not kept, read-only, bitwise the old cached boxes
+    for build, want in ((dom.center_distances, dist), (dom.sqrt_det_metric, sqrt_det)):
+        got = build()
+        assert got is not build() and not got.flags.writeable
+        assert got.shape == dom.shape and got.tobytes() == want.tobytes()
+    assert not any(isinstance(value, np.ndarray) and value.shape == dom.shape
+                   and value.dtype == np.float64 for value in vars(dom).values())
+    # the mask and what the domain keeps of the distances
+    assert np.array_equal(dom.in_mask, dist < dom.radius)
+    geometry = dom._geometry
+    band = np.flatnonzero(np.abs(dist - dom.radius).ravel() <= dom.cut_margin)
+    assert np.array_equal(geometry.band, band)
+    if dom.metric is None:
+        assert geometry.band_distances is geometry.band_normals is geometry.distances is None
+    else:
+        assert geometry.band_distances.tobytes() == dist.ravel()[band].tobytes()
+        assert geometry.distances.tobytes() == dist[dom.in_mask].tobytes()
+        assert dom._sqrt_det.tobytes() == sqrt_det[dom.in_mask].tobytes()
+        cut = dom.cut_cells()
+        assert dom._sqrt_det_at(cut.nodes).tobytes() == sqrt_det.ravel()[cut.nodes].tobytes()
+    # Heinz scans about the centre read the same distances, in the same order,
+    # over every in-mask node and over a window of them
+    e = dom.field_from_function(lambda p: np.exp(-np.sum((p - 0.1) ** 2, axis=-1)))
+    for reach in (None, 0.5):
+        prefix = _PrefixSup(e, dom.center, reach)
+        nodes = dom._mask_nodes
+        if reach is not None:
+            inside = np.zeros(dom.shape, dtype=bool)
+            inside[dom.window(dom.center, reach)] = True
+            nodes = nodes[inside.ravel()[nodes]]
+        want = dist.ravel()[nodes]
+        order = np.argsort(want, kind="stable")
+        assert prefix.dist_sorted.tobytes() == want[order].tobytes()
+        assert np.array_equal(prefix.flat_index, nodes[order])
