@@ -392,17 +392,12 @@ def interpolate(e: ScalarField, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of field values at ``points`` of shape
     (m, n); NaN where the surrounding cell leaves the grid box or touches
     out-of-mask nodes."""
-    return _interpolate_box(e.domain, e.box(), points)
-
-
-def _interpolate_box(dom: Domain, box: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``interpolate`` from the field's ``ScalarField.box()``."""
-    n = dom.dimension
+    n = e.domain.dimension
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != n:
         raise MVLabError(f"interpolation points must have shape (m, {n}), "
                          f"got {points.shape}")
-    return _interpolate_columns(dom, box, list(points.T))
+    return _interpolate_columns(e.domain, e.box(), list(points.T))
 
 
 def _interpolate_columns(dom: Domain, box: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:

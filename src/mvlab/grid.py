@@ -480,14 +480,14 @@ class Domain:
     """Immutable masked grid over a ball or clipped half-ball.
 
     Geometry that depends on the domain alone (the coordinate axes, the mask
-    and cut band, sqrt(det g) at the in-mask nodes and faces, the quadrature
-    weights as an in-mask vector, the measured metric deviation) is computed
-    on first use, kept, and handed out read-only. The box-shaped arrays a
-    domain keeps are its int8 mask and bool ``in_mask``; every other kept
-    array holds one entry per in-mask or cut-band node. Node coordinates are
-    gathered from the axes where they are needed. ``points()``,
-    ``center_distances()`` and ``sqrt_det_metric()`` build their box on
-    request and keep nothing; no lab routine calls them."""
+    and cut band, sqrt(det g) at the in-mask nodes, the cut band and the
+    faces, the quadrature weights as an in-mask vector, the measured metric
+    deviation) is computed on first use, kept, and handed out read-only. The
+    box-shaped arrays a domain keeps are its int8 mask and bool ``in_mask``;
+    every other kept array holds one entry per in-mask or cut-band node.
+    Node coordinates are gathered from the axes where they are needed.
+    ``points()``, ``center_distances()`` and ``sqrt_det_metric()`` build
+    their box on request and keep nothing; no lab routine calls them."""
 
     kind: str
     center: np.ndarray
@@ -702,12 +702,6 @@ class Domain:
             base = self.center
         return segment_distance(self.metric, base, points)
 
-    def squared_distances(self, point: Sequence[float]) -> np.ndarray:
-        """Euclidean |x - point|^2 at every box node, box-shaped: ``_squared_gaps``
-        of the broadcast axes, so the result is bitwise the one a coordinate
-        array would give."""
-        return _squared_gaps(self._columns(), point)
-
     def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray,
                       first: int) -> None:
         """Write the segment distance from ``base`` into ``out`` at its raveled
@@ -783,46 +777,44 @@ class Domain:
     def _euclidean(self) -> bool:
         return self.metric is None
 
-    def _gate(self, nodes: np.ndarray | None) -> np.ndarray:
-        """sqrt(det g) at the raveled, sorted box ``nodes`` (at every box node
-        when None), from one pass over every box node that is also the gate
-        of a metric ball: MetricNotPositiveDefinite unless g is symmetric and
-        positive definite at every box node; the error names the smallest
+    def _gate(self, *selections: np.ndarray | None) -> list[np.ndarray]:
+        """sqrt(det g) at each selection of raveled, sorted box nodes (at every
+        box node for None), from one pass over every box node that is also the
+        gate of a metric ball: MetricNotPositiveDefinite unless g is symmetric
+        and positive definite at every box node; the error names the smallest
         eigenvalue over all box nodes that fail."""
         count = math.prod(self.shape)
-        out = np.empty(count if nodes is None else len(nodes))
+        outs = [np.empty(count if nodes is None else len(nodes)) for nodes in selections]
 
         def block(rows):
-            values = out[rows] if nodes is None else np.empty(rows.stop - rows.start)
+            values = np.empty(rows.stop - rows.start)
             lowest = _gated_sqrt_det(self.metric(self._node_points(rows)), values)
-            if nodes is not None:
-                lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
-                out[lo:hi] = values[nodes[lo:hi] - rows.start]
+            for nodes, out in zip(selections, outs):
+                if nodes is None:
+                    out[rows] = values
+                else:
+                    lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
+                    out[lo:hi] = values[nodes[lo:hi] - rows.start]
             return lowest
 
         failed = [low for low in _map_blocks(count, self.dimension, block) if low is not None]
         if failed:
             raise MetricNotPositiveDefinite(
                 f"metric has eigenvalue {np.min(failed)} <= 0 on the grid box")
-        return out
+        return outs
 
     @cached_property
+    def _gated(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(det g) of a metric ball at its in-mask nodes, an in-mask vector,
+        and at its cut band, one value per band node, from the gate's one pass
+        over the box (which ``make_ball_domain`` runs)."""
+        parts = self._gate(self._mask_nodes, self._geometry.band)
+        return tuple(_read_only(part) for part in parts)
+
+    @property
     def _sqrt_det(self) -> np.ndarray:
-        """sqrt(det g) at the in-mask nodes of a metric ball, an in-mask vector,
-        from the gate's pass over the box (which ``make_ball_domain`` runs)."""
-        return _read_only(self._gate(self._mask_nodes))
-
-    def _sqrt_det_at(self, nodes: np.ndarray) -> np.ndarray:
-        """sqrt(det g) at the raveled box ``nodes`` of a metric ball that has
-        passed its gate: per node the gate's value, block by block."""
-        out = np.empty(len(nodes))
-
-        def block(rows):
-            _, det, _ = _ldl(self.metric(self._node_points(nodes[rows])))
-            np.sqrt(det, out=out[rows])
-
-        _map_blocks(len(nodes), self.dimension, block)
-        return out
+        """sqrt(det g) at the in-mask nodes of a metric ball, an in-mask vector."""
+        return self._gated[0]
 
     def sqrt_det_metric(self) -> np.ndarray:
         """sqrt(det g) at every box node (ones for Euclidean domains), built on
@@ -831,7 +823,7 @@ class Domain:
         (``_gate``) and raises its error."""
         if self._euclidean:
             return _read_only(np.ones(self.shape))
-        return _read_only(self._gate(None).reshape(self.shape))
+        return _read_only(self._gate(None)[0].reshape(self.shape))
 
     @cached_property
     def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -915,7 +907,7 @@ class Domain:
         receivers = np.searchsorted(nodes, cut.receivers[kept])  # positions in the vector
         shares = cut.fractions[kept]
         if not self._euclidean:  # else sqrt(det g) = 1
-            shares *= self._sqrt_det_at(cut.nodes[kept])
+            shares *= self._gated[1][kept]
         del cut, kept  # before the weights are allocated
         weights = np.ones(len(nodes))
         row = self.flat_plane_index
@@ -1070,7 +1062,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
 
     domain = Domain(BALL, center, float(r), float(h), n, origin, shape, metric)
     if metric is not None:
-        domain._sqrt_det  # the positive-definite gate, over every box node, after the mask
+        domain._gated  # the positive-definite gate, over every box node, after the mask
         measured = domain.measured_deviation
         if measured > domain._deviation_limit:
             raise MVLabError(

@@ -133,15 +133,18 @@ class ConcentrationReport:
                 "residual_bounds": {str(k): v for k, v in sorted(self.residual_bounds.items())}}
 
 
-def _allowed_mask(domain, exclusions) -> np.ndarray:
-    """In-mask boolean vector: the nodes outside every exclusion ball, cleared
-    at the in-mask nodes of each ball's window."""
-    allowed = np.ones(len(domain._mask_nodes), dtype=bool)
-    for center, radius in exclusions:
-        for positions, points in domain._window_nodes(domain.window(center, radius)):
-            dist = _squared_gaps(points.T, center)
-            allowed[positions] &= np.sqrt(dist, out=dist) > radius
-    return allowed
+def _clear_ball(domain, allowed, center, radius) -> None:
+    """Clear in the in-mask vector ``allowed`` the nodes within Euclidean
+    distance ``radius`` of ``center``, read from the ball's window."""
+    for positions, points in domain._window_nodes(domain.window(center, radius)):
+        dist = _squared_gaps(points.T, center)
+        allowed[positions] &= np.sqrt(dist, out=dist) > radius
+
+
+def _allowed_argmax(values, allowed) -> int:
+    """Position of the first largest of the finite ``values`` at the
+    ``allowed`` positions of an in-mask vector, C order."""
+    return int(np.argmax(np.where(allowed, values, -np.inf)))
 
 
 def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
@@ -171,22 +174,18 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
     need = int(math.ceil(math.sqrt(len(seq))))
 
     active = list(range(len(seq)))
-    excluded: list[tuple[np.ndarray, float]] = []
-    dismissed: list[tuple[np.ndarray, float]] = []
+    allowed = np.ones(dom.node_count, dtype=bool)  # outside every ball cleared so far
     points: list[ConcentrationPoint] = []
     bounded: list[BoundedCandidate] = []
     merges: list[MergeEvent] = []
     budget_exhausted = False
 
-    while True:
-        nodes = np.flatnonzero(_allowed_mask(dom, excluded + dismissed))
-        if nodes.size == 0:
-            break
+    while allowed.any():
         argmaxes = {}
-        for i in active:  # the first largest allowed value, in C order
-            vals = seq.fields[i].values[nodes]
-            k = int(np.argmax(vals))
-            argmaxes[i] = (dom._node_points(dom._mask_nodes[nodes[k]])[0], float(vals[k]))
+        for i in active:
+            k = _allowed_argmax(seq.fields[i].values, allowed)
+            argmaxes[i] = (dom._node_points(dom._mask_nodes[k])[0],
+                           float(seq.fields[i].values[k]))
         witnesses = [i for i in active if argmaxes[i][1] > divergence_threshold]
         if len(witnesses) < need:
             break
@@ -233,7 +232,7 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             # remove the candidate at the scale the dichotomy certified it,
             # or its own shoulder re-triggers the cluster search
             dismiss_radius = max(max(s.delta for s in steps), exclusion_floor)
-            dismissed.append((np.asarray(loc), dismiss_radius))
+            _clear_ball(dom, allowed, loc, dismiss_radius)
             active = cluster
             continue
 
@@ -251,7 +250,8 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             if gap <= 2.0 * max(delta_excl, existing.exclusion_radius):
                 merges.append(MergeEvent(tuple(location), idx, gap))
                 grown = max(existing.exclusion_radius, gap + delta_excl)
-                excluded[idx] = (np.asarray(existing.location), grown)
+                # a merge only grows the ball, so clearing it again keeps the union
+                _clear_ball(dom, allowed, existing.location, grown)
                 points[idx] = replace(existing, exclusion_radius=grown)
                 merged = True
                 break
@@ -277,14 +277,14 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
         points.append(ConcentrationPoint(
             tuple(float(x) for x in location), tuple(cluster), tuple(steps),
             onset, certified, float(delta_excl), near_flat))
-        excluded.append((location, float(delta_excl)))
+        _clear_ball(dom, allowed, location, float(delta_excl))
         active = cluster
 
-    allowed = _allowed_mask(dom, excluded)
-    residual = {}
-    for i in active:
-        vals = seq.fields[i].values[allowed]
-        residual[i] = float(np.max(vals)) if vals.size else None
+    rest = np.ones(dom.node_count, dtype=bool)  # outside the points' final balls
+    for p in points:
+        _clear_ball(dom, rest, p.location, p.exclusion_radius)
+    residual = {i: float(np.max(seq.fields[i].values, where=rest, initial=-np.inf))
+                if rest.any() else None for i in active}
     return ConcentrationReport(
         tuple(points), tuple(bounded), tuple(merges), tuple(active), residual,
         seq.energy_bound, hbar, budget, divergence_threshold, cluster_radius,

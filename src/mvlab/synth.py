@@ -229,11 +229,12 @@ def gen(spec: GeneratorSpec, domain: Domain) -> ScalarField:
 def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
                  domain: Domain,
                  background: GeneratorSpec | None = None,
-                 params: BoundParams | None = None,
-                 fit_bounds: bool = True) -> DensitySequence:
+                 params: BoundParams | None = None) -> DensitySequence:
     """Blow-up sequence e_i = background + sum of planted bubbles at scale
     lambda_i. The schedule must decrease strictly and stay resolvable
-    (lambda_min >= 4h). Fitted nonlinearities (a_i, b_i) are attached."""
+    (lambda_min >= 4h). Without ``params`` the nonlinearities (a_i, b_i) are
+    fitted per field, attached as ``fitted``, and their maxima are the
+    params; with ``params`` nothing is fitted."""
     if not specs:
         raise MVLabError("need at least one planted bubble spec")
     for s in specs:
@@ -258,7 +259,7 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
         values = sum((_sample(replace(s, scale=lam), domain, memo)[0] for s in specs), base)
         field = ScalarField(domain, values, density=True)
         fields.append(field)
-        if fit_bounds:
+        if params is None:
             a_req = verify.fit_nonlinearity(field, 0.0, 0.0)
             if domain.kind == HALF_BALL and domain.flat_node_count > 0:
                 b_req = verify.fit_boundary_nonlinearity(field, 0.0, 0.0)
@@ -266,12 +267,9 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
                 b_req = 0.0
             fitted.append((a_req, b_req))
     if params is None:
-        n = domain.dimension
-        a_max = max(f[0] for f in fitted) if fitted else 0.0
-        b_max = max(f[1] for f in fitted) if fitted else 0.0
-        params = BoundParams(n, a=a_max, b=b_max)
-    return make_density_sequence(fields, params,
-                                 fitted=tuple(fitted) if fitted else None)
+        params = BoundParams(domain.dimension, a=max(f[0] for f in fitted),
+                             b=max(f[1] for f in fitted))
+    return make_density_sequence(fields, params, fitted=tuple(fitted) or None)
 
 
 _LAYOUT_REGION_FRACTION = 0.6  # bubble centers within this share of the radius

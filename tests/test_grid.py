@@ -1093,7 +1093,7 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n, monkey
         assert np.array_equal(dom._mask_nodes[positions], np.ravel_multi_index(index, dom.shape))
         assert np.array_equal(np.sqrt(_squared_gaps(points.T, center)),
                               np.linalg.norm(grid[win][inside] - center, axis=-1))
-        assert np.array_equal(np.sqrt(dom.squared_distances(center)),
+        assert np.array_equal(np.sqrt(_squared_gaps(dom._columns(), center)),
                               np.linalg.norm(grid - center, axis=-1))
 
 
@@ -1199,9 +1199,9 @@ def _cached_center_distances(dom):
     """The box of centre distances a domain used to cache, rebuilt as it was:
     the broadcast squared axis gaps under a root; on metric balls f L, with
     the segment rule at the nodes within (r + cut_margin) / f + h."""
-    from mvlab.grid import _segment_floor, segment_distance
+    from mvlab.grid import _segment_floor, _squared_gaps, segment_distance
 
-    dist = np.sqrt(dom.squared_distances(dom.center))
+    dist = np.sqrt(_squared_gaps(dom._columns(), dom.center))
     if dom.metric is not None:
         factor = _segment_floor(dom.dimension, dom._deviation_limit)
         dist *= factor
@@ -1249,8 +1249,7 @@ def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
         assert geometry.band_distances.tobytes() == dist.ravel()[band].tobytes()
         assert geometry.distances.tobytes() == dist[dom.in_mask].tobytes()
         assert dom._sqrt_det.tobytes() == sqrt_det[dom.in_mask].tobytes()
-        cut = dom.cut_cells()
-        assert dom._sqrt_det_at(cut.nodes).tobytes() == sqrt_det.ravel()[cut.nodes].tobytes()
+        assert dom._gated[1].tobytes() == sqrt_det.ravel()[band].tobytes()
     # Heinz scans about the centre read the same distances, in the same order,
     # over every in-mask node and over a window of them
     e = dom.field_from_function(lambda p: np.exp(-np.sum((p - 0.1) ** 2, axis=-1)))

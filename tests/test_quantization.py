@@ -157,8 +157,7 @@ def test_bounded_after_all_candidate():
     # recorded as bounded and nothing is extracted
     dom = make_ball_domain([0, 0], 0.5, 1 / 64, 2)
     seq = gen_sequence([GeneratorSpec("bubble", amplitude=1.0, center=(0.0, 0.0))],
-                       [1 / 8, 1 / 12, 1 / 16], dom, fit_bounds=False,
-                       params=BoundParams(2, a=8.0))
+                       [1 / 8, 1 / 12, 1 / 16], dom, params=BoundParams(2, a=8.0))
     ledger = make_ledger(2, 8.0, 0.0, 1e-6)
     # energy bound fed to the budget must keep at least one slot open
     seq2 = make_density_sequence(seq.fields, seq.params,
@@ -251,9 +250,9 @@ def test_exclusion_overlap_merges_candidates():
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_allowed_mask_equals_full_box_computation(n, monkeypatch):
+def test_clear_ball_equals_full_box_computation(n, monkeypatch):
     from mvlab import grid
-    from mvlab.quantization import _allowed_mask
+    from mvlab.quantization import _clear_ball
 
     h = 1 / 16 if n == 2 else 1 / 8
     for dom in (make_ball_domain([0.0] * n, 1.0, h, n),
@@ -272,9 +271,151 @@ def test_allowed_mask_equals_full_box_computation(n, monkeypatch):
             reference = dom.in_mask.ravel().copy()
             for center, radius in chosen:
                 reference &= np.linalg.norm(dom.points() - center, axis=-1) > radius
-            # an in-mask vector, worked one block of window rows at a time
-            # and then a few rows at a time
+            # an in-mask vector cleared a ball at a time, each ball worked one
+            # block of window rows at a time and then a few rows at a time
             for chunk in (grid._CHUNK, 64):
                 monkeypatch.setattr(grid, "_CHUNK", chunk)
-                assert np.array_equal(_allowed_mask(dom, chosen),
-                                      reference[dom.in_mask.ravel()])
+                allowed = np.ones(dom.node_count, dtype=bool)
+                for center, radius in chosen:
+                    _clear_ball(dom, allowed, center, radius)
+                assert np.array_equal(allowed, reference[dom.in_mask.ravel()])
+
+
+def test_allowed_argmax_takes_the_first_largest_allowed_value():
+    from mvlab.quantization import _allowed_argmax
+
+    values = np.array([9.0, 2.0, 5.0, 7.0, 5.0, 7.0, 0.0])
+    allowed = np.array([False, True, True, True, True, True, True])
+    # the 9 is cleared; of the two 7s the first in C order wins
+    assert _allowed_argmax(values, allowed) == 3
+    allowed[3] = allowed[5] = False
+    assert _allowed_argmax(values, allowed) == 2  # ties again: 5 at 2 and at 4
+    assert _allowed_argmax(values, np.arange(7) == 6) == 6  # a lone 0 still wins
+    assert _allowed_argmax(np.zeros(7), np.arange(7) >= 4) == 4
+
+
+def _reference_detect(seq, ledger, threshold):
+    """The detector loop as it ran before the allowed vector: each round
+    rebuilds the allowed nodes from every ball so far (here over every
+    in-mask node, not a window), the argmax gathers each field through the
+    allowed nodes' index, a merge replaces its point's ball in the list, and
+    the residual rebuilds the allowed nodes from the points' balls."""
+    from dataclasses import replace
+
+    from mvlab.constants import quantization_dichotomy
+    from mvlab.quantization import (BoundedCandidate, ConcentrationPoint,
+                                    ConcentrationReport, ExtractionStep, MergeEvent)
+
+    dom, hbar = seq.domain, ledger.hbar
+    n, h = dom.dimension, dom.spacing
+    in_mask_points = dom.in_mask_points()
+
+    def allowed_nodes(balls):
+        allowed = np.ones(len(in_mask_points), dtype=bool)
+        for center, radius in balls:
+            allowed &= np.linalg.norm(in_mask_points - center, axis=-1) > radius
+        return allowed
+
+    budget = int(math.floor(seq.energy_bound / hbar))
+    need = int(math.ceil(math.sqrt(len(seq))))
+    active, excluded, dismissed = list(range(len(seq))), [], []
+    points, bounded, merges, exhausted = [], [], [], False
+    while (nodes := np.flatnonzero(allowed_nodes(excluded + dismissed))).size:
+        argmaxes = {}
+        for i in active:
+            vals = seq.fields[i].values[nodes]
+            k = int(np.argmax(vals))
+            argmaxes[i] = (in_mask_points[nodes[k]], float(vals[k]))
+        witnesses = [i for i in active if argmaxes[i][1] > threshold]
+        best_anchor, best_members = None, []
+        for i in witnesses:
+            members = [j for j in witnesses
+                       if np.linalg.norm(argmaxes[j][0] - argmaxes[i][0]) <= 4.0 * h]
+            key = tuple(argmaxes[i][0])
+            if len(members) > len(best_members) or (
+                    len(members) == len(best_members) and key < best_anchor):
+                best_anchor, best_members = key, members
+        if len(witnesses) < need or len(best_members) < need:
+            break
+        cluster = sorted(best_members)
+        steps, forced_any = [], False
+        for i in cluster:
+            z, value = argmaxes[i]
+            R = value ** (1.0 / n)
+            dich = quantization_dichotomy(R, seq.params, hbar, ledger.c_master)
+            forced_any |= dich.forced
+            steps.append(ExtractionStep(i, tuple(float(x) for x in z), float(R), R ** (-0.5),
+                                        concentration_energy(seq.fields[i], z, R ** (-0.5)),
+                                        dich.branch.value))
+        radius = max(max(s.delta for s in steps), 8.0 * h)
+        active = cluster
+        if not forced_any:
+            bounded.append(BoundedCandidate(steps[-1].z, tuple(cluster),
+                                            max(argmaxes[i][1] for i in cluster)))
+            dismissed.append((np.asarray(steps[-1].z), radius))
+            continue
+        if exhausted := len(points) >= budget:
+            break
+        location = np.asarray(steps[-1].z)
+        for idx, existing in enumerate(points):
+            gap = float(np.linalg.norm(location - np.asarray(existing.location)))
+            if gap <= 2.0 * max(radius, existing.exclusion_radius):
+                merges.append(MergeEvent(tuple(location), idx, gap))
+                grown = max(existing.exclusion_radius, gap + radius)
+                excluded[idx] = (np.asarray(existing.location), grown)
+                points[idx] = replace(existing, exclusion_radius=grown)
+                break
+        else:
+            conc = {i: concentration_energy(seq.fields[i], location, radius) for i in cluster}
+            onset = next((i for pos, i in enumerate(cluster)
+                          if all(conc[j] > hbar for j in cluster[pos:])), None)
+            certified = (min(conc[j] for j in cluster if j >= onset)
+                         if onset is not None else None)
+            points.append(ConcentrationPoint(
+                tuple(float(x) for x in location), tuple(cluster), tuple(steps), onset,
+                certified, float(radius), bool(dom.kind == "half_ball" and location[0] <= 4 * h)))
+            excluded.append((location, float(radius)))
+    rest = allowed_nodes(excluded)
+    residual = {i: float(np.max(seq.fields[i].values[rest])) if rest.any() else None
+                for i in active}
+    return ConcentrationReport(tuple(points), tuple(bounded), tuple(merges), tuple(active),
+                               residual, seq.energy_bound, hbar, budget, threshold, 4.0 * h,
+                               exhausted)
+
+
+def test_merges_and_dismissals_clear_the_balls_the_rebuilt_mask_clears():
+    # two bubbles 0.3125 apart: the second extraction merges into the first
+    # and grows its ball; two wide background bumps stay below the forcing
+    # value (C hbar)^2 = 25 and are dismissed in turn, the lower one (peak
+    # 12) only once the higher one's ball hides its shoulder (13 at half the
+    # radius); the residual reads the higher bump again, since only the
+    # points' balls are left out of it
+    dom = make_ball_domain([0, 0], 1.0, 1 / 128, 2)
+    a = 1 / 60  # hbar = 1 / (4 C^2 a) = 5 / 3 at C = 3
+    bumps = GeneratorSpec("sum", parts=(
+        GeneratorSpec("bubble", center=(0.0, -0.625), scale=0.5, amplitude=5.0),
+        GeneratorSpec("bubble", center=(0.0, 0.625), scale=0.25, amplitude=0.75)))
+    seq = gen_sequence([GeneratorSpec("bubble", center=(-0.15625, 0.0), amplitude=1.1),
+                        GeneratorSpec("bubble", center=(0.15625, 0.0))], [1 / 16, 1 / 32], dom,
+                       bumps, BoundParams(2, a=a))
+    ledger = make_ledger(2, a, 0.0, 3.0)
+    rep = detect_concentration(seq, ledger, divergence_threshold=10.0)
+    assert [p.location for p in rep.points] == [(-0.15625, 0.0)]
+    assert [m.location for m in rep.merges] == [(0.15625, 0.0)]
+    assert [c.location for c in rep.bounded_candidates] == [(0.0, -0.625), (0.0, 0.625)]
+    assert min(rep.residual_bounds.values()) > 20.0  # the higher bump
+    assert rep.as_dict() == _reference_detect(seq, ledger, 10.0).as_dict()
+
+
+def test_n4_bubble_is_found_at_its_node():
+    # one bubble off the centre of the n = 4 ball: the detector extracts it
+    # at its own node, from the first witness on
+    dom = make_ball_domain([0.0] * 4, 0.5, 1 / 32, 4)
+    center = (0.125, -0.0625, 0.03125, 0.0)
+    seq = gen_sequence([GeneratorSpec("bubble", center=center)], [1 / 4, 0.177, 1 / 8], dom)
+    ledger = make_ledger(4, seq.params.a, seq.params.b, 3.0)
+    rep = detect_concentration(seq, ledger, divergence_threshold=50.0)
+    assert [p.location for p in rep.points] == [center]
+    assert all(step.z == center for step in rep.points[0].steps)
+    assert rep.points[0].onset_index == 0 and rep.points[0].certified_energy > ledger.hbar
+    assert not rep.merges and not rep.bounded_candidates

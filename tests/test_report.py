@@ -117,7 +117,7 @@ def test_detection_record():
     # a huge quantum keeps every dichotomy step bounded
     small = make_ball_domain([0.0, 0.0], 0.5, 1 / 64, 2)
     seq = gen_sequence([GeneratorSpec("bubble", center=(0.0, 0.0))], [1 / 8, 1 / 12, 1 / 16],
-                       small, fit_bounds=False, params=BoundParams(2, a=8.0))
+                       small, params=BoundParams(2, a=8.0))
     ledger = make_ledger(2, 8.0, 0.0, 1e-6)
     seq = make_density_sequence(seq.fields, seq.params, energy_bound=2.0 * ledger.hbar)
     bounded = detect_concentration(seq, ledger, 10.0).as_dict()["bounded_candidates"]

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from mvlab import (
+    BoundParams,
     integrate,
     laplacian,
     make_ball_domain,
@@ -202,7 +203,8 @@ def test_three_bubbles_mass_additivity():
     dom = make_ball_domain([0, 0], 1.0, h, 2)
     centers = [(0.5, 0.0), (-0.25, 0.4296875), (-0.25, -0.4296875)]
     specs = [GeneratorSpec("bubble", center=c) for c in centers]
-    seq = gen_sequence(specs, [1 / 16, 1 / 32], dom, fit_bounds=False)
+    seq = gen_sequence(specs, [1 / 16, 1 / 32], dom, params=BoundParams(2))
+    assert seq.fitted is None and seq.params == BoundParams(2)  # given params: nothing fitted
     single = bubble_mass(2, 1 / 16)
     assert seq.energies[0] == pytest.approx(3 * single, rel=0.01)
 
@@ -228,7 +230,7 @@ def test_gen_sequence_reads_each_centre_once_and_no_coordinate_array(monkeypatch
     monkeypatch.setattr(Domain, "in_mask_points", no_points)
     monkeypatch.setattr(Domain, "_in_mask_column",
                         lambda self, k: columns.append(k) or column(self, k))
-    seq = gen_sequence(specs, schedule, dom, background, fit_bounds=False)
+    seq = gen_sequence(specs, schedule, dom, background, BoundParams(2))
     assert columns == [0, 1] * len(specs)  # the constant background reads none
     monkeypatch.undo()
     for lam, field in zip(schedule, seq.fields):
