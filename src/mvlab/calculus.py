@@ -270,10 +270,15 @@ def _ball_weights(dom: Domain, center: Sequence[float],
     (m = sqrt(n) h / 2, half the cell diagonal), between them the fraction
     under the sphere's tangent half space at the node (``cut_fractions``),
     and at the centre node, which has no normal, vol(B_radius) / h^n, which
-    is 1 once radius >= m. Only the in-mask nodes of the ball's
-    ``Domain.window`` are visited, a block of rows at a time, and only the
-    cut cells' coordinates are gathered. The two vectors are allocated once,
-    for every in-mask node of the window, and shrunk in place to the kept ones."""
+    is 1 once radius >= m. A centre within 1e-9 h of a node along every axis
+    is taken at the node: the cut cells' inputs come from their integer
+    offsets from it and are evaluated once per symmetry orbit (``_Orbits``).
+    Any other centre has no node, and each cut cell is evaluated on its own,
+    with the normal (x - center)/|x - center|. Only the in-mask nodes of the
+    ball's ``Domain.window`` are visited, a block of rows at a time, and
+    only the cut cells' coordinates are gathered. The two vectors are
+    allocated once, for every in-mask node of the window, and shrunk in
+    place to the kept ones."""
     h = dom.spacing
     n = dom.dimension
     center = np.asarray(center, dtype=float)
@@ -286,6 +291,13 @@ def _ball_weights(dom: Domain, center: Sequence[float],
             f"ball of radius {radius} at {center} misses the domain")
     margin = 0.5 * math.sqrt(n) * h
     win = dom.window(center, radius + margin)
+    rel = (center - dom.origin) / h
+    node = np.rint(rel)
+    orbits = None
+    if np.all(np.abs(rel - node) <= 1e-9):
+        node = node.astype(np.intp)
+        reach = max(max(abs(part.start - k), abs(part.stop - k)) for part, k in zip(win, node))
+        orbits = dom._orbits(node, radius, reach)
     kept = np.empty(np.count_nonzero(dom.in_mask[win]), dtype=np.intp)
     weights = np.empty(len(kept))
     size = 0
@@ -293,12 +305,17 @@ def _ball_weights(dom: Domain, center: Sequence[float],
         d = _squared_gaps(points.T, center)
         np.sqrt(d, out=d)
         share = (d < radius - margin).astype(float)
-        cut = (np.abs(d - radius) <= margin) & (d > 0.0)
+        centre = d == 0.0 if orbits is None else d < 0.5 * h  # the centre node
+        cut = (np.abs(d - radius) <= margin) & ~centre
         pts = points[cut]
         flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
-        share[cut] = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h,
-                                   flat) / np.where(flat, 0.5, 1.0)
-        share[d == 0.0] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
+        if orbits is None:
+            fractions = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h, flat)
+        else:
+            offsets = np.unravel_index(dom._mask_nodes[positions[cut]], dom.shape)
+            fractions = orbits.fractions(orbits.codes(np.stack(offsets, axis=-1) - node))
+        share[cut] = fractions / np.where(flat, 0.5, 1.0)
+        share[centre] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
         keep = share > 0.0
         part = slice(size, size + np.count_nonzero(keep))
         kept[part] = positions[keep]

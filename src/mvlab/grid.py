@@ -11,9 +11,9 @@ float64 per in-mask node, in the C order of the box (``Domain._mask_nodes``).
 Box-shaped values exist only as short-lived scratch, scattered a band of
 axis-0 rows at a time with NaN off the mask (``Domain._band``,
 ``ScalarField.box``). The only box-shaped arrays a domain keeps are its
-int8 mask and bool ``in_mask``: its centre distances are kept on the cut band
-(and, on metric balls, at the in-mask nodes), and sqrt(det g) at the in-mask
-nodes; the box-shaped forms are built on request and not kept.
+int8 mask and bool ``in_mask``: a metric ball keeps its centre distances on
+the cut band, and sqrt(det g) at the in-mask nodes; the box-shaped forms are
+built on request and not kept.
 """
 
 from __future__ import annotations
@@ -122,50 +122,44 @@ _SORT_NETWORK = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
                  4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 # A component of a below this share of the largest one is dropped: its
-# coordinate is taken at the cube's centre, u_i = 1/2. It balances the two
+# coordinate is taken at the cube's centre, w_i = 0. It balances the two
 # errors of ``cube_fraction`` at n = 4: dropping (at most _DROP / 4 a
 # component) and rounding (about 1e-16 / _DROP^2 with two small ones kept).
 _DROP = 1e-5
 
 
 def cube_fraction(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vol{u in [0, 1]^n : a . u <= t} for each row of ``a`` (k, n) and entry
-    of ``t`` (k,), in closed form (Barrow & Smith, Amer. Math. Monthly 86,
-    1979; Marichal & Mossinghoff 2008): with the components flipped to
-    a_i >= 0 and m of them kept,
-    sum over the cube's vertices v of (-1)^|v| (t - a . v)_+^m / (m! prod a_i).
+    """Vol{w in [-1/2, 1/2]^n : a . w <= t} for each row of ``a`` (k, n) and
+    entry of ``t`` (k,), in closed form (Barrow & Smith, Amer. Math. Monthly
+    86, 1979; Marichal & Mossinghoff 2008). The centred cube is symmetric
+    under every signed permutation of the axes, so the fraction depends on
+    the magnitudes |a_i| alone, and they are sorted first: a row and any
+    signed permutation of it give the same bits. With m components kept and
+    the offset from the cube's lowest corner s = t + sum |a_i| / 2,
+    sum over the unit cube's vertices v of (-1)^|v| (s - |a| . v)_+^m / (m! prod |a_i|).
 
     The vertex pairs that differ in the smallest kept component a_m are
     summed as (x_+^m - (x - a_m)_+^m) / a_m = sum_j x^j (x - a_m)^(m-1-j)
     (or x^m / a_m once x - a_m <= 0), so a_m divides no rounding error; the
     other kept components leave about 200 u / (m! prod_{i<m} a_i / max|a|^(m-1))
     of it (u = 2^-53): below 1e-13 at n = 2, 1e-9 at n = 3 and 1e-5 at n = 4.
-    A component below ``_DROP`` times the largest is dropped; that moves the
-    fraction by at most |a_i| / (4 max |a|), because the fraction is the
-    mean over u_i of a function of t - a_i u_i with slope at most 1 / max |a|.
-    Worked on one array per component, each reduction over them in axis
-    order, as numpy reduces a row shorter than 8: bitwise the row-wise form.
+    A component below ``_DROP`` times the largest is dropped (its coordinate
+    is taken at the cube's centre, w_i = 0); that moves the fraction by at
+    most |a_i| / (4 max |a|), because the fraction is the mean over w_i of a
+    function of t - a_i w_i with slope at most 1 / max |a|. Worked on one
+    array per component; the sums over them run in the sorted order.
     """
     a = np.asarray(a, dtype=float)
-    t = np.array(t, dtype=float)
-    cols = list(a.T)
-    mags = [np.abs(col) for col in cols]
-    limit = _DROP * functools.reduce(np.maximum, mags)
-    drops = [mag < limit for mag in mags]
-    if any(drop.any() for drop in drops):
-        total = run = 0.0  # as np.sum(a, axis=1, where=drop): each run of dropped ones alone
-        for col, drop in zip(cols, drops):
-            total = total + np.where(drop, 0.0, run)
-            run = np.where(drop, run + col, 0.0)
-        t -= 0.5 * (total + run)
-        cols = [np.where(drop, 0.0, col) for col, drop in zip(cols, drops)]
-        mags = [np.where(drop, 0.0, mag) for mag, drop in zip(mags, drops)]
-    t -= functools.reduce(np.add, [np.minimum(col, 0.0) for col in cols])  # u_i -> 1 - u_i, a_i < 0
-    out = (t >= functools.reduce(np.add, mags)).astype(float)  # the cube lies on one side
+    mags = [np.abs(col) for col in a.T]
+    for i, j in _SORT_NETWORK[len(mags)]:  # descending, so the dropped ones come last
+        mags[i], mags[j] = np.maximum(mags[i], mags[j]), np.minimum(mags[i], mags[j])
+    limit = _DROP * mags[0]
+    mags = [np.where(mag < limit, 0.0, mag) for mag in mags]
+    total = functools.reduce(np.add, mags)
+    t = np.asarray(t, dtype=float) + 0.5 * total  # the offset from the lowest corner
+    out = (t >= total).astype(float)  # the cube lies on one side
     live = np.flatnonzero((t > 0.0) & (out == 0.0))
     mags = [mag[live] for mag in mags]
-    for i, j in _SORT_NETWORK[len(mags)]:  # the kept components first, descending
-        mags[i], mags[j] = np.maximum(mags[i], mags[j]), np.minimum(mags[i], mags[j])
     t = t[live]
     kept = functools.reduce(np.add, [mag != 0.0 for mag in mags], 0)
     for m in np.unique(kept):
@@ -195,19 +189,87 @@ def cut_fractions(normal: np.ndarray, offset: np.ndarray, flat: np.ndarray) -> n
     node on the flat plane (``flat``) keeps the box [0, 1/2] x [-1/2, 1/2]^(n-1)
     of its cell, so its fraction is at most 1/2. The lab's only cell rule:
     every sphere that cuts a cell (the domain's or a subregion's) is replaced
-    by its tangent half space at the node. Worked a block of cells at a time,
-    which bounds ``cube_fraction``'s temporaries of 2^(n-1) terms a cell."""
+    by its tangent half space at the node. Like ``cube_fraction``, a cell's
+    fraction keeps its bits under every signed permutation of its normal
+    (of the normal's components past axis 0 on the flat plane). Worked a
+    block of cells at a time, which bounds ``cube_fraction``'s temporaries
+    of 2^(n-1) terms a cell."""
     out = np.empty(len(offset))
     size = _CHUNK >> (normal.shape[1] + 1)
     for start in range(0, len(out), size):
         rows = slice(start, start + size)
         side = np.where(flat[rows], 0.5, 1.0)  # of the cell along axis 0; 1 along the others
-        block = normal[rows]
-        low = [block[:, 0] * np.where(flat[rows], 0.0, -0.5)] + [col * -0.5 for col in block.T[1:]]
-        scaled = block.copy()
+        scaled = normal[rows].copy()
         scaled[:, 0] *= side
-        out[rows] = side * cube_fraction(scaled, offset[rows] - functools.reduce(np.add, low))
+        # a half cell's centre sits a quarter cell up axis 0
+        centred = offset[rows] - np.where(flat[rows], 0.5 * scaled[:, 0], 0.0)
+        out[rows] = side * cube_fraction(scaled, centred)
     return out
+
+
+def _node_fractions(offsets: np.ndarray, steps: float, flat_row: int | None) -> np.ndarray:
+    """``cut_fractions`` of the cells at the integer ``offsets`` (m, n) from the
+    centre node of a Euclidean sphere of radius ``steps`` spacings: the
+    normal k/|k| and the offset steps - |k|, |k| the root of the exact
+    integer sum of squares, so that the inputs of a cell and of any signed
+    permutation of its offset are themselves permuted, bit for bit. The
+    cells whose offset along axis 0 is ``flat_row`` are flat-plane cells."""
+    length = np.sqrt((offsets * offsets).sum(axis=1).astype(float))
+    flat = np.zeros(len(offsets), dtype=bool) if flat_row is None else offsets[:, 0] == flat_row
+    return cut_fractions(offsets / length[:, None], steps - length, flat)
+
+
+class _Orbits:
+    """``_node_fractions`` computed once per symmetry orbit of the cells of a
+    node-centred Euclidean sphere and looked up for every cell. A ball's
+    cells are symmetric under all 2^n n! signed permutations of their offset
+    k from the centre node, so an orbit is keyed by the sorted |k_i|; on a
+    half-ball axis 0 and the flat row break that symmetry, and the key is
+    k_0 with the sorted |k_i| of the other axes. Each key is one integer
+    code; the table of evaluated orbits is kept sorted by it and grows as
+    blocks of cells bring new ones, so no band-sized array is ever sorted."""
+
+    def __init__(self, n: int, steps: float, half_ball: bool, flat_row: int | None,
+                 reach: int):
+        self._steps, self._flat_row = steps, flat_row
+        self._first = 1 if half_ball else 0  # the axes past it are sorted by |k|
+        self._reach = reach  # |k_i| <= reach along every axis
+        self._dims = (2 * reach + 1,) * n
+        # the sorted codes evaluated so far and their fractions, from a code
+        # no orbit has (-1), so that a lookup always lands on a key
+        self._keys = np.array([-1])
+        self._values = np.array([np.nan])
+
+    def codes(self, offsets: np.ndarray) -> np.ndarray:
+        """The code of the orbit of the cell at each integer offset (m, n)."""
+        first = self._first
+        cols = [col if k < first else np.abs(col) for k, col in enumerate(offsets.T)]
+        rest = cols[first:]
+        for i, j in _SORT_NETWORK[len(rest)]:  # descending
+            rest[i], rest[j] = np.maximum(rest[i], rest[j]), np.minimum(rest[i], rest[j])
+        return np.ravel_multi_index(tuple(col + self._reach for col in cols[:first] + rest),
+                                    self._dims)
+
+    def evaluate(self, codes: np.ndarray) -> None:
+        """Evaluate the orbits of ``codes``, none of them in the table yet, in
+        one kernel call, each on its canonical offset."""
+        fresh = np.unique(codes)
+        canonical = np.stack(np.unravel_index(fresh, self._dims), axis=-1) - self._reach
+        keys = np.concatenate([self._keys, fresh])
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._values = np.concatenate([self._values, _node_fractions(
+            canonical, self._steps, self._flat_row)])[order]
+
+    def fractions(self, codes: np.ndarray) -> np.ndarray:
+        """The fraction of each cell, given the code of its orbit; the orbits
+        the table lacks are evaluated first."""
+        at = np.searchsorted(self._keys, codes)
+        new = self._keys.take(at, mode="clip") != codes
+        if new.any():
+            self.evaluate(codes[new])
+            at = np.searchsorted(self._keys, codes)
+        return self._values[at]
 
 
 class CutCells(NamedTuple):
@@ -223,16 +285,14 @@ class CutCells(NamedTuple):
 class _Geometry(NamedTuple):
     """What a domain keeps of its centre distances, from ``Domain._geometry``:
     the mask; the cut band, the raveled nodes within ``Domain.cut_margin`` of
-    the sphere (C order); and on metric balls the band's exact distances, its
-    normals (central differences of the distances, which read neighbours no
-    one keeps) and the exact distance of every in-mask node, an in-mask
-    vector. Euclidean domains keep none of those three: a distance is the
-    norm of the node's offset, computed again where it is read."""
+    the sphere (C order); and on metric balls the band's exact distances and
+    its normals (central differences of the distances, which read neighbours
+    no one keeps). Euclidean domains keep neither: a cut cell's inputs come
+    from its integer offset from the centre node."""
     mask: np.ndarray
     band: np.ndarray
     band_distances: np.ndarray | None
     band_normals: np.ndarray | None
-    distances: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -525,7 +585,7 @@ class Domain:
         step = max(1, _CHUNK // row)
         flat_row = self.flat_plane_index
         mask = np.empty(self.shape, dtype=np.int8)
-        band, band_distances, band_normals, distances = [], [], [], []
+        band, band_distances, band_normals = [], [], []
         ahead = self._slab_distances(0, min(step, extent))
         below = ahead[:0]  # the row before the slab
         for a in range(0, extent, step):
@@ -543,27 +603,32 @@ class Domain:
             if not self._euclidean:
                 band_distances.append(dist.ravel()[cut])
                 band_normals.append(self._normals(np.concatenate(context), lo, band[-1]))
-                distances.append(dist[_shifted(padded, {})])
             below = dist[-1:]
         metric = [None if self._euclidean else _read_only(np.concatenate(part))
-                  for part in (band_distances, band_normals, distances)]
+                  for part in (band_distances, band_normals)]
         return _Geometry(_read_only(mask), _read_only(np.concatenate(band)), *metric)
 
     def _slab_distances(self, a: int, b: int) -> np.ndarray:
         """The centre distances of the box's axis-0 rows [a, b), shape
         (b - a,) + shape[1:]: ``_squared_gaps`` of the broadcast axes under a
-        root, and on metric balls the segment rule at the nodes within
-        (r + cut_margin)/f + h of the centre and f L beyond (``center_distances``)."""
+        root; on metric balls f L, with the segment rule only where it decides
+        the mask or the cut band (``center_distances``)."""
         columns = self._columns()
         columns[0] = columns[0][a:b]
         dist = _squared_gaps(columns, self.center)
         np.sqrt(dist, out=dist)
-        if not self._euclidean:  # nodes past (r + cut_margin) / f + h keep f L
-            factor = _segment_floor(self.dimension, self._deviation_limit)
+        if not self._euclidean:
+            r, margin, h = self.radius, self.cut_margin, self.spacing
+            deviation = self._deviation_limit
+            factor = _segment_floor(self.dimension, deviation)
+            # segment_distance <= (1 + n delta / 2) L, so below ``inner`` a node is
+            # inside, off the band and no band node's neighbour (its L is within h)
+            inner = ((r - margin) / (1.0 + 0.5 * self.dimension * deviation) - h) * (1.0 - 1e-9)
+            near = np.flatnonzero(dist.ravel() >= inner)
             dist *= factor
-            near = dist.ravel() <= self.radius + self.cut_margin + factor * self.spacing
+            near = near[dist.ravel()[near] <= r + margin + factor * h]
             first = a * math.prod(self.shape[1:])
-            self._segment_into(dist, self.center, np.flatnonzero(near), first)
+            self._segment_into(dist, self.center, near, first)
         return dist
 
     def _normals(self, dist: np.ndarray, lo: int, nodes: np.ndarray) -> np.ndarray:
@@ -714,11 +779,13 @@ class Domain:
 
     def center_distances(self) -> np.ndarray:
         """Distance from the center to every box node, box-shaped, built on each
-        call and not kept (the domain keeps them on the cut band and, on metric
-        balls, at the in-mask nodes; no lab routine calls this). On metric balls
-        exact within (r + cut_margin)/f + h, f = ``_segment_floor(n,
-        _deviation_limit)``, beyond that f L: the values the mask and the cut
-        band are read from."""
+        call and not kept (metric balls keep them on the cut band; no lab
+        routine calls this). On metric balls, with f = ``_segment_floor(n,
+        delta)`` and delta = ``_deviation_limit``, the segment rule at the nodes
+        whose Euclidean length L from the centre lies in [((r - cut_margin) /
+        (1 + n delta / 2) - h)(1 - 1e-9), (r + cut_margin)/f + h], and f L, a
+        lower bound on the same side of r, at the others: the values the mask
+        and the cut band are read from."""
         return _read_only(self._slab_distances(0, self.shape[0]))
 
     @property
@@ -856,44 +923,64 @@ class Domain:
     def cut_cells(self) -> CutCells:
         """The cells of the cut band (the nodes within ``cut_margin`` of the
         sphere), with the sphere replaced by its tangent half space at their
-        node, normal to the gradient of the centre distance: (x - c)/|x - c|,
-        or on metric balls the central difference of ``center_distances()``,
-        kept with the band. An out-of-mask node hands its cell to its in-mask
-        neighbour one axis step toward the centre, else one diagonal step
-        toward it. Worked a block of cells at a time."""
+        node. On Euclidean domains its normal is k/|k|, k the node's integer
+        offset from the centre node, and its offset r/h - |k| (``_Orbits``:
+        one evaluation per symmetry orbit of cells); on metric balls the
+        normal is the central difference of ``center_distances()``, kept with
+        the band, and each cell is evaluated on its own. An out-of-mask node
+        hands its cell to its in-mask neighbour one axis step toward the
+        centre, else one diagonal step toward it. Worked a block of cells at
+        a time."""
         h = self.spacing
         geometry = self._geometry
         nodes = geometry.band
         centre = np.rint((self.center - self.origin) / h).astype(int)
         in_mask = self.in_mask.ravel()
         fractions = np.empty(len(nodes))
+        codes = fractions.view(np.int64)  # the orbit codes, until the fractions overwrite them
         receivers = np.empty(len(nodes), dtype=nodes.dtype)
-        size = _CHUNK >> (self.dimension + 1)  # cube_fraction sums 2^(n-1) terms a cell
+        strides = np.array([math.prod(self.shape[ax + 1:]) for ax in range(self.dimension)])
+        size = _CHUNK >> (self.dimension + 1)  # per cell, cube_fraction sums 2^(n-1) terms
+        if self._euclidean:  # the band's orbits first, all in one kernel call
+            orbits = self._orbits(centre, self.radius, max(self.shape))
+            seen = [np.empty(0, dtype=np.int64)]
+            for start in range(0, len(nodes), size):
+                part = slice(start, start + size)
+                index = np.unravel_index(nodes[part], self.shape)
+                codes[part] = orbits.codes(np.stack(index, axis=-1) - centre)
+                ranked = np.sort(codes[part])  # its distinct codes (np.unique hashes, slower)
+                seen.append(ranked[np.append(True, ranked[1:] != ranked[:-1])])
+            orbits.evaluate(np.concatenate(seen))
         for start in range(0, len(nodes), size):
             block = nodes[start:start + size]
             part = slice(start, start + len(block))
             index = np.stack(np.unravel_index(block, self.shape), axis=-1)
-            points = self._node_points(block)
-            if self._euclidean:
-                d = np.sqrt(_squared_gaps(points.T, self.center))
-                normal = (points - self.center) / d[:, None]
-            else:
-                d, normal = geometry.band_distances[part], geometry.band_normals[part]
-            norm = np.sqrt(_squared_gaps(normal.T, np.zeros(self.dimension)))
-            flat = (points[:, 0] < 0.5 * h) & (self.kind == HALF_BALL)
-            fractions[part] = cut_fractions(normal / norm[:, None],
-                                            (self.radius - d) / (norm * h), flat)
             off = index - centre
-            axis_step = index.copy()
-            rows = np.arange(len(block))
+            if self._euclidean:
+                fractions[part] = orbits.fractions(codes[part])
+            else:  # a metric ball has no flat plane
+                d, normal = geometry.band_distances[part], geometry.band_normals[part]
+                norm = np.sqrt(_squared_gaps(normal.T, np.zeros(self.dimension)))
+                fractions[part] = cut_fractions(normal / norm[:, None],
+                                                (self.radius - d) / (norm * h),
+                                                np.zeros(len(block), dtype=bool))
+            sign = np.sign(off)
             major = np.argmax(np.abs(off), axis=1)
-            axis_step[rows, major] -= np.sign(off[rows, major])
             receiver = np.where(in_mask[block], block, -1)
-            for step in (axis_step, index - np.sign(off)):
-                step = np.ravel_multi_index(tuple(step.T), self.shape)
+            # raveled steps toward the centre node, which never leave the box
+            axis_step = block - sign[np.arange(len(block)), major] * strides[major]
+            for step in (axis_step, block - sign @ strides):
                 receiver = np.where((receiver < 0) & in_mask[step], step, receiver)
             receivers[part] = receiver
         return CutCells(nodes, fractions, receivers)
+
+    def _orbits(self, node: np.ndarray, radius: float, reach: int) -> _Orbits:
+        """An empty ``_Orbits`` table for the Euclidean sphere of ``radius``
+        about the node of integer index ``node`` (in or off the box), for
+        cells at most ``reach`` steps from it along every axis."""
+        row = self.flat_plane_index
+        return _Orbits(self.dimension, radius / self.spacing, self.kind == HALF_BALL,
+                       None if row is None else row - node[0], reach)
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -81,9 +81,7 @@ class _PrefixSup:
             positions = np.concatenate([block for block, _ in blocks])
             points = np.concatenate([block for _, block in blocks])
         vals, nodes = e.values[positions], dom._mask_nodes[positions]
-        if dom.metric is not None and np.array_equal(center, dom.center):
-            dist = dom._geometry.distances[positions]  # kept: exact at every in-mask node
-        elif dom.metric is None and points is None:  # a coordinate column at a time
+        if dom.metric is None and points is None:  # a coordinate column at a time
             dist = np.sqrt(_squared_gaps(map(dom._in_mask_column, range(dom.dimension)), center))
         else:
             dist = dom.distance(dom.in_mask_points() if points is None else points, center)

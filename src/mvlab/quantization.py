@@ -206,16 +206,33 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             break
         cluster = sorted(best_members)
 
-        steps = []
-        forced_any = False
+        scales = []  # per witness: R, delta and the dichotomy
         for i in cluster:
-            z, value = argmaxes[i]
-            R = value ** (1.0 / n)
-            delta = R ** (-0.5)
-            dich = quantization_dichotomy(R, seq.params, hbar, ledger.c_master)
-            energy = concentration_energy(seq.fields[i], z, delta)
+            R = argmaxes[i][1] ** (1.0 / n)
+            scales.append((R, R ** (-0.5), quantization_dichotomy(R, seq.params, hbar,
+                                                                   ledger.c_master)))
+        forced_any = any(dich.forced for _, _, dich in scales)
+        # an extraction's onset ball, at the last witness's node with the
+        # exclusion radius, is often the coarsest witness's own ball: then the
+        # cluster's energies in it are taken while that ball's quadrature is
+        # built below, and no second quadrature is kept or built
+        location = argmaxes[cluster[-1]][0]
+        delta_excl = max(max(delta for _, delta, _ in scales), exclusion_floor)
+        coarsest = max(range(len(cluster)), key=lambda k: scales[k][1])
+        shared = (forced_any and len(points) < budget and scales[coarsest][1] == delta_excl
+                  and np.array_equal(argmaxes[cluster[coarsest]][0], location))
+        conc = None
+        steps = []
+        for k, (i, (R, delta, dich)) in enumerate(zip(cluster, scales)):
+            z = argmaxes[i][0]
+            # ``concentration_energy``, from the ball's quadrature
+            positions, weights = calculus._ball_weights(dom, z, delta)
+            energy = float(np.dot(seq.fields[i].values[positions], weights))
+            if shared and k == coarsest:
+                conc = {j: float(np.dot(seq.fields[j].values[positions], weights))
+                        for j in cluster}
+            del positions, weights
             if dich.forced:
-                forced_any = True
                 if energy <= hbar:
                     raise QuantizationViolated(
                         f"index {i}: dichotomy forces concentration at R={R:.6g} "
@@ -241,9 +258,6 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             budget_exhausted = True
             break
 
-        location = np.asarray(steps[-1].z)
-        delta_excl = max(max(s.delta for s in steps), exclusion_floor)
-
         merged = False
         for idx, existing in enumerate(points):
             gap = float(np.linalg.norm(location - np.asarray(existing.location)))
@@ -261,10 +275,12 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
 
         # onset: first witness index past which the fixed-scale ball at the
         # extracted point always carries more than hbar; the ball's
-        # quadrature is built once and dotted with each field, as
-        # ``concentration_energy`` would
-        positions, weights = calculus._ball_weights(dom, location, delta_excl)
-        conc = {i: float(np.dot(seq.fields[i].values[positions], weights)) for i in cluster}
+        # quadrature is built once (or was, as a step's) and dotted with each
+        # field, as ``concentration_energy`` would
+        if conc is None:
+            positions, weights = calculus._ball_weights(dom, location, delta_excl)
+            conc = {i: float(np.dot(seq.fields[i].values[positions], weights)) for i in cluster}
+            del positions, weights
         onset = None
         for pos, i in enumerate(cluster):
             if all(conc[j] > hbar for j in cluster[pos:]):

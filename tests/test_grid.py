@@ -354,15 +354,15 @@ def test_oversized_box_raises_before_allocating():
 
 
 def _exact_cube_fraction(a, t):
-    """Vol{u in [0, 1]^n : a . u <= t} in exact rational arithmetic, with
+    """Vol{w in [-1/2, 1/2]^n : a . w <= t} in exact rational arithmetic, with
     every nonzero component kept."""
     import itertools
     import math
     from fractions import Fraction
 
-    a = [Fraction(float(x)) for x in a]
-    t = Fraction(float(t)) - sum(x for x in a if x < 0)
-    a = [abs(x) for x in a if x != 0]
+    a = [abs(Fraction(float(x))) for x in a]
+    t = Fraction(float(t)) + sum(a) / 2  # from the lowest corner
+    a = [x for x in a if x != 0]
     if not a:
         return float(t >= 0)
     total = Fraction(0)
@@ -388,16 +388,18 @@ _ROUNDING = {2: 1e-13, 3: 1e-9, 4: 1e-5}
 def test_cube_fraction_known_volumes():
     for n in (2, 3, 4):
         axis = np.eye(n)[0]
-        assert _cube_fraction(axis, 0.3) == pytest.approx(0.3, abs=1e-15)
-        assert _cube_fraction(-np.eye(n)[-1], -0.3) == pytest.approx(0.7, abs=1e-15)
-        assert _cube_fraction(axis, 1.7) == 1.0 and _cube_fraction(axis, -0.1) == 0.0
-    # the corner simplex t^n / n!, and halves by symmetry on the diagonal
-    for t, volume in ((0.5, 1 / 8), (1.0, 1 / 2), (1.5, 7 / 8)):
-        assert _cube_fraction([1.0, 1.0], t) == pytest.approx(volume, abs=1e-15)
-    for t, volume in ((1.0, 1 / 6), (1.5, 1 / 2), (2.0, 5 / 6), (0.5, 1 / 48)):
-        assert _cube_fraction([1.0, 1.0, 1.0], t) == pytest.approx(volume, abs=1e-15)
-    assert _cube_fraction([1.0] * 4, 1.0) == pytest.approx(1 / 24, abs=1e-15)
-    assert _cube_fraction([1.0] * 4, 2.0) == pytest.approx(1 / 2, abs=1e-15)
+        # w_0 <= t on [-1/2, 1/2]^n
+        assert _cube_fraction(axis, -0.2) == pytest.approx(0.3, abs=1e-15)
+        assert _cube_fraction(-np.eye(n)[-1], 0.2) == pytest.approx(0.7, abs=1e-15)
+        assert _cube_fraction(axis, 1.2) == 1.0 and _cube_fraction(axis, -0.6) == 0.0
+    # the corner simplex s^n / n!, s the offset from the lowest corner, and
+    # halves by symmetry through the centre
+    for s, volume in ((0.5, 1 / 8), (1.0, 1 / 2), (1.5, 7 / 8)):
+        assert _cube_fraction([1.0, 1.0], s - 1.0) == pytest.approx(volume, abs=1e-15)
+    for s, volume in ((1.0, 1 / 6), (1.5, 1 / 2), (2.0, 5 / 6), (0.5, 1 / 48)):
+        assert _cube_fraction([1.0, 1.0, 1.0], s - 1.5) == pytest.approx(volume, abs=1e-15)
+    assert _cube_fraction([1.0] * 4, -1.0) == pytest.approx(1 / 24, abs=1e-15)
+    assert _cube_fraction([1.0] * 4, 0.0) == pytest.approx(1 / 2, abs=1e-15)
     assert _cube_fraction([-1.0, 1.0], 0.0) == pytest.approx(1 / 2, abs=1e-15)
 
 
@@ -409,7 +411,7 @@ def test_cube_fraction_complement_symmetry(case):
     a = np.asarray(a)
     assume(np.max(np.abs(a)) >= 1e-3)
     # t from below the cube's lowest vertex to above its highest
-    t = share * np.sum(np.abs(a)) + np.sum(np.minimum(a, 0.0))
+    t = (share - 0.5) * np.sum(np.abs(a))
     total = _cube_fraction(a, t) + _cube_fraction(-a, -t)
     assert abs(total - 1.0) <= 2 * _ROUNDING[len(a)]
 
@@ -420,19 +422,19 @@ def test_cube_fraction_axis_aligned_and_near_zero_normals_n4():
                [0.6, 0.8, 1e-12, -1e-12], [0.5, -0.5, 0.5, 1e-12], [0.6, -0.8, 0.0, 0.0],
                [1.0, 0.99e-5, 0.5, 0.3], [1.0, -2e-5, 0.5, 0.3], [1.0, 0.4, -1e-3, 2e-3]]
     for a in map(np.asarray, normals):
-        low, high = np.sum(np.minimum(a, 0.0)), np.sum(np.maximum(a, 0.0))
-        for t in np.concatenate([rng.uniform(low - 0.1, high + 0.1, 40), [low, high, 0.0]]):
+        high = 0.5 * np.sum(np.abs(a))  # the highest vertex, and -high the lowest
+        for t in np.concatenate([rng.uniform(-high - 0.1, high + 0.1, 40), [-high, high, 0.0]]):
             # dropping a component below 1e-5 of the largest moves the
             # fraction by at most |a_i| / (4 max |a|)
             dropped = np.sum(np.abs(a)[np.abs(a) < 1e-5 * np.max(np.abs(a))])
             bound = dropped / (4.0 * np.max(np.abs(a))) + _ROUNDING[4]
             assert abs(_cube_fraction(a, t) - _exact_cube_fraction(a, t)) <= bound
     # components near 1e-12 give the lower-dimensional fraction
-    for t in np.linspace(-0.2, 1.6, 19):
+    for t in np.linspace(-0.9, 0.9, 19):
         assert _cube_fraction([0.6, 0.8, 1e-12, -1e-12], t) == pytest.approx(
             _cube_fraction([0.6, 0.8], t), abs=1e-12)
         assert _cube_fraction([1.0, 1e-12, 1e-12, 1e-12], t) == pytest.approx(
-            min(max(t - 1.5e-12, 0.0), 1.0), abs=1e-12)
+            min(max(t + 0.5, 0.0), 1.0), abs=1e-12)
 
 
 def test_cut_fractions_clip_flat_row_cells_to_the_half_box():
@@ -457,22 +459,16 @@ def test_cut_fractions_clip_flat_row_cells_to_the_half_box():
 
 
 def _cube_fraction_reference(a, t):
-    """``grid.cube_fraction`` as it was written on whole rows: row reductions,
-    a row sort and a masked row sum."""
+    """``grid.cube_fraction`` written on whole rows: a row sort of the
+    magnitudes, descending, then row reductions in that order."""
     from mvlab.grid import _DROP, _VERTEX_SIGNS, _VERTICES
 
-    a = np.asarray(a, dtype=float)
-    t = np.array(t, dtype=float)
-    mag = np.abs(a)
-    drop = mag < _DROP * mag.max(axis=1, keepdims=True)
-    if drop.any():
-        t -= 0.5 * np.sum(a, axis=1, where=drop)
-        a = np.where(drop, 0.0, a)
-        mag[drop] = 0.0
-    t -= np.sum(np.minimum(a, 0.0), axis=1)
+    mag = -np.sort(-np.abs(np.asarray(a, dtype=float)), axis=1)  # contiguous rows
+    mag[mag < _DROP * mag[:, :1]] = 0.0
+    t = np.asarray(t, dtype=float) + 0.5 * mag.sum(axis=1)
     out = (t >= mag.sum(axis=1)).astype(float)
     live = np.flatnonzero((t > 0.0) & (out == 0.0))
-    mag = np.sort(mag[live], axis=1)[:, ::-1]
+    mag = mag[live]
     t = t[live]
     kept = np.count_nonzero(mag, axis=1)
     for m in np.unique(kept):
@@ -496,13 +492,15 @@ def _cube_fraction_reference(a, t):
 
 
 def _cut_fractions_reference(normal, offset, flat):
-    """``grid.cut_fractions`` as it was written on whole rows."""
-    lower = np.full(normal.shape, -0.5)
+    """``grid.cut_fractions`` written on whole rows: a flat-plane cell is the
+    half cell [0, 1/2] x [-1/2, 1/2]^(n-1), its centre a quarter cell up axis 0."""
     side = np.ones(normal.shape)
-    lower[flat, 0] = 0.0
     side[flat, 0] = 0.5
+    scaled = normal * side
+    centre = np.zeros(normal.shape)
+    centre[flat, 0] = 0.5
     return np.prod(side, axis=1) * _cube_fraction_reference(
-        normal * side, offset - np.sum(normal * lower, axis=1))
+        scaled, offset - np.sum(scaled * centre, axis=1))
 
 
 def _assert_bitwise(got, want):
@@ -525,10 +523,10 @@ def test_cube_fraction_is_bitwise_the_row_wise_reference_on_random_rows(n):
     tiny = 10.0 ** rng.uniform(-14, -5.5, (rows, n))
     a = np.choose(kind, [big, tiny, np.zeros((rows, n)), np.full((rows, n), -0.0)])
     a *= np.where(rng.random((rows, n)) < 0.5, -1.0, 1.0)
-    low, high = np.sum(np.minimum(a, 0.0), axis=1), np.sum(np.maximum(a, 0.0), axis=1)
-    t = rng.uniform(low - 0.1, high + 0.1)
+    high = 0.5 * np.sum(np.abs(a), axis=1)  # the highest vertex, and -high the lowest
+    t = rng.uniform(-high - 0.1, high + 0.1)
     t[::7] = 0.0
-    t[1::7] = low[1::7]
+    t[1::7] = -high[1::7]
     got = cube_fraction(a, t)
     _assert_bitwise(got, _cube_fraction_reference(a, t))
     assert 0.0 < got.mean() < 1.0
@@ -561,6 +559,108 @@ def test_cube_fraction_is_bitwise_the_row_wise_reference_on_real_cut_cells(n, mo
     assert len(seen) >= 8
     for a, t in seen:
         _assert_bitwise(original(a, t), _cube_fraction_reference(a, t))
+
+
+# normal components: any in [-1, 1], signed zeros, and ones dropped beside a
+# component of 1e-3 or more (below grid._DROP times the largest)
+_COMPONENTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 3e-9, -2e-12]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_COMPONENTS, min_size=n, max_size=n), min_size=1, max_size=8),
+    st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8),
+    st.permutations(range(n)), st.lists(st.booleans(), min_size=n, max_size=n),
+    st.permutations(range(1, n)))))
+def test_cube_and_cut_fractions_keep_their_bits_under_signed_permutations(case):
+    from mvlab.grid import cube_fraction, cut_fractions
+
+    rows, offsets, order, flips, lateral = case
+    a = np.asarray(rows)
+    t = np.asarray(offsets[:len(a)])
+    signs = np.where(flips, -1.0, 1.0)
+    moved = a[:, order] * signs
+    _assert_bitwise(cube_fraction(moved, t), cube_fraction(a, t))
+    off = np.zeros(len(a), dtype=bool)
+    _assert_bitwise(cut_fractions(moved, t, off), cut_fractions(a, t, off))
+    # on the flat plane axis 0 stays put; the others move, signed
+    lifted = a[:, [0] + list(lateral)] * np.r_[1.0, signs[1:]]
+    _assert_bitwise(cut_fractions(lifted, t, ~off), cut_fractions(a, t, ~off))
+
+
+def _orbit_domain(kind, n):
+    """Euclidean domains whose cut cells ``_Orbits`` evaluates: centred on the
+    origin at a dyadic spacing, where the integer-offset inputs are the
+    coordinate ones, and off it at a spacing that is not, where they are not."""
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    lifted = [2 * h] + [0.0] * (n - 1)
+    return {"ball": lambda: make_ball_domain([0.0] * n, 1.0, h, n),
+            "half_ball": lambda: make_half_ball_domain([0.0] * n, 1.0, h, n),
+            "lifted": lambda: make_half_ball_domain(lifted, 1.0, h, n),
+            "ball_off_grid": lambda: make_ball_domain([0.3, -0.1] + [0.05] * (n - 2), 0.7,
+                                                      0.7 / 9, n),
+            "half_off_grid": lambda: make_half_ball_domain([0.3, 0.1] + [0.0] * (n - 2), 0.8,
+                                                           0.1, n)}[kind]()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball", "lifted", "ball_off_grid",
+                                  "half_off_grid"))
+def test_orbit_evaluation_is_bitwise_per_cell_evaluation(kind, n, monkeypatch):
+    from mvlab import grid
+    from mvlab.calculus import _ball_weights
+
+    evaluated = []
+    node_fractions = grid._node_fractions
+
+    def counted(offsets, steps, flat_row):
+        evaluated.append(len(offsets))
+        return node_fractions(offsets, steps, flat_row)
+
+    def quadratures():
+        dom = _orbit_domain(kind, n)
+        centre = dom.node_index(dom.center)
+        other = dom.node_point(np.asarray(centre) + np.r_[2, [-3] * (n - 1)])
+        balls = [(dom.center, 0.45), (other, 0.3), (dom.center + 0.3 * dom.spacing, 0.3)]
+        if dom.flat_plane_index is not None:  # a node on the flat row
+            balls.append((dom.node_point((dom.flat_plane_index,) + centre[1:]), 0.35))
+        cut = dom.cut_cells()
+        per_orbit = sum(evaluated)  # cells evaluated for the domain's own band
+        return cut, per_orbit, [dom.weights] + [_ball_weights(dom, *ball) for ball in balls]
+
+    monkeypatch.setattr(grid, "_node_fractions", counted)
+    cut, per_orbit, got = quadratures()
+    # an orbit holds up to 2^m m! cells, m = n on a ball and n - 1 on a half-ball
+    m = n - 1 if "half" in kind or kind == "lifted" else n
+    assert per_orbit < 3 * len(cut.nodes) / (2**m * math.factorial(m))
+    # each cell on its own, from the same integer offsets: every cell its own orbit
+    monkeypatch.setattr(grid._Orbits, "codes", lambda self, offsets: np.ravel_multi_index(
+        tuple((offsets + self._reach).T), self._dims))
+    evaluated.clear()
+    ref_cut, per_cell, want = quadratures()
+    assert per_cell == len(cut.nodes)
+    for got_part, want_part in zip([cut] + got, [ref_cut] + want):
+        for a, b in zip(got_part if isinstance(got_part, tuple) else [got_part],
+                        want_part if isinstance(want_part, tuple) else [want_part]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("kind", ("ball", "half_ball"))
+def test_cut_fractions_keep_their_bits_under_the_domain_symmetries(kind, n):
+    import itertools
+
+    dom = _orbit_domain(kind, n)
+    cut = dom.cut_cells()
+    box = np.full(dom.shape, np.nan)
+    box.ravel()[cut.nodes] = cut.fractions
+    # every signed axis permutation of a ball; those fixing axis 0 on a half-ball
+    axes = list(range(n)) if kind == "ball" else list(range(1, n))
+    for order in itertools.permutations(axes):
+        moved = np.transpose(box, list(range(n - len(axes))) + list(order))
+        assert moved.tobytes() == box.tobytes()
+    for ax in axes:
+        assert np.flip(box, axis=ax).tobytes() == box.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1021,11 +1121,14 @@ def _assert_the_full_box_ball(dom):
     # the geometry pass of ``ref`` reads its slabs of centre distances from the full box
     ref.__dict__["_slab_distances"] = lambda a, b: full[a:b]
     assert ref.center_distances().tobytes() == full.tobytes()
+    # the segment rule runs only where it decides the mask or the band: deep
+    # inside and far outside a lower bound stands, on the same side of r
     skipped = dom.center_distances() != full
-    assert skipped.any() and not skipped[dom.in_mask].any()
-    assert np.all(dom.center_distances()[skipped] <= full[skipped])  # a lower bound there
+    assert skipped[dom.in_mask].any() and skipped[~dom.in_mask].any()
+    assert not skipped.ravel()[dom._geometry.band].any()
+    assert np.all(dom.center_distances()[skipped] <= full[skipped])
     assert np.array_equal(dom.mask, ref.mask)
-    for got, want in zip(dom._geometry, ref._geometry):  # the band, its normals, the in-mask distances
+    for got, want in zip(dom._geometry, ref._geometry):  # the band, its distances and normals
         assert got.tobytes() == want.tobytes()
     for got, want in zip(dom.cut_cells(), ref.cut_cells()):
         assert got.tobytes() == want.tobytes()
@@ -1034,6 +1137,23 @@ def _assert_the_full_box_ball(dom):
     fn = lambda p: np.exp(-8.0 * np.sum((p - dom.center - 0.3) ** 2, axis=-1))  # noqa: E731
     assert (heinz_scan(dom.field_from_function(fn), dom.center, 1.0).as_dict()
             == heinz_scan(ref.field_from_function(fn), ref.center, 1.0).as_dict())
+
+
+def _decisive(dom, slack=0.0):
+    """The box nodes of a metric ball at which the segment rule runs, by
+    their Euclidean length L from the centre: between ((r - cut_margin) /
+    (1 + n delta / 2) - h)(1 - 1e-9) and (r + cut_margin) / f + h, delta the
+    accepted deviation and f = _segment_floor(n, delta); then the nodes
+    ``slack`` inside the lower and past the upper bound."""
+    from mvlab.grid import _segment_floor
+
+    n, r, m, h = dom.dimension, dom.radius, dom.cut_margin, dom.spacing
+    delta = dom._deviation_limit
+    factor = _segment_floor(n, delta)
+    length = np.sqrt(np.sum((_meshgrid_points(dom) - dom.center) ** 2, axis=-1)).reshape(dom.shape)
+    low = ((r - m) / (1.0 + 0.5 * n * delta) - h) * (1.0 - 1e-9)
+    near = (length >= low) & (factor * length <= r + m + factor * h)
+    return near, length < low - slack, factor * length > r + m + factor * h + slack
 
 
 def _meshgrid_points(dom):
@@ -1063,19 +1183,15 @@ def test_coordinates_from_the_axes_are_bitwise_the_meshgrid_ones(kind, n, monkey
     assert np.array_equal(dom._node_points(slice(0, len(ref))), ref)
     assert np.array_equal(dom._node_points(dom._mask_nodes), ref[dom._mask_nodes])
     # the centre distances, Euclidean or block by block on the metric ball;
-    # there exact only within (r + cut_margin) / f + h of the centre, f =
-    # _segment_floor at the accepted deviation, and beyond it a lower bound
-    # that stays off the cut cells
+    # there exact only where they decide the mask or the band (``_decisive``),
+    # and elsewhere a lower bound on the same side of the band
     exact = segment_distance(dom.metric, dom.center, ref).reshape(dom.shape)
     near = np.ones(dom.shape, dtype=bool)
     if dom.metric is not None:
-        from mvlab.grid import _segment_floor
-
-        factor = _segment_floor(n, dom._deviation_limit)
-        near = (np.linalg.norm(grid - dom.center, axis=-1)
-                <= (dom.radius + dom.cut_margin) / factor + h - 1e-12)
-        assert not near.all()
-        assert np.all(dom.center_distances()[~near] > dom.radius + dom.cut_margin)
+        near, inner, outer = _decisive(dom, slack=1e-12)
+        assert inner.any() and outer.any()
+        assert np.all(dom.center_distances()[outer] > dom.radius + dom.cut_margin)
+        assert np.all(dom.center_distances()[inner] < dom.radius - dom.cut_margin)
     assert np.array_equal(dom.center_distances()[near], exact[near])
     rng = np.random.default_rng(n)
     for center, radius in [(dom.center, 0.5), (dom.origin, 0.3), (dom.center, 10.0)] + [
@@ -1192,20 +1308,19 @@ def test_conformal_n3_pipeline_holds_no_box_sized_float64():
     assert math.prod(dom.shape) * 8 == box
     assert all(peak < box for peak in over.values()), over
     assert _box_sized_float64(dom) == []
-    assert dom._geometry.distances is not None and dom._sqrt_det.shape == (dom.node_count,)
+    assert dom._geometry.band_distances is not None and dom._sqrt_det.shape == (dom.node_count,)
 
 
 def _cached_center_distances(dom):
-    """The box of centre distances a domain used to cache, rebuilt as it was:
-    the broadcast squared axis gaps under a root; on metric balls f L, with
-    the segment rule at the nodes within (r + cut_margin) / f + h."""
+    """The box of centre distances the mask and the band are read from,
+    rebuilt box-wide: the broadcast squared axis gaps under a root; on metric
+    balls f L, with the segment rule at the ``_decisive`` nodes."""
     from mvlab.grid import _segment_floor, _squared_gaps, segment_distance
 
     dist = np.sqrt(_squared_gaps(dom._columns(), dom.center))
     if dom.metric is not None:
-        factor = _segment_floor(dom.dimension, dom._deviation_limit)
-        dist *= factor
-        near = np.flatnonzero(dist.ravel() <= dom.radius + dom.cut_margin + factor * dom.spacing)
+        dist *= _segment_floor(dom.dimension, dom._deviation_limit)
+        near = np.flatnonzero(_decisive(dom)[0])
         dist.reshape(-1)[near] = segment_distance(dom.metric, dom.center, dom._node_points(near))
     return dist
 
@@ -1244,14 +1359,17 @@ def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
     band = np.flatnonzero(np.abs(dist - dom.radius).ravel() <= dom.cut_margin)
     assert np.array_equal(geometry.band, band)
     if dom.metric is None:
-        assert geometry.band_distances is geometry.band_normals is geometry.distances is None
+        assert geometry.band_distances is geometry.band_normals is None
     else:
         assert geometry.band_distances.tobytes() == dist.ravel()[band].tobytes()
-        assert geometry.distances.tobytes() == dist[dom.in_mask].tobytes()
         assert dom._sqrt_det.tobytes() == sqrt_det[dom.in_mask].tobytes()
         assert dom._gated[1].tobytes() == sqrt_det.ravel()[band].tobytes()
-    # Heinz scans about the centre read the same distances, in the same order,
-    # over every in-mask node and over a window of them
+    # Heinz scans about the centre read the exact distances, in the same
+    # order, over every in-mask node and over a window of them
+    if dom.metric is not None:
+        from mvlab.grid import segment_distance
+
+        dist = segment_distance(dom.metric, dom.center, _meshgrid_points(dom)).reshape(dom.shape)
     e = dom.field_from_function(lambda p: np.exp(-np.sum((p - 0.1) ** 2, axis=-1)))
     for reach in (None, 0.5):
         prefix = _PrefixSup(e, dom.center, reach)

@@ -163,12 +163,16 @@ def test_scan_determinism():
 
 
 @pytest.mark.parametrize("n", (2, 3))
-def test_scan_about_the_domain_centre_reuses_its_distances(monkeypatch, n):
+def test_scan_about_the_domain_centre_takes_exact_distances_on_demand(monkeypatch, n):
+    from mvlab.heinz import _PrefixSup
+
     dom = make_ball_domain([0.0] * n, 1.0, 1 / 16, n, conformal_metric(n, 0.01, axis=1))
     # off-centre peak, so the neighbourhood check about x_bar needs new distances
     e = dom.field_from_function(lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1)))
-    assert np.array_equal(dom.center_distances()[dom.in_mask],
-                          dom.distance(dom.in_mask_points()))
+    exact = dom.distance(dom.in_mask_points())
+    # the domain's distances are exact only near the sphere: deep inside, f L
+    kept = dom.center_distances()[dom.in_mask]
+    assert np.all(kept <= exact) and np.any(kept < exact)
     calls = []
     original = grid.segment_distance
 
@@ -179,7 +183,9 @@ def test_scan_about_the_domain_centre_reuses_its_distances(monkeypatch, n):
     monkeypatch.setattr(grid, "segment_distance", counted)
     rep = heinz_scan(e, dom.center, 1.0)
     assert rep.x_bar != tuple(dom.center)
-    assert len(calls) == 1
+    assert len(calls) == 2  # about the centre, then about x_bar
+    prefix = _PrefixSup(e, dom.center)
+    assert prefix.dist_sorted.tobytes() == np.sort(exact, kind="stable").tobytes()
 
 
 def test_interior_comparison_pure_quadratic():

@@ -54,18 +54,36 @@ def test_two_bubble_detection_record_is_pinned():
     assert digest == "4cd5384eda1de2afb157e1c928ebfc97e28b9efc27281071c4636539fa2dc019"
 
 
-def test_onset_energies_are_the_concentration_energies():
+def test_onset_energies_are_the_concentration_energies(monkeypatch):
     # the onset loop builds its ball's quadrature once for every cluster
     # field; each energy is bitwise the one concentration_energy gives
+    from mvlab import calculus
+
     dom = make_ball_domain([0, 0], 0.5, 1 / 256, 2)
     seq = gen_sequence([GeneratorSpec("bubble", center=(0.125, -0.0625))],
                        [1 / 8, 1 / 16, 1 / 32, 1 / 64], dom)
     ledger = make_ledger(2, seq.params.a, seq.params.b, 3.0)
-    point, = detect_concentration(seq, ledger, divergence_threshold=100.0).points
+    built = []
+    ball_weights = calculus._ball_weights
+
+    def counted(*args):
+        built.append(args[1:])
+        return ball_weights(*args)
+
+    monkeypatch.setattr(calculus, "_ball_weights", counted)
+    report = detect_concentration(seq, ledger, divergence_threshold=100.0)
+    monkeypatch.undo()
+    point, = report.points
     energies = [concentration_energy(seq.fields[i], point.location, point.exclusion_radius)
                 for i in point.witness_indices if i >= point.onset_index]
     assert point.certified_energy == min(energies)
     assert all(energy > ledger.hbar for energy in energies)
+    # the onset ball is the coarsest witness's own ball, whose quadrature the
+    # steps built already: one quadrature a step, none for the onset
+    coarsest = max(point.steps, key=lambda step: step.delta)
+    assert (coarsest.z, coarsest.delta) == (point.location, point.exclusion_radius)
+    assert not report.bounded_candidates
+    assert len(built) == len(point.steps)
 
 
 def test_constant_sequence_no_blowup():
