@@ -22,7 +22,6 @@ from .errors import (
     MVLabError,
     RadiusBelowResolution,
     ShellExitsDomain,
-    SubregionOutsideDomain,
 )
 from .grid import (
     _CHUNK,
@@ -33,7 +32,7 @@ from .grid import (
     _GL4_W,
     _GL4_X,
     _squared_gaps,
-    cut_fractions,
+    vol_sphere,
 )
 
 # Box nodes a stencil slab covers (at least one axis-0 row). Its band and
@@ -46,14 +45,6 @@ _SLAB = _CHUNK >> 2
 # n = 3, h = 1/32 profile took 37-44 ms a call at this size on a 2-CPU Xeon,
 # 59-63 ms at four times it.
 _SHELL_BLOCK = _SLAB >> 2
-
-_SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
-
-
-def vol_sphere(k: int) -> float:
-    """Exact volume of the unit sphere S^k for k = 0..3."""
-    return _SPHERE_VOLUMES[k]
-
 
 def clipping_angle(y0: float, r: float) -> float:
     """Polar angle phi0 where the sphere of radius r about (y0, ...) meets the
@@ -253,77 +244,12 @@ def integrate(e: ScalarField,
     """Volume integral of e * sqrt(det g) over the domain (or its
     intersection with a Euclidean subregion ball): one dot product of the
     field's in-mask vector with ``Domain.weights``, or with the subregion's
-    ``_ball_weights``."""
+    ``Domain.ball_weights``."""
     dom = e.domain
     if subregion is None:
         return float(np.dot(e.values, dom.weights))
-    positions, weights = _ball_weights(dom, *subregion)
+    positions, weights = dom.ball_weights(*subregion)
     return float(np.dot(e.values[positions], weights))
-
-
-def _ball_weights(dom: Domain, center: Sequence[float],
-                  radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The quadrature of a subregion ball of ``integrate``: the positions in
-    an in-mask vector of the nodes it keeps, C order, and their weights,
-    ``Domain.weights`` times the share of the node's cell (its half cell on
-    the flat row) inside the ball: 1 below radius - m, 0 beyond radius + m
-    (m = sqrt(n) h / 2, half the cell diagonal), between them the fraction
-    under the sphere's tangent half space at the node (``cut_fractions``),
-    and at the centre node, which has no normal, vol(B_radius) / h^n, which
-    is 1 once radius >= m. A centre within 1e-9 h of a node along every axis
-    is taken at the node: the cut cells' inputs come from their integer
-    offsets from it and are evaluated once per symmetry orbit (``_Orbits``).
-    Any other centre has no node, and each cut cell is evaluated on its own,
-    with the normal (x - center)/|x - center|. Only the in-mask nodes of the
-    ball's ``Domain.window`` are visited, a block of rows at a time, and
-    only the cut cells' coordinates are gathered. The two vectors are
-    allocated once, for every in-mask node of the window, and shrunk in
-    place to the kept ones."""
-    h = dom.spacing
-    n = dom.dimension
-    center = np.asarray(center, dtype=float)
-    radius = float(radius)
-    if radius <= 0:
-        raise MVLabError("subregion radius must be positive")
-    center_gap = float(np.linalg.norm(center - dom.center))
-    if center_gap - radius >= dom.radius:
-        raise SubregionOutsideDomain(
-            f"ball of radius {radius} at {center} misses the domain")
-    margin = 0.5 * math.sqrt(n) * h
-    win = dom.window(center, radius + margin)
-    rel = (center - dom.origin) / h
-    node = np.rint(rel)
-    orbits = None
-    if np.all(np.abs(rel - node) <= 1e-9):
-        node = node.astype(np.intp)
-        reach = max(max(abs(part.start - k), abs(part.stop - k)) for part, k in zip(win, node))
-        orbits = dom._orbits(node, radius, reach)
-    kept = np.empty(np.count_nonzero(dom.in_mask[win]), dtype=np.intp)
-    weights = np.empty(len(kept))
-    size = 0
-    for positions, points in dom._window_nodes(win):
-        d = _squared_gaps(points.T, center)
-        np.sqrt(d, out=d)
-        share = (d < radius - margin).astype(float)
-        centre = d == 0.0 if orbits is None else d < 0.5 * h  # the centre node
-        cut = (np.abs(d - radius) <= margin) & ~centre
-        pts = points[cut]
-        flat = (pts[:, 0] < 0.5 * h) & (dom.kind == HALF_BALL)
-        if orbits is None:
-            fractions = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h, flat)
-        else:
-            offsets = np.unravel_index(dom._mask_nodes[positions[cut]], dom.shape)
-            fractions = orbits.fractions(orbits.codes(np.stack(offsets, axis=-1) - node))
-        share[cut] = fractions / np.where(flat, 0.5, 1.0)
-        share[centre] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
-        keep = share > 0.0
-        part = slice(size, size + np.count_nonzero(keep))
-        kept[part] = positions[keep]
-        weights[part] = dom.weights[kept[part]] * share[keep]
-        size = part.stop
-    kept.resize(size, refcheck=False)  # no view of either exists
-    weights.resize(size, refcheck=False)
-    return kept, weights
 
 
 # ---------------------------------------------------------------------------

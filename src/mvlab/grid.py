@@ -35,6 +35,7 @@ from .errors import (
     MetricNotPositiveDefinite,
     MVLabError,
     ResolutionTooCoarse,
+    SubregionOutsideDomain,
 )
 
 BALL = "ball"
@@ -58,6 +59,14 @@ _GL_W = 0.5 * _GL_W
 _GL_W_SUM = np.cumsum(_GL_W)[-1]
 # 4-point Gauss-Legendre rule on [-1, 1], one per polar panel of a shell
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+
+_SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * math.pi, 2: 4.0 * math.pi, 3: 2.0 * math.pi**2}
+
+
+def vol_sphere(k: int) -> float:
+    """Exact volume of the unit sphere S^k for k = 0..3."""
+    return _SPHERE_VOLUMES[k]
+
 
 _CHUNK = 1 << 17
 
@@ -229,12 +238,16 @@ class _Orbits:
     code; the table of evaluated orbits is kept sorted by it and grows as
     blocks of cells bring new ones, so no band-sized array is ever sorted."""
 
-    def __init__(self, n: int, steps: float, half_ball: bool, flat_row: int | None,
-                 reach: int):
-        self._steps, self._flat_row = steps, flat_row
-        self._first = 1 if half_ball else 0  # the axes past it are sorted by |k|
-        self._reach = reach  # |k_i| <= reach along every axis
-        self._dims = (2 * reach + 1,) * n
+    def __init__(self, domain: Domain, node: np.ndarray, radius: float, reach: int):
+        """An empty table for the sphere of ``radius`` about the node of integer
+        index ``node`` of ``domain`` (in or off its box), for the cells at most
+        ``reach`` steps from it along every axis."""
+        row = domain.flat_plane_index
+        self._steps = radius / domain.spacing
+        self._flat_row = None if row is None else row - node[0]  # an offset along axis 0
+        self._first = 1 if domain.kind == HALF_BALL else 0  # the axes past it are sorted by |k|
+        self._reach = reach
+        self._dims = (2 * reach + 1,) * domain.dimension
         # the sorted codes evaluated so far and their fractions, from a code
         # no orbit has (-1), so that a lookup always lands on a key
         self._keys = np.array([-1])
@@ -250,24 +263,23 @@ class _Orbits:
         return np.ravel_multi_index(tuple(col + self._reach for col in cols[:first] + rest),
                                     self._dims)
 
-    def evaluate(self, codes: np.ndarray) -> None:
-        """Evaluate the orbits of ``codes``, none of them in the table yet, in
-        one kernel call, each on its canonical offset."""
-        fresh = np.unique(codes)
-        canonical = np.stack(np.unravel_index(fresh, self._dims), axis=-1) - self._reach
-        keys = np.concatenate([self._keys, fresh])
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._values = np.concatenate([self._values, _node_fractions(
-            canonical, self._steps, self._flat_row)])[order]
-
-    def fractions(self, codes: np.ndarray) -> np.ndarray:
-        """The fraction of each cell, given the code of its orbit; the orbits
-        the table lacks are evaluated first."""
+    def fractions(self, offsets: np.ndarray) -> np.ndarray:
+        """The fraction of the cell at each integer offset (m, n); the orbits
+        the table lacks are first evaluated in one kernel call, each on its
+        canonical offset."""
+        codes = self.codes(offsets)
         at = np.searchsorted(self._keys, codes)
         new = self._keys.take(at, mode="clip") != codes
         if new.any():
-            self.evaluate(codes[new])
+            # the distinct new codes (numpy 2.4's np.unique hashes, 14x slower on 4,096)
+            fresh = np.sort(codes[new])
+            fresh = fresh[np.append(True, fresh[1:] != fresh[:-1])]
+            canonical = np.stack(np.unravel_index(fresh, self._dims), axis=-1) - self._reach
+            keys = np.concatenate([self._keys, fresh])
+            order = np.argsort(keys)
+            self._keys = keys[order]
+            self._values = np.concatenate([self._values, _node_fractions(
+                canonical, self._steps, self._flat_row)])[order]
             at = np.searchsorted(self._keys, codes)
         return self._values[at]
 
@@ -937,27 +949,17 @@ class Domain:
         centre = np.rint((self.center - self.origin) / h).astype(int)
         in_mask = self.in_mask.ravel()
         fractions = np.empty(len(nodes))
-        codes = fractions.view(np.int64)  # the orbit codes, until the fractions overwrite them
         receivers = np.empty(len(nodes), dtype=nodes.dtype)
         strides = np.array([math.prod(self.shape[ax + 1:]) for ax in range(self.dimension)])
         size = _CHUNK >> (self.dimension + 1)  # per cell, cube_fraction sums 2^(n-1) terms
-        if self._euclidean:  # the band's orbits first, all in one kernel call
-            orbits = self._orbits(centre, self.radius, max(self.shape))
-            seen = [np.empty(0, dtype=np.int64)]
-            for start in range(0, len(nodes), size):
-                part = slice(start, start + size)
-                index = np.unravel_index(nodes[part], self.shape)
-                codes[part] = orbits.codes(np.stack(index, axis=-1) - centre)
-                ranked = np.sort(codes[part])  # its distinct codes (np.unique hashes, slower)
-                seen.append(ranked[np.append(True, ranked[1:] != ranked[:-1])])
-            orbits.evaluate(np.concatenate(seen))
+        if self._euclidean:
+            orbits = _Orbits(self, centre, self.radius, max(self.shape))
         for start in range(0, len(nodes), size):
             block = nodes[start:start + size]
             part = slice(start, start + len(block))
-            index = np.stack(np.unravel_index(block, self.shape), axis=-1)
-            off = index - centre
+            off = np.stack(np.unravel_index(block, self.shape), axis=-1) - centre
             if self._euclidean:
-                fractions[part] = orbits.fractions(codes[part])
+                fractions[part] = orbits.fractions(off)
             else:  # a metric ball has no flat plane
                 d, normal = geometry.band_distances[part], geometry.band_normals[part]
                 norm = np.sqrt(_squared_gaps(normal.T, np.zeros(self.dimension)))
@@ -973,14 +975,6 @@ class Domain:
                 receiver = np.where((receiver < 0) & in_mask[step], step, receiver)
             receivers[part] = receiver
         return CutCells(nodes, fractions, receivers)
-
-    def _orbits(self, node: np.ndarray, radius: float, reach: int) -> _Orbits:
-        """An empty ``_Orbits`` table for the Euclidean sphere of ``radius``
-        about the node of integer index ``node`` (in or off the box), for
-        cells at most ``reach`` steps from it along every axis."""
-        row = self.flat_plane_index
-        return _Orbits(self.dimension, radius / self.spacing, self.kind == HALF_BALL,
-                       None if row is None else row - node[0], reach)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -1006,6 +1000,71 @@ class Domain:
         np.add.at(weights, receivers, shares)
         weights *= self.spacing ** self.dimension
         return _read_only(weights)
+
+    def ball_weights(self, center: Sequence[float],
+                     radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """The quadrature of the domain's intersection with the Euclidean
+        ball B_radius(center): the positions in an in-mask vector of the nodes
+        it keeps, C order, and their weights, ``weights`` times the share of
+        the node's cell (its half cell on the flat row) inside the ball: 1
+        below radius - m, 0 beyond radius + m (m = sqrt(n) h / 2, half the
+        cell diagonal), between them the fraction under the sphere's tangent
+        half space at the node (``cut_fractions``), and at the centre node,
+        which has no normal, vol(B_radius) / h^n, which is 1 once radius >= m.
+        A centre within 1e-9 h of a node along every axis is taken at the
+        node: the cut cells' inputs come from their integer offsets from it
+        and are evaluated once per symmetry orbit (``_Orbits``). Any other
+        centre has no node, and each cut cell is evaluated on its own, with
+        the normal (x - center)/|x - center|. Only the in-mask nodes of the
+        ball's ``window`` are visited, a block of rows at a time, with their
+        coordinates (``_window_nodes``). The two vectors are allocated once,
+        for every in-mask node of the window, and shrunk in place to the kept
+        ones. Nothing is kept: each call builds its quadrature afresh."""
+        h = self.spacing
+        n = self.dimension
+        center = np.asarray(center, dtype=float)
+        radius = float(radius)
+        if radius <= 0:
+            raise MVLabError("subregion radius must be positive")
+        center_gap = float(np.linalg.norm(center - self.center))
+        if center_gap - radius >= self.radius:
+            raise SubregionOutsideDomain(
+                f"ball of radius {radius} at {center} misses the domain")
+        margin = 0.5 * math.sqrt(n) * h
+        win = self.window(center, radius + margin)
+        rel = (center - self.origin) / h
+        node = np.rint(rel)
+        orbits = None
+        if np.all(np.abs(rel - node) <= 1e-9):
+            node = node.astype(np.intp)
+            reach = max(max(abs(part.start - k), abs(part.stop - k)) for part, k in zip(win, node))
+            orbits = _Orbits(self, node, radius, reach)
+        kept = np.empty(np.count_nonzero(self.in_mask[win]), dtype=np.intp)
+        weights = np.empty(len(kept))
+        size = 0
+        for positions, points in self._window_nodes(win):
+            d = _squared_gaps(points.T, center)
+            np.sqrt(d, out=d)
+            share = (d < radius - margin).astype(float)
+            centre = d == 0.0 if orbits is None else d < 0.5 * h  # the centre node
+            cut = (np.abs(d - radius) <= margin) & ~centre
+            pts = points[cut]
+            flat = (pts[:, 0] < 0.5 * h) & (self.kind == HALF_BALL)
+            if orbits is None:
+                fractions = cut_fractions((pts - center) / d[cut, None], (radius - d[cut]) / h, flat)
+            else:
+                offsets = np.unravel_index(self._mask_nodes[positions[cut]], self.shape)
+                fractions = orbits.fractions(np.stack(offsets, axis=-1) - node)
+            share[cut] = fractions / np.where(flat, 0.5, 1.0)
+            share[centre] = min(1.0, vol_sphere(n - 1) / n * (radius / h) ** n)
+            keep = share > 0.0
+            part = slice(size, size + np.count_nonzero(keep))
+            kept[part] = positions[keep]
+            weights[part] = self.weights[kept[part]] * share[keep]
+            size = part.stop
+        kept.resize(size, refcheck=False)  # no view of either exists
+        weights.resize(size, refcheck=False)
+        return kept, weights
 
     @cached_property
     def measured_deviation(self) -> float | None:

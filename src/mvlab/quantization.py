@@ -31,7 +31,6 @@ class DensitySequence:
     energy_bound: float
     params: BoundParams
     energies: tuple[float, ...]
-    fitted: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if not self.fields:
@@ -59,13 +58,11 @@ class DensitySequence:
 
 
 def make_density_sequence(fields, params: BoundParams,
-                          energy_bound: float | None = None,
-                          fitted=None) -> DensitySequence:
+                          energy_bound: float | None = None) -> DensitySequence:
     energies = tuple(calculus.integrate(f) for f in fields)
     if energy_bound is None:
         energy_bound = max(energies)
-    return DensitySequence(tuple(fields), float(energy_bound), params,
-                           energies, fitted)
+    return DensitySequence(tuple(fields), float(energy_bound), params, energies)
 
 
 def concentration_energy(e: ScalarField, x, delta: float) -> float:
@@ -141,6 +138,14 @@ def _clear_ball(domain, allowed, center, radius) -> None:
         allowed[positions] &= np.sqrt(dist, out=dist) > radius
 
 
+def _ball_energies(seq: DensitySequence, center, radius: float, indices) -> dict:
+    """The energy of each field of ``indices`` in B_radius(center), as
+    ``concentration_energy`` gives it, from one quadrature of the ball, which
+    dies on return."""
+    positions, weights = seq.domain.ball_weights(center, radius)
+    return {i: float(np.dot(seq.fields[i].values[positions], weights)) for i in indices}
+
+
 def _allowed_argmax(values, allowed) -> int:
     """Position of the first largest of the finite ``values`` at the
     ``allowed`` positions of an in-mask vector, C order."""
@@ -191,20 +196,14 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             break
 
         # largest cluster of witness argmaxes; ties resolved toward the
-        # lexicographically smallest anchor point
-        best_anchor, best_members = None, []
-        for i in witnesses:
-            zi = argmaxes[i][0]
-            members = [j for j in witnesses
-                       if np.linalg.norm(argmaxes[j][0] - zi) <= cluster_radius]
-            key = tuple(zi)
-            if (len(members) > len(best_members)
-                    or (len(members) == len(best_members)
-                        and (best_anchor is None or key < best_anchor))):
-                best_anchor, best_members = key, members
-        if len(best_members) < need:
+        # lexicographically smallest anchor point, then the first witness
+        members = {i: [j for j in witnesses
+                       if np.linalg.norm(argmaxes[j][0] - argmaxes[i][0]) <= cluster_radius]
+                   for i in witnesses}
+        anchor = min(witnesses, key=lambda i: (-len(members[i]), tuple(argmaxes[i][0])))
+        if len(members[anchor]) < need:
             break
-        cluster = sorted(best_members)
+        cluster = sorted(members[anchor])
 
         scales = []  # per witness: R, delta and the dichotomy
         for i in cluster:
@@ -212,32 +211,35 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             scales.append((R, R ** (-0.5), quantization_dichotomy(R, seq.params, hbar,
                                                                    ledger.c_master)))
         forced_any = any(dich.forced for _, _, dich in scales)
-        # an extraction's onset ball, at the last witness's node with the
-        # exclusion radius, is often the coarsest witness's own ball: then the
-        # cluster's energies in it are taken while that ball's quadrature is
-        # built below, and no second quadrature is kept or built
+        # a forced round extracts a point at the last witness's node with the
+        # exclusion radius, or merges it into the first point it comes near
         location = argmaxes[cluster[-1]][0]
         delta_excl = max(max(delta for _, delta, _ in scales), exclusion_floor)
-        coarsest = max(range(len(cluster)), key=lambda k: scales[k][1])
-        shared = (forced_any and len(points) < budget and scales[coarsest][1] == delta_excl
-                  and np.array_equal(argmaxes[cluster[coarsest]][0], location))
-        conc = None
+        gaps = [float(np.linalg.norm(location - np.asarray(p.location))) for p in points]
+        target = next((k for k, p in enumerate(points)
+                       if gaps[k] <= 2.0 * max(delta_excl, p.exclusion_radius)), None)
+        # the round's distinct balls, each with the fields whose energy in it
+        # is read: every witness's own ball, and the onset ball with every
+        # cluster field when a new point is appended; each quadrature is built
+        # once, and one is alive at a time
+        balls = {}
+        for i, (_, delta, _) in zip(cluster, scales):
+            balls.setdefault((tuple(argmaxes[i][0]), delta), set()).add(i)
+        onset_ball = (tuple(location), delta_excl)
+        if forced_any and len(points) < budget and target is None:
+            balls.setdefault(onset_ball, set()).update(cluster)
+        energies = {ball: _ball_energies(seq, ball[0], ball[1], indices)
+                    for ball, indices in balls.items()}
+
         steps = []
-        for k, (i, (R, delta, dich)) in enumerate(zip(cluster, scales)):
+        for i, (R, delta, dich) in zip(cluster, scales):
             z = argmaxes[i][0]
-            # ``concentration_energy``, from the ball's quadrature
-            positions, weights = calculus._ball_weights(dom, z, delta)
-            energy = float(np.dot(seq.fields[i].values[positions], weights))
-            if shared and k == coarsest:
-                conc = {j: float(np.dot(seq.fields[j].values[positions], weights))
-                        for j in cluster}
-            del positions, weights
-            if dich.forced:
-                if energy <= hbar:
-                    raise QuantizationViolated(
-                        f"index {i}: dichotomy forces concentration at R={R:.6g} "
-                        f"but the ball of radius {delta:.6g} holds {energy:.6g} <= "
-                        f"hbar={hbar:.6g}")
+            energy = energies[tuple(z), delta][i]
+            if dich.forced and energy <= hbar:
+                raise QuantizationViolated(
+                    f"index {i}: dichotomy forces concentration at R={R:.6g} "
+                    f"but the ball of radius {delta:.6g} holds {energy:.6g} <= "
+                    f"hbar={hbar:.6g}")
             steps.append(ExtractionStep(i, tuple(float(x) for x in z), float(R),
                                         float(delta), float(energy),
                                         dich.branch.value))
@@ -258,29 +260,19 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
             budget_exhausted = True
             break
 
-        merged = False
-        for idx, existing in enumerate(points):
-            gap = float(np.linalg.norm(location - np.asarray(existing.location)))
-            if gap <= 2.0 * max(delta_excl, existing.exclusion_radius):
-                merges.append(MergeEvent(tuple(location), idx, gap))
-                grown = max(existing.exclusion_radius, gap + delta_excl)
-                # a merge only grows the ball, so clearing it again keeps the union
-                _clear_ball(dom, allowed, existing.location, grown)
-                points[idx] = replace(existing, exclusion_radius=grown)
-                merged = True
-                break
-        if merged:
+        if target is not None:
+            existing = points[target]
+            merges.append(MergeEvent(tuple(location), target, gaps[target]))
+            grown = max(existing.exclusion_radius, gaps[target] + delta_excl)
+            # a merge only grows the ball, so clearing it again keeps the union
+            _clear_ball(dom, allowed, existing.location, grown)
+            points[target] = replace(existing, exclusion_radius=grown)
             active = cluster
             continue
 
         # onset: first witness index past which the fixed-scale ball at the
-        # extracted point always carries more than hbar; the ball's
-        # quadrature is built once (or was, as a step's) and dotted with each
-        # field, as ``concentration_energy`` would
-        if conc is None:
-            positions, weights = calculus._ball_weights(dom, location, delta_excl)
-            conc = {i: float(np.dot(seq.fields[i].values[positions], weights)) for i in cluster}
-            del positions, weights
+        # extracted point always carries more than hbar
+        conc = energies[onset_ball]
         onset = None
         for pos, i in enumerate(cluster):
             if all(conc[j] > hbar for j in cluster[pos:]):

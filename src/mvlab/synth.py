@@ -233,8 +233,8 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
     """Blow-up sequence e_i = background + sum of planted bubbles at scale
     lambda_i. The schedule must decrease strictly and stay resolvable
     (lambda_min >= 4h). Without ``params`` the nonlinearities (a_i, b_i) are
-    fitted per field, attached as ``fitted``, and their maxima are the
-    params; with ``params`` nothing is fitted."""
+    fitted per field and their maxima are the params; with ``params``
+    nothing is fitted."""
     if not specs:
         raise MVLabError("need at least one planted bubble spec")
     for s in specs:
@@ -269,7 +269,7 @@ def gen_sequence(specs: list[GeneratorSpec], schedule: list[float],
     if params is None:
         params = BoundParams(domain.dimension, a=max(f[0] for f in fitted),
                              b=max(f[1] for f in fitted))
-    return make_density_sequence(fields, params, fitted=tuple(fitted) or None)
+    return make_density_sequence(fields, params)
 
 
 _LAYOUT_REGION_FRACTION = 0.6  # bubble centers within this share of the radius

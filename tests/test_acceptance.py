@@ -370,7 +370,7 @@ def test_criterion_7_dichotomy_flip():
     schedule = [2.0 ** (-i) / 4.0 for i in range(7)]
     seq = gen_sequence([GeneratorSpec("bubble", amplitude=1.0, center=(0.0, 0.0))],
                        schedule, dom)
-    a_fit, b_fit = max(f[0] for f in seq.fitted), max(f[1] for f in seq.fitted)
+    a_fit, b_fit = seq.params.a, seq.params.b  # the maxima of the per-field fits
     c_master = 3.0
     hbar = mu_ab(a_fit, b_fit, c_master, 2) if b_fit > 0 else mu_ab(a_fit, 0.0,
                                                                     c_master, 2)

@@ -608,7 +608,6 @@ def _orbit_domain(kind, n):
                                   "half_off_grid"))
 def test_orbit_evaluation_is_bitwise_per_cell_evaluation(kind, n, monkeypatch):
     from mvlab import grid
-    from mvlab.calculus import _ball_weights
 
     evaluated = []
     node_fractions = grid._node_fractions
@@ -626,7 +625,7 @@ def test_orbit_evaluation_is_bitwise_per_cell_evaluation(kind, n, monkeypatch):
             balls.append((dom.node_point((dom.flat_plane_index,) + centre[1:]), 0.35))
         cut = dom.cut_cells()
         per_orbit = sum(evaluated)  # cells evaluated for the domain's own band
-        return cut, per_orbit, [dom.weights] + [_ball_weights(dom, *ball) for ball in balls]
+        return cut, per_orbit, [dom.weights] + [dom.ball_weights(*ball) for ball in balls]
 
     monkeypatch.setattr(grid, "_node_fractions", counted)
     cut, per_orbit, got = quadratures()

@@ -54,36 +54,95 @@ def test_two_bubble_detection_record_is_pinned():
     assert digest == "4cd5384eda1de2afb157e1c928ebfc97e28b9efc27281071c4636539fa2dc019"
 
 
+def _detect_counting_builds(monkeypatch, seq, ledger, threshold):
+    """``detect_concentration``, and the balls (centre, radius) whose
+    quadrature each round builds (``Domain.ball_weights``); a round ends
+    with the ball it clears (an extraction, a merge or a dismissal), so
+    only the completed rounds are returned."""
+    from mvlab import quantization
+    from mvlab.grid import Domain
+
+    rounds = [[]]
+    ball_weights, clear_ball = Domain.ball_weights, quantization._clear_ball
+
+    def build(dom, center, radius):
+        rounds[-1].append((tuple(float(x) for x in center), radius))
+        return ball_weights(dom, center, radius)
+
+    def clear(*args):
+        rounds.append([])
+        return clear_ball(*args)
+
+    monkeypatch.setattr(Domain, "ball_weights", build)
+    monkeypatch.setattr(quantization, "_clear_ball", clear)
+    report = detect_concentration(seq, ledger, divergence_threshold=threshold)
+    monkeypatch.undo()
+    done = len(report.points) + len(report.merges) + len(report.bounded_candidates)
+    return report, rounds[:done]
+
+
 def test_onset_energies_are_the_concentration_energies(monkeypatch):
     # the onset loop builds its ball's quadrature once for every cluster
     # field; each energy is bitwise the one concentration_energy gives
-    from mvlab import calculus
-
     dom = make_ball_domain([0, 0], 0.5, 1 / 256, 2)
     seq = gen_sequence([GeneratorSpec("bubble", center=(0.125, -0.0625))],
                        [1 / 8, 1 / 16, 1 / 32, 1 / 64], dom)
     ledger = make_ledger(2, seq.params.a, seq.params.b, 3.0)
-    built = []
-    ball_weights = calculus._ball_weights
-
-    def counted(*args):
-        built.append(args[1:])
-        return ball_weights(*args)
-
-    monkeypatch.setattr(calculus, "_ball_weights", counted)
-    report = detect_concentration(seq, ledger, divergence_threshold=100.0)
-    monkeypatch.undo()
+    report, rounds = _detect_counting_builds(monkeypatch, seq, ledger, 100.0)
     point, = report.points
     energies = [concentration_energy(seq.fields[i], point.location, point.exclusion_radius)
                 for i in point.witness_indices if i >= point.onset_index]
     assert point.certified_energy == min(energies)
     assert all(energy > ledger.hbar for energy in energies)
     # the onset ball is the coarsest witness's own ball, whose quadrature the
-    # steps built already: one quadrature a step, none for the onset
+    # steps build: one quadrature a step, none for the onset
     coarsest = max(point.steps, key=lambda step: step.delta)
     assert (coarsest.z, coarsest.delta) == (point.location, point.exclusion_radius)
     assert not report.bounded_candidates
-    assert len(built) == len(point.steps)
+    assert rounds == [[(step.z, step.delta) for step in point.steps]]
+
+
+def test_a_fresh_onset_ball_is_built_once_and_a_merge_builds_none(monkeypatch):
+    # two tall bubbles 0.1875 apart: every witness's delta is below the 8h
+    # floor, so the first point's onset ball (radius 8h) is no step's ball and
+    # is built once, after the steps' balls; the second bubble's round merges
+    # into the point and builds its witnesses' balls only, not its own onset
+    # ball (radius 8h again)
+    h = 1 / 64
+    dom = make_ball_domain([0, 0], 0.5, h, 2)
+    seq = gen_sequence([GeneratorSpec("bubble", amplitude=100.0, center=(0.125, -0.0625)),
+                        GeneratorSpec("bubble", amplitude=90.0, center=(-0.0625, -0.0625))],
+                       [1 / 8, 1 / 12, 1 / 16], dom)
+    ledger = make_ledger(2, seq.params.a, seq.params.b, 3.0)
+    report, rounds = _detect_counting_builds(monkeypatch, seq, ledger, 100.0)
+    point, = report.points
+    assert max(step.delta for step in point.steps) < 8 * h
+    assert report.merges[0].location == (-0.0625, -0.0625)
+    extraction, merge = rounds[:2]
+    assert extraction == [(step.z, step.delta) for step in point.steps] + [
+        (point.location, 8 * h)]
+    assert len(merge) == len(set(merge)) == len(point.witness_indices)
+    assert all(center == (-0.0625, -0.0625) and radius < 8 * h for center, radius in merge)
+    assert report.as_dict() == _reference_detect(seq, ledger, 100.0).as_dict()
+
+
+def test_a_bounded_round_builds_its_witnesses_balls_only(monkeypatch):
+    # a tall bubble under a huge hbar: no step forces concentration, and the
+    # first round dismisses the bubble having built its witnesses' balls,
+    # all below the 8h floor, and no onset ball (radius 8h)
+    h = 1 / 64
+    dom = make_ball_domain([0, 0], 0.5, h, 2)
+    seq = gen_sequence([GeneratorSpec("bubble", amplitude=100.0, center=(0.125, -0.0625))],
+                       [1 / 8, 1 / 12, 1 / 16], dom, params=BoundParams(2, a=8.0))
+    ledger = make_ledger(2, 8.0, 0.0, 1e-6)
+    seq = make_density_sequence(seq.fields, seq.params, energy_bound=2.0 * ledger.hbar)
+    report, rounds = _detect_counting_builds(monkeypatch, seq, ledger, 10.0)
+    assert report.count == 0 and not report.merges
+    candidate = report.bounded_candidates[0]
+    assert candidate.location == (0.125, -0.0625)
+    builds = rounds[0]
+    assert len(builds) == len(set(builds)) == len(candidate.witness_indices)
+    assert all(center == candidate.location and radius < 8 * h for center, radius in builds)
 
 
 def test_constant_sequence_no_blowup():
@@ -202,7 +261,8 @@ def test_quantization_violated_on_thin_spikes():
     seq = make_density_sequence(fields, BoundParams(2, a=0.01))
     ledger = make_ledger(2, 0.01, 0.0, 1.0)
     assert ledger.hbar == pytest.approx(25.0)
-    with pytest.raises(QuantizationViolated):
+    # every witness fails; the message names the first in cluster order
+    with pytest.raises(QuantizationViolated, match=r"^index 0: "):
         detect_concentration(seq, ledger, divergence_threshold=100.0)
 
 

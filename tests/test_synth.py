@@ -179,8 +179,8 @@ def test_gen_sequence_energies_and_fits():
     assert np.max(energies) - np.min(energies) < 0.005 * np.max(energies)
     for en, lam in zip(energies, (1 / 8, 1 / 16, 1 / 32)):
         assert en == pytest.approx(bubble_mass(2, lam, rho=2.0), rel=0.005)
-    assert seq.fitted is not None
-    a_fits = [f[0] for f in seq.fitted]
+    a_fits = [fit_nonlinearity(f, 0.0, 0.0) for f in seq.fields]
+    assert seq.params.a == max(a_fits)
     # the lam = 4h member sits at the resolution guardrail; the fitted
     # critical constant degrades there but stays within 10%
     assert all(abs(a - 8.0) / 8.0 < 0.10 for a in a_fits)
@@ -198,13 +198,20 @@ def test_gen_sequence_guardrails():
         gen_sequence(specs, [], dom)
 
 
-def test_three_bubbles_mass_additivity():
+def test_three_bubbles_mass_additivity(monkeypatch):
+    from mvlab import verify
+
+    def unfitted(*args):
+        raise AssertionError("given params: nothing is fitted")
+
+    monkeypatch.setattr(verify, "fit_nonlinearity", unfitted)
+    monkeypatch.setattr(verify, "fit_boundary_nonlinearity", unfitted)
     h = 1 / 128
     dom = make_ball_domain([0, 0], 1.0, h, 2)
     centers = [(0.5, 0.0), (-0.25, 0.4296875), (-0.25, -0.4296875)]
     specs = [GeneratorSpec("bubble", center=c) for c in centers]
     seq = gen_sequence(specs, [1 / 16, 1 / 32], dom, params=BoundParams(2))
-    assert seq.fitted is None and seq.params == BoundParams(2)  # given params: nothing fitted
+    assert seq.params == BoundParams(2)
     single = bubble_mass(2, 1 / 16)
     assert seq.energies[0] == pytest.approx(3 * single, rel=0.01)
 

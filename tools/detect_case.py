@@ -10,7 +10,9 @@ divergence threshold 50, at spacing h = 1/64 or 1/80. It imports ``mvlab``
 from this checkout's ``src`` and uses its public API only. It prints one
 JSON line: the seconds of the domain build (with the mask), of
 ``gen_sequence`` and of ``detect_concentration``; the process's
-``ru_maxrss`` after them; the extracted points; the sha256 of the canonical
+``ru_maxrss`` after them; the extracted points; the number of ball
+quadratures the detection builds (``Domain.ball_weights`` calls, counted in
+the untraced detection); the sha256 of the canonical
 report record, which is the same on two trees exactly when their records
 agree bit for bit; and the tracemalloc peak of a second, traced detection
 (the allocations made while it runs, so the fields it reads do not count).
@@ -42,6 +44,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from mvlab import (GeneratorSpec, detect_concentration, gen_sequence,
                        make_ball_domain, make_ledger)
+    from mvlab.grid import Domain
     from mvlab.report import canonical_json
 
     n = 4
@@ -52,8 +55,16 @@ def main() -> int:
     seq = gen_sequence([GeneratorSpec("bubble", center=(0.0,) * n)], [1 / 4, 0.177, 1 / 8], dom)
     generated = time.perf_counter()
     ledger = make_ledger(n, seq.params.a, seq.params.b, 3.0)
+    ball_weights, balls = Domain.ball_weights, []
+
+    def counted(domain, center, radius):
+        balls.append(radius)
+        return ball_weights(domain, center, radius)
+
+    Domain.ball_weights = counted
     rep = detect_concentration(seq, ledger, divergence_threshold=50.0)
     detected = time.perf_counter()
+    Domain.ball_weights = ball_weights
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     tracemalloc.start()
     detect_concentration(seq, ledger, divergence_threshold=50.0)
@@ -63,7 +74,7 @@ def main() -> int:
         "spacing": args.spacing, "in_mask_nodes": dom.node_count,
         "build_s": round(built - start, 3), "gen_sequence_s": round(generated - built, 3),
         "detect_s": round(detected - generated, 3), "max_rss_mb": round(max_rss, 1),
-        "points": [p.location for p in rep.points],
+        "points": [p.location for p in rep.points], "ball_quadratures": len(balls),
         "record_sha256": hashlib.sha256(canonical_json(rep.as_dict()).encode()).hexdigest(),
         "detect_peak_mb": round(peak / 2**20, 1)}))
     return 0
