@@ -78,6 +78,9 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
         stored_shape = tuple(int(s) for s in header["shape"].split(","))
         stored_origin = np.array([float(x) for x in header["origin"].split(",")])
         digest = header["mask_sha256"]
+        density = header.get("density", "true")
+        if density not in ("true", "false"):
+            raise ValueError(f"density={density!r}, expected true or false")
         payload = text[value_start:]
         if len(payload) != 1:
             raise ValueError(f"{len(payload)} lines after 'values:', expected one")
@@ -101,5 +104,4 @@ def read_field(path: str | Path, domain: Domain | None = None) -> ScalarField:
     count = len(domain._mask_nodes)
     if vals_flat.size != count:
         raise ConfigError(f"{path}: {vals_flat.size} values for {count} in-mask nodes")
-    density = header.get("density", "true") == "true"
-    return ScalarField(domain, vals_flat.astype(float, copy=False), density)
+    return ScalarField(domain, vals_flat.astype(float, copy=False), density == "true")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -76,45 +75,14 @@ _MAX_POINTS_BYTES = 1 << 31  # largest ``Domain.points()``; a larger box raises 
 # matrices, so that it and its kernel's temporaries stay in a core's L2 cache:
 # on a 2-CPU Xeon (4 MiB L2 a core) 512 KiB to 1 MiB ran fastest, 64 KiB 3x slower.
 _BLOCK_BYTES = 1 << 19
-# Threads that share those passes: every CPU this process may use, the calling
-# thread and a pool of the rest, started on first use in each process.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = (None, None)  # (pid, pool): a forked child has none of its parent's threads
 
 
-def _map_blocks(count: int, n: int, kernel: Callable[[slice], object]) -> list:
-    """``kernel`` of consecutive slices of range(count), each of
-    ``_BLOCK_BYTES`` of (n, n) float64 rows, run on the calling thread and on
-    ``_WORKERS - 1`` pool threads; the results in block order. A kernel writes
-    only its own rows of an output its caller allocated, and calls no public
-    mvlab function: those run on the calling thread only, where the benchmark
-    tracer keeps its span stack. An error is raised once every block has run:
-    the first block's, as a loop over the blocks would raise it."""
-    global _POOL
+def _blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices of range(count), each of ``_BLOCK_BYTES`` of (n, n)
+    float64 rows: the blocks a per-node metric pass runs, in order, on the
+    calling thread. A pass's results are bitwise the same for any block size."""
     size = max(1, _BLOCK_BYTES // (8 * n * n))
-    blocks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
-    results = [None] * len(blocks)
-    errors = {}
-    claim = itertools.count()  # next() on it hands each block out once, under the GIL
-
-    def drain():
-        while (i := next(claim)) < len(blocks):
-            try:
-                results[i] = kernel(blocks[i])
-            except Exception as exc:  # raised below, in block order
-                errors[i] = exc
-
-    helpers = min(_WORKERS, len(blocks)) - 1
-    if helpers > 0 and _POOL[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mvlab-blocks"))
-    futures = [_POOL[1].submit(drain) for _ in range(helpers)]
-    drain()
-    for future in futures:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -312,11 +280,11 @@ class MetricSpec:
     """A smooth metric g(x) on R^n given as a vectorized matrix field.
 
     ``matrix`` maps an array of points with shape (..., n) to symmetric
-    positive-definite matrices with shape (..., n, n). The per-node passes
-    call it from several threads at once, one block of points each, so it
-    must be a pure function of its points. ``declared_deviation``
-    is the intended bound on the W^{1,inf} distance to the identity; the
-    measured value (``metric_deviation``) is checked against it.
+    positive-definite matrices with shape (..., n, n), a pure function of
+    each point: the per-node passes call it a block of points at a time and
+    are bitwise the same in any blocks. ``declared_deviation`` is the
+    intended bound on the W^{1,inf} distance to the identity; the measured
+    value (``metric_deviation``) is checked against it.
     """
 
     dimension: int
@@ -539,11 +507,8 @@ def segment_distance(metric: MetricSpec | None, base: np.ndarray, points: np.nda
         return np.sqrt(_squared_gaps(np.moveaxis(points, -1, 0), base))
     flat = points.reshape(-1, points.shape[-1])
     out = np.empty(len(flat))
-
-    def block(rows):
+    for rows in _blocks(len(flat), flat.shape[1]):
         out[rows] = _segment_block(metric, base, flat[rows])
-
-    _map_blocks(len(flat), flat.shape[1], block)
     return out.reshape(points.shape[:-1])
 
 
@@ -589,10 +554,9 @@ class Domain:
     def _geometry(self) -> _Geometry:
         """The mask and the cut band from one pass over slabs of axis-0 rows of
         the centre distances (``_slab_distances``, about ``_CHUNK`` box nodes
-        a slab, so that a metric ball's segment rule runs in enough blocks to
-        share among the threads), each slab computed once and read with one
-        row of each neighbouring slab: the classes and the normals look one
-        step along axis 0. A node is inside when its distance is below r."""
+        a slab), each slab computed once and read with one row of each
+        neighbouring slab: the classes and the normals look one step along
+        axis 0. A node is inside when its distance is below r."""
         extent, row = self.shape[0], math.prod(self.shape[1:])
         step = max(1, _CHUNK // row)
         flat_row = self.flat_plane_index
@@ -640,7 +604,9 @@ class Domain:
             dist *= factor
             near = near[dist.ravel()[near] <= r + margin + factor * h]
             first = a * math.prod(self.shape[1:])
-            self._segment_into(dist, self.center, near, first)
+            for rows in _blocks(len(near), self.dimension):
+                dist.reshape(-1)[near[rows]] = _segment_block(
+                    self.metric, self.center, self._node_points(first + near[rows]))
         return dist
 
     def _normals(self, dist: np.ndarray, lo: int, nodes: np.ndarray) -> np.ndarray:
@@ -684,7 +650,7 @@ class Domain:
     def _node_points(self, nodes: slice | np.ndarray) -> np.ndarray:
         """Coordinates of the box nodes with raveled C-order indices ``nodes``
         (an array or a slice), shape (m, n): origin + h * index, bitwise the
-        ``axes`` entries, and safe on pool threads (it reads no cached geometry)."""
+        ``axes`` entries."""
         index = np.unravel_index(np.r_[nodes], self.shape)
         out = np.empty((len(index[0]), self.dimension))
         for k, column in enumerate(index):
@@ -779,16 +745,6 @@ class Domain:
             base = self.center
         return segment_distance(self.metric, base, points)
 
-    def _segment_into(self, out: np.ndarray, base: np.ndarray, nodes: np.ndarray,
-                      first: int) -> None:
-        """Write the segment distance from ``base`` into ``out`` at its raveled
-        ``nodes``, ``out`` holding the box nodes from raveled index ``first`` on."""
-        def block(rows):
-            out.reshape(-1)[nodes[rows]] = _segment_block(
-                self.metric, base, self._node_points(first + nodes[rows]))
-
-        _map_blocks(len(nodes), self.dimension, block)
-
     def center_distances(self) -> np.ndarray:
         """Distance from the center to every box node, box-shaped, built on each
         call and not kept (metric balls keep them on the cut band; no lab
@@ -861,22 +817,22 @@ class Domain:
         box node for None), from one pass over every box node that is also the
         gate of a metric ball: MetricNotPositiveDefinite unless g is symmetric
         and positive definite at every box node; the error names the smallest
-        eigenvalue over all box nodes that fail."""
+        eigenvalue over all box nodes that fail, unless a block is not
+        symmetric, whose "metric is not symmetric" is raised when it is reached."""
         count = math.prod(self.shape)
         outs = [np.empty(count if nodes is None else len(nodes)) for nodes in selections]
-
-        def block(rows):
+        failed = []
+        for rows in _blocks(count, self.dimension):
             values = np.empty(rows.stop - rows.start)
             lowest = _gated_sqrt_det(self.metric(self._node_points(rows)), values)
+            if lowest is not None:
+                failed.append(lowest)
             for nodes, out in zip(selections, outs):
                 if nodes is None:
                     out[rows] = values
                 else:
                     lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
                     out[lo:hi] = values[nodes[lo:hi] - rows.start]
-            return lowest
-
-        failed = [low for low in _map_blocks(count, self.dimension, block) if low is not None]
         if failed:
             raise MetricNotPositiveDefinite(
                 f"metric has eigenvalue {np.min(failed)} <= 0 on the grid box")
@@ -912,8 +868,7 @@ class Domain:
         n = self.dimension
         nodes = self._mask_nodes
         faces = np.empty((n, n + 1, len(nodes)))
-
-        def block(rows):
+        for rows in _blocks(len(nodes), n):
             points = self._node_points(nodes[rows])
             for ax, face in enumerate(faces):
                 face_pts = points.copy()
@@ -921,8 +876,6 @@ class Domain:
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
                 face[0, rows] = np.sqrt(det)
                 face[1:, rows] = inv[ax]
-
-        _map_blocks(len(nodes), n, block)
         return tuple((face[0], face[1:]) for face in _read_only(faces))
 
     @property
@@ -1247,13 +1200,12 @@ def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     n = domain.dimension
     h = domain.spacing
     eye = np.eye(n)
-
-    def block(rows):
+    worst = [0.0]  # then each block's worst
+    for rows in _blocks(len(nodes), n):
         chunk = domain._node_points(nodes[rows])
-        worst = float(np.max(np.abs(metric(chunk) - eye)))
+        block = float(np.max(np.abs(metric(chunk) - eye)))
         for step in h * eye:
             dg = (metric(chunk + step) - metric(chunk - step)) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(dg))))
-        return worst
-
-    return max([0.0] + _map_blocks(len(nodes), n, block))
+            block = max(block, float(np.max(np.abs(dg))))
+        worst.append(block)
+    return max(worst)

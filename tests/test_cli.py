@@ -159,6 +159,8 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("verify-morrey", _field_morrey(_drop_last_value), "in-mask nodes"),
     ("verify-morrey", _field_morrey(_replace("# mvlab-field", "# mvlab-field v2")),
      "field.txt: not a mvlab-field v3 file"),
+    ("verify-morrey", _field_morrey(_replace("density=", "density=yes")),
+     "field.txt: malformed field file: density='yes'"),
     ("verify-morrey", lambda _: {**MORREY, "domain": {**COARSE, "spacing": "fine"}},
      "'spacing'"),
     ("verify-morrey",
@@ -227,7 +229,7 @@ LIFTED_HALF = {"domain": {**HALF, "spacing": 1 / 16, "center": [0.25, 0.0]},
     ("verify-interior", lambda _: {**MORREY, "params": {"A1": math.inf, "a": 0.01}}, "'A1'"),
 ], ids=["field-no-shape", "field-bad-domain-json", "field-bad-value", "field-wrong-mask-digest",
         "field-v1", "field-truncated-payload", "field-one-value-short",
-        "field-v2", "string-spacing", "string-amplitude", "string-params-a",
+        "field-v2", "field-density-yes", "string-spacing", "string-amplitude", "string-params-a",
         "string-radius",
         "string-tolerance-k", "numeric-tolerance-k", "list-ledger-c", "top-level-array", "sequence-no-schedule",
         "sequence-no-threshold", "manifest-no-threshold", "heinz-short-center",

@@ -1,6 +1,7 @@
 """Field file round-trips and configuration parsing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mvlab.config import (
     ledger_from_config,
     params_from_config,
 )
-from mvlab.errors import ConfigError
+from mvlab.errors import ConfigError, MVLabError
 from mvlab.fieldio import read_field, write_field
 from mvlab.grid import ScalarField
 from mvlab.synth import GeneratorSpec, gen
@@ -31,6 +32,23 @@ def test_read_rejects_a_different_mask_by_its_digest(tmp_path):
     with pytest.raises(ConfigError, match="stored mask differs from the rebuilt grid"):
         read_field(path, other)
     assert read_field(path, dom).domain is dom
+
+
+@pytest.mark.parametrize("value", ("yes", "True", "", "1"))
+def test_read_rejects_a_density_line_other_than_true_or_false(tmp_path, value):
+    dom = make_ball_domain([0.0] * 2, 0.5, 1 / 16, 2)
+    path = tmp_path / "field.txt"
+    # a signed field, which a density must not pass for
+    write_field(dom.field_from_function(lambda p: p[:, 0], density=False), path)
+    text = path.read_text(encoding="utf-8")
+    assert read_field(path, dom).density is False
+    path.write_text(text.replace("density=false", "density=true"), encoding="utf-8")
+    with pytest.raises(MVLabError, match="negative values"):
+        read_field(path, dom)
+    path.write_text(text.replace("density=false", f"density={value}"), encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: malformed field file: density={value!r}")):
+        read_field(path, dom)
 
 
 def test_field_roundtrip_half_ball(tmp_path):

@@ -950,133 +950,64 @@ def _metric_arrays(dom):
 
 @pytest.mark.parametrize("n,h", ((2, 1 / 128), (3, 1 / 16), (4, 1 / 8)))
 @pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
-def test_metric_passes_are_bitwise_the_same_in_any_blocks_on_any_threads(kind, n, h, monkeypatch):
+def test_metric_passes_are_bitwise_the_same_in_any_blocks(kind, n, h, monkeypatch):
     from mvlab import grid
 
     metric = _metric_spec(kind, n)
 
-    def arrays(workers, block_bytes):
-        monkeypatch.setattr(grid, "_WORKERS", workers)
+    def arrays(block_bytes):
         monkeypatch.setattr(grid, "_BLOCK_BYTES", block_bytes)
         return _metric_arrays(make_ball_domain([0.0] * n, 1.0, h, n, metric))
 
-    # the default blocks (at least 4 of the box, 3 of the mask here) on at
-    # least two threads, against one worker with the whole box in one block
-    threaded = arrays(max(2, grid._WORKERS), grid._BLOCK_BYTES)
-    reference = arrays(1, 1 << 62)
+    # the default blocks (at least 4 of the box, 3 of the mask here) against
+    # the whole box in one block
+    blocked = arrays(grid._BLOCK_BYTES)
+    reference = arrays(1 << 62)
     assert np.isnan(reference["laplacian"]).any()  # NaN next to the mask's edge, compared too
     for name, ref in reference.items():
-        array = threaded[name]
+        array = blocked[name]
         assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), name
 
 
-def test_block_mapper_runs_every_block_once_under_contention(monkeypatch):
-    import sys
-    import threading
-    import time
-
+@pytest.mark.parametrize("rows", (None, 1000))
+def test_metric_gate_names_an_asymmetric_block_over_an_earlier_indefinite_one(rows,
+                                                                             monkeypatch):
     from mvlab import grid
+    from mvlab.grid import MetricSpec
 
-    # more threads than cores, a fresh pool of them, 3-row blocks at n = 2 and
-    # a short switch interval; every map runs on a thread joined with a timeout
-    monkeypatch.setattr(grid, "_WORKERS", 8)
-    monkeypatch.setattr(grid, "_POOL", (None, None))
-    monkeypatch.setattr(grid, "_BLOCK_BYTES", 3 * 8 * 2 * 2)
-    seen = np.zeros(3000, dtype=int)
-    outcome = {}
+    n = 3
 
-    def kernel(rows):
-        if rows.start >= 2700 and threading.current_thread() is not threading.main_thread():
-            time.sleep(0.01)  # pool threads finish last: the mapper must wait for them
-        seen[rows] += 1  # a block handed out twice, or skipped, shows here
-        if rows.start in failing:
-            raise ValueError(rows.start)
-        return rows.start
+    def matrix(points):
+        # indefinite on the box's first axis-0 rows, not symmetric on its last
+        out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
+        x0 = points[..., 0]
+        out[..., 0, 1] += np.where(x0 < -0.5, 3.0, 0.0)
+        out[..., 1, 0] += np.where(x0 < -0.5, 3.0, 0.0) + np.where(x0 > 0.5, 0.01, 0.0)
+        return out
 
-    def run():
-        try:
-            outcome["results"] = grid._map_blocks(len(seen), 2, kernel)
-        except ValueError as exc:
-            outcome["error"] = exc.args[0]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for failing in (set(), {2400, 900, 2997}):
-            seen[:] = 0
-            outcome.clear()
-            mapper = threading.Thread(target=run)
-            mapper.start()
-            mapper.join(timeout=60)
-            assert not mapper.is_alive()
-            assert np.all(seen == 1)
-            if failing:  # every block still ran; the first failing block's error is raised
-                assert outcome == {"error": 900}
-            else:
-                assert outcome == {"results": list(range(0, 3000, 3))}
-    finally:
-        sys.setswitchinterval(interval)
-        if grid._POOL[1] is not None:
-            grid._POOL[1].shutdown(wait=True)
+    if rows is not None:
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", rows * 8 * n * n)
+    # the box spans x0 in [-0.625, 0.625] in 21^3 nodes: 2 default blocks, 10 of 1,000 rows
+    assert len(grid._blocks(21**n, n)) == (2 if rows is None else 10)
+    with pytest.raises(MetricNotPositiveDefinite, match="metric is not symmetric"):
+        make_ball_domain([0.0] * n, 0.5, 1 / 16, n, MetricSpec(n, matrix, 0.01))
 
 
-def test_public_grid_functions_run_on_the_main_thread_only(monkeypatch):
-    import functools
-    import inspect
-    import sys
+def test_metric_passes_start_no_thread():
     import threading
 
-    from mvlab import grid, heinz_scan, laplacian
+    from mvlab import heinz_scan, laplacian
+    from mvlab.grid import segment_distance
 
-    # pool threads must run private kernels only: a public function (the
-    # benchmark tracer's spans wrap them) may run on the calling thread alone
-    off_main = []
-
-    def checked(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                off_main.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [m for key, m in sys.modules.items() if key.startswith("mvlab")]
-    for attr, fn in list(vars(grid).items()):
-        if inspect.isfunction(fn) and not attr.startswith("_") and fn.__module__ == grid.__name__:
-            for module in modules:
-                if vars(module).get(attr) is fn:
-                    monkeypatch.setattr(module, attr, checked(attr, fn))
-    for cls in (grid.Domain, grid.ScalarField, grid.MetricSpec):
-        for attr, member in list(vars(cls).items()):
-            if attr.startswith("_"):
-                continue
-            if inspect.isfunction(member):
-                monkeypatch.setattr(cls, attr, checked(f"{cls.__name__}.{attr}", member))
-            elif isinstance(member, property):
-                monkeypatch.setattr(cls, attr, property(checked(f"{cls.__name__}.{attr}",
-                                                                member.fget)))
-            elif isinstance(member, functools.cached_property):
-                cached = functools.cached_property(checked(f"{cls.__name__}.{attr}", member.func))
-                cached.__set_name__(cls, attr)
-                monkeypatch.setattr(cls, attr, cached)
-    # the kernels do run on pool threads: many blocks, at least two workers
-    kernels = []
-    kernel = grid._segment_block
-
-    def counted(*args):
-        kernels.append(threading.current_thread() is threading.main_thread())
-        return kernel(*args)
-
-    monkeypatch.setattr(grid, "_segment_block", counted)
-    monkeypatch.setattr(grid, "_WORKERS", max(2, grid._WORKERS))
-    monkeypatch.setattr(grid, "_BLOCK_BYTES", 500 * 8 * 3 * 3)
-
-    dom = grid.make_ball_domain([0.0] * 3, 1.0, 1 / 16, 3, conformal_metric(3, 0.01, axis=1))
+    # the benchmark tracer keeps one span stack and wraps public functions:
+    # every pass must run on the calling thread and leave no thread behind
+    dom = make_ball_domain([0.0] * 3, 1.0, 1 / 16, 3, conformal_metric(3, 0.01, axis=1))
+    dom.weights
     e = dom.field_from_function(lambda p: np.exp(-4.0 * np.sum((p - 0.25) ** 2, axis=-1)))
     laplacian(e)
+    segment_distance(dom.metric, dom.center + 0.1, dom.in_mask_points())
     heinz_scan(e, dom.center, 1.0)
-    assert off_main == []
-    assert not all(kernels) and any(kernels)
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def _metric_spec(kind, n):
