@@ -1163,7 +1163,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
     if metric is not None:
         domain._gated  # the positive-definite gate, over every box node, after the mask
         measured = domain.measured_deviation
-        if measured > domain._deviation_limit:
+        if not measured <= domain._deviation_limit:  # NaN too
             raise MVLabError(
                 f"metric deviates by {measured:.4g}, above the declared "
                 f"{metric.declared_deviation:.4g}")
@@ -1193,7 +1193,8 @@ def make_half_ball_domain(y: Sequence[float], r: float, h: float, n: int) -> Dom
 
 def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     """Measured W^{1,inf} deviation of g from the identity over in-mask nodes:
-    max of |g - identity| entries and central-difference |dg| entries."""
+    max of |g - identity| entries and central-difference |dg| entries, NaN
+    when any of them is NaN."""
     if domain.kind != BALL:
         raise MVLabError("metric deviation is measured on ball domains only")
     nodes = domain._mask_nodes
@@ -1203,9 +1204,9 @@ def metric_deviation(metric: MetricSpec, domain: Domain) -> float:
     worst = [0.0]  # then each block's worst
     for rows in _blocks(len(nodes), n):
         chunk = domain._node_points(nodes[rows])
-        block = float(np.max(np.abs(metric(chunk) - eye)))
+        block = np.max(np.abs(metric(chunk) - eye))
         for step in h * eye:
             dg = (metric(chunk + step) - metric(chunk - step)) / (2.0 * h)
-            block = max(block, float(np.max(np.abs(dg))))
+            block = np.maximum(block, np.max(np.abs(dg)))  # NaN wins, as in np.max
         worst.append(block)
-    return max(worst)
+    return float(np.max(worst))

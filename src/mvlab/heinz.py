@@ -2,9 +2,10 @@
 inequality proofs, as checkable numerical objects.
 
 The scan maximizes f(rho) = (1 - rho)^n sup_{B_{rho r}} e over rho in [0, 1).
-On a grid the sup rises only at node distances, so the maximum is taken over
-the nodes where the running sup (by distance from the center) first rises:
-one pass over the sorted node distances, no rho grid. At the maximizer
+On a grid the sup over B_{rho r} is e(y) at some node y with d(y) <= rho r,
+and for e >= 0, f(rho) = (1 - rho)^n e(y) <= (1 - d(y)/r)^n e(y) <= f(d(y)/r).
+So the maximum of f is the pointwise one, of (1 - d/r)^n e over the in-mask
+nodes at distance d < r: one masked maximum, no rho grid. At the maximizer
 rho_bar with sup c_bar attained at x_bar and eps = (1 - rho_bar)/2, the two
 scanned inequalities
 
@@ -67,51 +68,34 @@ class HeinzReport:
         return out
 
 
-class _PrefixSup:
-    """Running sup of field values by distance from the scan center, over the
-    in-mask nodes, or over those of ``Domain.window(center, reach)`` when a
-    Euclidean ``reach`` is given."""
+def _node_distances(dom: Domain, point: np.ndarray,
+                    reach: float | None = None) -> tuple[slice | np.ndarray, np.ndarray]:
+    """Positions in an in-mask vector and distances from ``point`` of the
+    in-mask nodes, C order, or of those of ``Domain.window(point, reach)``
+    when a Euclidean ``reach`` is given."""
+    if reach is None:
+        positions, points = slice(None), None
+    else:
+        blocks = list(dom._window_nodes(dom.window(point, reach)))
+        positions = np.concatenate([block for block, _ in blocks])
+        points = np.concatenate([block for _, block in blocks])
+    if dom.metric is None and points is None:  # a coordinate column at a time
+        dist = np.sqrt(_squared_gaps(map(dom._in_mask_column, range(dom.dimension)), point))
+    else:
+        dist = dom.distance(dom.in_mask_points() if points is None else points, point)
+    return positions, dist
 
-    def __init__(self, e: ScalarField, center: np.ndarray, reach: float | None = None):
-        dom = e.domain
-        if reach is None:
-            positions, points = slice(None), None
-        else:
-            blocks = list(dom._window_nodes(dom.window(center, reach)))
-            positions = np.concatenate([block for block, _ in blocks])
-            points = np.concatenate([block for _, block in blocks])
-        vals, nodes = e.values[positions], dom._mask_nodes[positions]
-        if dom.metric is None and points is None:  # a coordinate column at a time
-            dist = np.sqrt(_squared_gaps(map(dom._in_mask_column, range(dom.dimension)), center))
-        else:
-            dist = dom.distance(dom.in_mask_points() if points is None else points, center)
-        order = np.argsort(dist, kind="stable")
-        self.dist_sorted = dist[order]
-        self.vals_sorted = vals[order]
-        self.running_max = np.maximum.accumulate(self.vals_sorted)
-        self.flat_index = nodes[order]
-        self.tol = 1e-12 * max(1.0, float(self.dist_sorted[-1]))
 
-    def sup(self, radius: float) -> float:
-        """Sup over grid nodes at distance <= radius (closed ball); -inf when
-        no node qualifies."""
-        k = int(np.searchsorted(self.dist_sorted, radius + self.tol, side="right"))
-        if k == 0:
-            return -math.inf
-        return float(self.running_max[k - 1])
-
-    def argmax_node(self, radius: float, domain: Domain) -> tuple[int, ...]:
-        k = int(np.searchsorted(self.dist_sorted, radius + self.tol, side="right"))
-        best = self.running_max[k - 1]
-        hits = self.flat_index[:k][self.vals_sorted[:k] == best]
-        multis = [np.unravel_index(int(i), domain.shape) for i in hits]
-        return min(multis)  # lexicographically smallest on value ties
+def _closed_ball(dist: np.ndarray, radius: float) -> np.ndarray:
+    """The nodes at distance <= radius, widened by 1e-12 max(1, farthest distance)."""
+    return dist <= radius + 1e-12 * np.max(dist, initial=1.0)
 
 
 def _window_reach(dom: Domain, radius: float) -> float | None:
     """Euclidean radius that covers the ball of distance ``radius`` (plus one
-    spacing, for ``_PrefixSup.tol``), by ``grid._segment_floor`` at the larger of
-    the declared and measured deviations; None (scan every node) when it is 0."""
+    spacing, for the tolerance of ``_closed_ball``), by ``grid._segment_floor``
+    at the larger of the declared and measured deviations; None (scan every
+    node) when it is 0."""
     delta = max(dom.metric.declared_deviation, dom.measured_deviation) if dom.metric else 0.0
     shrink = _segment_floor(dom.dimension, delta)
     return radius / shrink + dom.spacing if shrink > 0.0 else None
@@ -119,9 +103,10 @@ def _window_reach(dom: Domain, radius: float) -> float | None:
 
 def heinz_scan(e: ScalarField, center, r: float) -> HeinzReport:
     """Maximize f(rho) = (1-rho)^n sup_{B_{rho r}(center)} e exactly (smallest
-    rho on ties) and evaluate the scan inequalities. The sup is a step
-    function of rho that rises only at node distances, so the maximum sits at
-    a node where the running sup first rises."""
+    rho on ties) and evaluate the scan inequalities. The maximum is the
+    pointwise one, of (1 - d/r)^n e over the in-mask nodes at distance d < r;
+    c_bar is the sup over the closed ball of radius rho_bar r, and x_bar its
+    first node in C order with that value."""
     r = float(r)
     if not (math.isfinite(r) and r > 0.0):
         raise MVLabError(f"scan radius must be positive and finite, got {r}")
@@ -130,23 +115,26 @@ def heinz_scan(e: ScalarField, center, r: float) -> HeinzReport:
         raise MVLabError("heinz scan needs a nonnegative density field")
     n = dom.dimension
     center = np.asarray(center, dtype=float)
-    prefix = _PrefixSup(e, center)
-    if prefix.sup(0.0) == -math.inf:
+    _, dist = _node_distances(dom, center)
+    if not _closed_ball(dist, 0.0).any():
         raise EmptyBall("no in-mask node at the scan center")
 
-    rises = (np.diff(prefix.running_max, prepend=-np.inf) > 0) & (prefix.dist_sorted < r)
-    rhos = prefix.dist_sorted[rises] / r
-    f = (1.0 - rhos) ** n * prefix.running_max[rises]
-    rho_bar = float(rhos[np.argmax(f)])
+    inside = dist < r
+    rhos = dist[inside] / r
+    f = (1.0 - rhos) ** n * e.values[inside]
+    rho_bar = float(np.min(rhos[f == np.max(f)]))
 
-    c_bar = prefix.sup(rho_bar * r)
-    x_bar = dom.node_point(prefix.argmax_node(rho_bar * r, dom))
+    ball = _closed_ball(dist, rho_bar * r)
+    c_bar = float(np.max(e.values[ball]))
+    first = np.flatnonzero(ball & (e.values == c_bar))[0]
+    x_bar = dom.node_point(np.unravel_index(dom._mask_nodes[first], dom.shape))
     eps = 0.5 * (1.0 - rho_bar)
 
-    around = _PrefixSup(e, x_bar, _window_reach(dom, eps * r))
+    positions, dist = _node_distances(dom, x_bar, _window_reach(dom, eps * r))
+    around = e.values[positions][_closed_ball(dist, eps * r)]
     checks = (
         HeinzCheck("center_bound", e.at(center), 2.0**n * eps**n * c_bar),
-        HeinzCheck("neighborhood_bound", around.sup(eps * r), 2.0**n * c_bar),
+        HeinzCheck("neighborhood_bound", float(np.max(around)), 2.0**n * c_bar),
     )
     return HeinzReport(tuple(center), r, rho_bar, c_bar, tuple(x_bar), eps, checks)
 
@@ -175,14 +163,7 @@ def comparison_function_interior(e: ScalarField, x_bar, params: BoundParams,
     k = (params.A0 + 2.0**n * c_bar * (params.A1 + 4.0 * params.a * c_bar ** (2.0 / n))) / n
     squared = _squared_gaps(map(dom._in_mask_column, range(n)), x_bar)  # at the in-mask nodes
     v = ScalarField(dom, e.values + k * squared, density=False)
-    if check_radius is None:
-        ball = None
-    elif dom._euclidean:  # the Euclidean distance is sqrt(squared), bitwise
-        ball = np.sqrt(squared) <= check_radius
-    else:  # segment distances, a block of in-mask nodes at a time
-        whole = tuple(slice(0, size) for size in dom.shape)
-        ball = np.concatenate([dom.distance(points, x_bar) <= check_radius
-                               for _, points in dom._window_nodes(whole)])
+    ball = None if check_radius is None else _node_distances(dom, x_bar)[1] <= check_radius
     max_lap, _ = _bound_margin(v, BoundParams(n), False, ball)
     passed = calculus.judge([("laplacian", -max_lap)], calculus.verdict_tolerance(dom)) is None
     return ComparisonResult(v, max_lap, None, passed)

@@ -221,6 +221,28 @@ def test_understated_metric_deviation_rejected():
         make_ball_domain([0, 0], 1.0, 1 / 32, 2, lying)
 
 
+def test_metric_deviation_is_nan_for_a_nan_metric(monkeypatch):
+    from mvlab import grid
+
+    def tilted(points, hole=True):
+        g = np.broadcast_to(np.eye(2), points.shape[:-1] + (2, 2)).copy()
+        g[..., 0, 0] += 0.3 * points[..., 1]
+        if hole:
+            g[points[..., 0] > 0.2, 0, 0] = np.nan
+        return g
+
+    dom = make_ball_domain([0, 0], 0.5, 1 / 16, 2, conformal_metric(2, 0.01))
+    # the finite deviation keeps its bits; one NaN node makes the whole pass NaN
+    assert metric_deviation(grid.MetricSpec(2, lambda p: tilted(p, False), 0.5), dom) \
+        == 0.3000000000000007
+    assert math.isnan(metric_deviation(grid.MetricSpec(2, tilted, 0.5), dom))
+    # the positive-definite gate rejects such a metric first; past it, a NaN
+    # measured deviation is above any declared one
+    monkeypatch.setattr(grid, "metric_deviation", lambda metric, domain: math.nan)
+    with pytest.raises(MVLabError, match="metric deviates by nan"):
+        make_ball_domain([0, 0], 0.5, 1 / 16, 2, conformal_metric(2, 0.01))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: conformal_metric(2, math.nan), r"'coefficient' must be finite, got nan"),
     (lambda: sine_metric(2, math.inf), r"'coefficient' must be finite, got inf"),
@@ -1267,7 +1289,7 @@ def _cached_sqrt_det(dom):
 @pytest.mark.parametrize("n,h", ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)))
 @pytest.mark.parametrize("kind", ("euclidean", "half_ball", "conformal", "sine"))
 def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
-    from mvlab.heinz import _PrefixSup
+    from mvlab.heinz import _node_distances
 
     center = [0.25, -0.125] + [0.0625] * (n - 2)
     if kind == "half_ball":
@@ -1294,21 +1316,19 @@ def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
         assert geometry.band_distances.tobytes() == dist.ravel()[band].tobytes()
         assert dom._sqrt_det.tobytes() == sqrt_det[dom.in_mask].tobytes()
         assert dom._gated[1].tobytes() == sqrt_det.ravel()[band].tobytes()
-    # Heinz scans about the centre read the exact distances, in the same
-    # order, over every in-mask node and over a window of them
+    # Heinz scans about the centre read the exact distances, in C order,
+    # over every in-mask node and over a window of them
     if dom.metric is not None:
         from mvlab.grid import segment_distance
 
         dist = segment_distance(dom.metric, dom.center, _meshgrid_points(dom)).reshape(dom.shape)
     e = dom.field_from_function(lambda p: np.exp(-np.sum((p - 0.1) ** 2, axis=-1)))
     for reach in (None, 0.5):
-        prefix = _PrefixSup(e, dom.center, reach)
+        positions, got = _node_distances(dom, dom.center, reach)
         nodes = dom._mask_nodes
         if reach is not None:
             inside = np.zeros(dom.shape, dtype=bool)
             inside[dom.window(dom.center, reach)] = True
             nodes = nodes[inside.ravel()[nodes]]
-        want = dist.ravel()[nodes]
-        order = np.argsort(want, kind="stable")
-        assert prefix.dist_sorted.tobytes() == want[order].tobytes()
-        assert np.array_equal(prefix.flat_index, nodes[order])
+        assert np.array_equal(dom._mask_nodes[positions], nodes)
+        assert got.tobytes() == dist.ravel()[nodes].tobytes()

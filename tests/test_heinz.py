@@ -102,6 +102,104 @@ def test_rho_bar_is_the_bruteforce_maximum_over_node_distances():
             assert rep.rho_bar == _bruteforce_rho_bar(e, center, r), (e.facts, r)
 
 
+def _sorted_scan(e, center, r):
+    """The scan by a sorted prefix sup, as a reference: the in-mask nodes in
+    a stable sort by distance, the running max of their values, rho_bar the
+    first maximizer of (1 - d/r)^n times that max over the nodes (d < r)
+    where it rises, c_bar the running max over the closed ball of radius
+    rho_bar r, x_bar the lexicographically smallest node there with that
+    value, and the running max over the closed ball of radius eps r about
+    x_bar. Closed balls take a tolerance of 1e-12 max(1, farthest distance)."""
+    dom = e.domain
+
+    def prefix(point):
+        dist = dom.distance(dom.in_mask_points(), np.asarray(point, dtype=float))
+        order = np.argsort(dist, kind="stable")
+        return dist[order], e.values[order], dom._mask_nodes[order]
+
+    def closed(d, radius):  # how many sorted nodes the closed ball holds
+        return int(np.searchsorted(d, radius + 1e-12 * max(1.0, d[-1]), side="right"))
+
+    d, vals, nodes = prefix(center)
+    running = np.maximum.accumulate(vals)
+    rises = (np.diff(running, prepend=-np.inf) > 0) & (d < r)
+    rhos = d[rises] / r
+    rho_bar = float(rhos[np.argmax((1.0 - rhos) ** dom.dimension * running[rises])])
+    k = closed(d, rho_bar * r)
+    c_bar = float(running[k - 1])
+    x_bar = dom.node_point(min(np.unravel_index(int(i), dom.shape)
+                               for i in nodes[:k][vals[:k] == c_bar]))
+    d, vals, _ = prefix(x_bar)
+    around = float(np.max(vals[:closed(d, 0.5 * (1.0 - rho_bar) * r)]))
+    return rho_bar, c_bar, tuple(x_bar), around
+
+
+@pytest.mark.parametrize("case", ("ball-n2", "ball-n3", "ball-n4", "half-ball-n3",
+                                  "conformal-n3"))
+def test_scan_is_the_sorted_prefix_sup_scan(case):
+    kind, n = case.rsplit("-n", 1)
+    n = int(n)
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    center = [0.0] * n
+    if kind == "half-ball":
+        dom = make_half_ball_domain(center, 1.0, h, n)
+    else:
+        dom = make_ball_domain(center, 1.0, h, n,
+                               conformal_metric(n, 0.01, axis=1) if kind == "conformal" else None)
+    rng = np.random.default_rng(n)
+    rough = rng.uniform(0.0, 1.0, dom.node_count)
+    points = dom.in_mask_points()
+    axis1 = np.abs(points[:, 1])
+    on_axis1 = np.all(points[:, [0] + list(range(2, n))] == 0.0, axis=-1)
+    fields = {
+        "rough": rough,
+        "ties": np.round(4.0 * rough) / 4.0,  # five levels: ties at every distance
+        "constant": np.full(dom.node_count, 3.0),
+        "gaussian": np.exp(-8.0 * np.sum((points - 0.3) ** 2, axis=-1)),
+        # two peaks at one distance: x_bar is the first in C order
+        "twin-peaks": np.where(on_axis1 & (axis1 == 0.25), 1.0, 0.1),
+        # f(0) = f(1/2) = 1 about the centre at r = 1: rho_bar is the smaller
+        "tied-f": np.where(on_axis1 & (points[:, 1] == -0.5), 2.0**n,
+                           np.where(on_axis1 & (axis1 == 0.0), 1.0, 0.25)),
+    }
+    for name, values in fields.items():
+        e = dom.make_field(values)
+        for r in (1.0, 0.7):  # rho_bar r need not be a node distance at 0.7
+            rep = heinz_scan(e, center, r)
+            got = (rep.rho_bar, rep.c_bar, rep.x_bar, rep.check("neighborhood_bound").lhs)
+            assert got == _sorted_scan(e, center, r), (name, r)
+            if name != "rough":
+                assert rep.rho_bar == _bruteforce_rho_bar(e, center, r), (name, r)
+
+
+def test_scan_maximizes_f_where_every_value_is_a_tiny_negative():
+    # the density gate lets values down to -1e-12 max|e| through; where all
+    # the ball's values are negative, f grows with rho, and the scan takes
+    # the farthest node, as the brute force does
+    dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
+    values = np.where(np.hypot(*dom.in_mask_points().T) < 0.3, -1e-13, 1.0)
+    e = dom.make_field(values)
+    rep = heinz_scan(e, [0, 0], 0.25)
+    assert rep.c_bar == -1e-13
+    assert rep.rho_bar == _bruteforce_rho_bar(e, [0, 0], 0.25) > 0.9
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_scan_is_covariant_under_powers_of_two(n):
+    h = {2: 1 / 32, 3: 1 / 16, 4: 1 / 8}[n]
+    dom = make_ball_domain([0.0] * n, 1.0, h, n, conformal_metric(n, 0.01) if n == 3 else None)
+    e = dom.field_from_function(lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1)))
+    base = heinz_scan(e, dom.center, 1.0)
+    assert base.x_bar != tuple(dom.center)
+    for k in (-3, 5):
+        s = 2.0**k
+        rep = heinz_scan(dom.make_field(s * e.values), dom.center, 1.0)
+        assert (rep.rho_bar, rep.x_bar, rep.eps) == (base.rho_bar, base.x_bar, base.eps)
+        assert rep.c_bar == s * base.c_bar
+        for got, want in zip(rep.checks, base.checks):
+            assert (got.name, got.lhs, got.rhs) == (want.name, s * want.lhs, s * want.rhs)
+
+
 @pytest.mark.parametrize("r", (0.0, -0.5, np.nan, np.inf))
 def test_scan_radius_must_be_positive_and_finite(tmp_path, r):
     dom = make_ball_domain([0, 0], 1.0, 1 / 32, 2)
@@ -164,7 +262,7 @@ def test_scan_determinism():
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_scan_about_the_domain_centre_takes_exact_distances_on_demand(monkeypatch, n):
-    from mvlab.heinz import _PrefixSup
+    from mvlab.heinz import _node_distances
 
     dom = make_ball_domain([0.0] * n, 1.0, 1 / 16, n, conformal_metric(n, 0.01, axis=1))
     # off-centre peak, so the neighbourhood check about x_bar needs new distances
@@ -184,8 +282,8 @@ def test_scan_about_the_domain_centre_takes_exact_distances_on_demand(monkeypatc
     rep = heinz_scan(e, dom.center, 1.0)
     assert rep.x_bar != tuple(dom.center)
     assert len(calls) == 2  # about the centre, then about x_bar
-    prefix = _PrefixSup(e, dom.center)
-    assert prefix.dist_sorted.tobytes() == np.sort(exact, kind="stable").tobytes()
+    positions, dist = _node_distances(dom, dom.center)
+    assert positions == slice(None) and dist.tobytes() == exact.tobytes()
 
 
 def test_interior_comparison_pure_quadratic():
@@ -272,18 +370,21 @@ def test_neighbourhood_window_matches_the_full_scan(monkeypatch, n, metric):
     axis_steps = np.concatenate([k * h * np.eye(n) for k in range(-7, 8) if k])
     for x_bar in ([0.25] + [0.0] * (n - 1), [-0.5, -0.375] + [0.125] * (n - 2)):
         x_bar = np.asarray(x_bar)
-        full = heinz._PrefixSup(e, x_bar)
+        _, full = heinz._node_distances(dom, x_bar)
         # node distances as radii, the worst case for the tolerance; those of
         # the nodes on the axes through x_bar reach the window's faces, and
         # where x1 < 0 the metric distance is shorter than the Euclidean one
-        radii = np.concatenate([full.dist_sorted[full.dist_sorted <= 0.45][::7],
+        radii = np.concatenate([np.sort(full[full <= 0.45], kind="stable")[::7],
                                 dom.distance(x_bar + axis_steps, x_bar)])
         for radius in radii:
-            windowed = heinz._PrefixSup(e, x_bar, heinz._window_reach(dom, radius))
-            taken = full.flat_index[full.dist_sorted <= radius + full.tol]
-            assert np.isin(taken, windowed.flat_index).all()
-            assert windowed.sup(radius) == full.sup(radius)
-            assert windowed.argmax_node(radius, dom) == full.argmax_node(radius, dom)
+            positions, dist = heinz._node_distances(dom, x_bar, heinz._window_reach(dom, radius))
+            taken = np.flatnonzero(heinz._closed_ball(full, radius))
+            assert np.isin(taken, positions).all()
+            # the same sup, first reached at the same node in C order
+            windowed = positions[heinz._closed_ball(dist, radius)]
+            sup = e.values[taken].max()
+            assert e.values[windowed].max() == sup
+            assert windowed[e.values[windowed] == sup][0] == taken[e.values[taken] == sup][0]
     # and whole scans, peaked off the centre so x_bar moves
     e = dom.field_from_function(lambda p: np.exp(-8.0 * np.sum((p - 0.3) ** 2, axis=-1)))
     windowed = heinz_scan(e, dom.center, 1.0).as_dict()
