@@ -73,7 +73,9 @@ _MAX_POINTS_BYTES = 1 << 31  # largest ``Domain.points()``; a larger box raises 
 
 # One block of a per-node metric pass holds this many bytes of (n, n) float64
 # matrices, so that it and its kernel's temporaries stay in a core's L2 cache:
-# on a 2-CPU Xeon (4 MiB L2 a core) 512 KiB to 1 MiB ran fastest, 64 KiB 3x slower.
+# on a 2-CPU Xeon (4 MiB L2 a core), the entry-major passes of the n = 3,
+# h = 1/32 conformal ball ran fastest at 256-512 KiB (71-72 ms), 10-25%
+# slower at 1-4 MiB and 2x slower at 64 KiB.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -282,9 +284,14 @@ class MetricSpec:
     ``matrix`` maps an array of points with shape (..., n) to symmetric
     positive-definite matrices with shape (..., n, n), a pure function of
     each point: the per-node passes call it a block of points at a time and
-    are bitwise the same in any blocks. ``declared_deviation`` is the
-    intended bound on the W^{1,inf} distance to the identity; the measured
-    value (``metric_deviation``) is checked against it.
+    are bitwise the same in any blocks. Calling the spec checks both shapes.
+    The passes hand over (m, n) points whose coordinate columns are each
+    contiguous, and read g an entry g[:, i, j] at a time, so they run fastest
+    on a result whose entries are each contiguous (the presets return the
+    (m, n, n) view of an (n, n, m) array); any layout gives the same bits.
+    ``declared_deviation`` is the intended bound on the W^{1,inf} distance
+    to the identity; the measured value (``metric_deviation``) is checked
+    against it.
     """
 
     dimension: int
@@ -300,7 +307,15 @@ class MetricSpec:
                              f"got {self.declared_deviation!r}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.matrix(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        n = self.dimension
+        if points.shape[-1:] != (n,):
+            raise MVLabError(f"metric of dimension {n} got points of shape {points.shape}")
+        g = self.matrix(points)
+        if np.shape(g) != points.shape[:-1] + (n, n):
+            raise MVLabError(f"metric of dimension {n} returned shape {np.shape(g)} "
+                             f"for points of shape {points.shape}")
+        return g
 
 
 def _check_preset(n: int, coefficient: float, **indices: Sequence[int]) -> None:
@@ -317,10 +332,18 @@ def _segment_floor(n: int, deviation: float) -> float:
     return max(0.0, 1.0 - 0.5 * n * deviation)
 
 
+def _identities(points: np.ndarray, n: int, factor: float | np.ndarray = 1.0) -> np.ndarray:
+    """factor * I at each of ``points`` (..., n), entry-major: the (..., n, n)
+    view of an (n, n, ...) array, so that each entry [..., i, j] is one
+    contiguous block. Each entry is factor * I_ij, so a negative or NaN
+    factor gives -0.0 or NaN off the diagonal."""
+    out = np.moveaxis(np.empty((n, n) + points.shape[:-1]), (0, 1), (-2, -1))
+    return np.multiply(np.asarray(factor)[..., None, None], np.eye(n), out=out)
+
+
 def identity_metric(n: int) -> MetricSpec:
     def matrix(points: np.ndarray) -> np.ndarray:
-        eye = np.eye(n)
-        return np.broadcast_to(eye, points.shape[:-1] + (n, n)).copy()
+        return _identities(points, n)
 
     return MetricSpec(n, matrix, declared_deviation=0.0, name="identity",
                       trivial=True, config={"preset": "identity"})
@@ -332,8 +355,7 @@ def conformal_metric(n: int, coefficient: float, axis: int = 1,
     _check_preset(n, coefficient, axis=[axis])
 
     def matrix(points: np.ndarray) -> np.ndarray:
-        factor = 1.0 + coefficient * points[..., axis]
-        return factor[..., None, None] * np.eye(n)
+        return _identities(points, n, 1.0 + coefficient * points[..., axis])
 
     name = f"conformal(c={coefficient!r}, axis={axis})"
     if declared_deviation is None:
@@ -356,7 +378,7 @@ def polynomial_metric(n: int, terms: Sequence[tuple[int, int, float, Sequence[in
             raise MVLabError(f"bad metric term ({i},{j},c={c!r},powers={pw}) for dimension {n}")
 
     def matrix(points: np.ndarray) -> np.ndarray:
-        out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
+        out = _identities(points, n)
         for i, j, coef, powers in terms:
             mono = np.ones(points.shape[:-1])
             for k, p in enumerate(powers):
@@ -380,7 +402,7 @@ def sine_metric(n: int, coefficient: float, entry: tuple[int, int] = (0, 0),
     _check_preset(n, coefficient, entry=entry, axis=[axis])
 
     def matrix(points: np.ndarray) -> np.ndarray:
-        out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
+        out = _identities(points, n)
         pert = coefficient * np.sin(points[..., axis])
         out[..., i, j] += pert
         if i != j:
@@ -399,8 +421,9 @@ def _ldl(g: np.ndarray, inverse: bool = False):
     """Closed-form LDL^T factorization of a stack of symmetric matrices, with
     no pivoting and no per-matrix LAPACK call: g = L D L^T for the symmetric
     part (g + g^T)/2 of each (n, n) matrix of ``g`` (m, n, n), n <= 4, worked
-    on one (m,) array per entry. Returns the pivots D (a list of n (m,)
-    arrays; the matrix is positive definite exactly when all are positive),
+    on one (m,) array per entry (each g[:, i, j] read is contiguous when g is
+    entry-major, as the presets return it). Returns the pivots D (a list of
+    n (m,) arrays; the matrix is positive definite exactly when all are positive),
     det g = prod D, and, when ``inverse``, g^-1 = L^-T D^-1 L^-1 as n lists
     of n (m,) arrays (entries (i, j) and (j, i) are one array), else None."""
     n = g.shape[-1]
@@ -477,21 +500,35 @@ def _squared_gaps(columns: Iterable[np.ndarray], center: Sequence[float]) -> np.
     return total
 
 
+def _quadratic_form(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_ij g_ij v_i v_j for matrices ``g`` (m, n, n) and vectors ``v``
+    (n, m), summed as (g_ij v_i) v_j over i, then j, an entry at a time: in
+    this fixed order for any layout, and bitwise
+    ``np.einsum("mij,mi,mj->m", g, v.T, v.T)`` on C-order arrays."""
+    total = 0.0
+    for i, j in itertools.product(range(len(v)), repeat=2):
+        total = total + g[:, i, j] * v[i] * v[j]
+    return total
+
+
 def _segment_block(metric: MetricSpec, base: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``segment_distance`` with a metric, for one block of points (m, n)."""
-    v = points - base
-    length = np.linalg.norm(v, axis=-1)
+    """``segment_distance`` with a metric, for one block of points (m, n) in
+    any layout, worked entry-major: on one contiguous m-vector per
+    coordinate and per entry of g."""
+    n = len(base)
+    v = np.subtract(points.T, base[:, None], out=np.empty((n, len(points))))
+    length = np.sqrt(_squared_gaps(v, np.zeros(n)))
     out = length.copy()
     nz = length > 0
-    v, length = v[nz], length[nz]
-    vhat = v / length[:, None]
-    mean = _GL_W[0] * metric(base + _GL_T[0] * v)
+    v, length = np.compress(nz, v, axis=1), length[nz]
+    vhat = v / length
+    base = base[:, None]
+    mean = _GL_W[0] * metric((base + _GL_T[0] * v).T)
     for t, w in zip(_GL_T[1:], _GL_W[1:]):
-        mean += w * metric(base + t * v)
-    diagonal = np.arange(v.shape[-1])
-    mean[:, diagonal, diagonal] -= _GL_W_SUM
-    corr = np.einsum("mij,mi,mj->m", mean, vhat, vhat)
-    out[nz] = length * (1.0 + 0.5 * corr)
+        mean += w * metric((base + t * v).T)
+    for i in range(n):
+        mean[:, i, i] -= _GL_W_SUM
+    out[nz] = length * (1.0 + 0.5 * _quadratic_form(mean, vhat))
     return out
 
 
@@ -650,14 +687,15 @@ class Domain:
     def _node_points(self, nodes: slice | np.ndarray) -> np.ndarray:
         """Coordinates of the box nodes with raveled C-order indices ``nodes``
         (an array or a slice), shape (m, n): origin + h * index, bitwise the
-        ``axes`` entries."""
+        ``axes`` entries. Entry-major: the transpose of an (n, m) array, so
+        that each coordinate column is one contiguous m-vector."""
         index = np.unravel_index(np.r_[nodes], self.shape)
-        out = np.empty((len(index[0]), self.dimension))
+        out = np.empty((self.dimension, len(index[0])))
         for k, column in enumerate(index):
-            out[:, k] = column
+            out[k] = column
         out *= self.spacing
-        out += self.origin
-        return out
+        out += self.origin[:, None]
+        return out.T
 
     def points(self) -> np.ndarray:
         """All box node coordinates, shape (prod(shape), n), C-order. Built on
@@ -871,7 +909,7 @@ class Domain:
         for rows in _blocks(len(nodes), n):
             points = self._node_points(nodes[rows])
             for ax, face in enumerate(faces):
-                face_pts = points.copy()
+                face_pts = np.copy(points)  # entry-major, as ``points``
                 face_pts[:, ax] += 0.5 * self.spacing
                 _, det, inv = _ldl(self.metric(face_pts), inverse=True)
                 face[0, rows] = np.sqrt(det)
@@ -1151,6 +1189,8 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
     center is < r. The center is a grid node.
     """
     center = _grid_center(BALL, center, r, h, n)
+    if metric is not None and metric.dimension != n:
+        raise MVLabError(f"metric of dimension {metric.dimension} on a ball of dimension {n}")
     if metric is not None and metric.trivial:
         metric = None
 

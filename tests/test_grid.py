@@ -991,6 +991,116 @@ def test_metric_passes_are_bitwise_the_same_in_any_blocks(kind, n, h, monkeypatc
         assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("n,h", ((2, 1 / 32), (3, 1 / 16), (4, 1 / 8)))
+@pytest.mark.parametrize("kind", ("conformal", "sine", "polynomial"))
+def test_metric_passes_are_bitwise_the_same_in_any_layout(kind, n, h):
+    from mvlab.grid import MetricSpec
+
+    spec = _metric_spec(kind, n)
+    # takes and returns C order, as a custom metric may; the preset itself
+    # gets entry-major points and returns entry-major matrices
+    c_order = MetricSpec(n, lambda p: np.ascontiguousarray(spec.matrix(np.ascontiguousarray(p))),
+                         spec.declared_deviation)
+    reference = _metric_arrays(make_ball_domain([0.0] * n, 1.0, h, n, spec))
+    wrapped = _metric_arrays(make_ball_domain([0.0] * n, 1.0, h, n, c_order))
+    for name, ref in reference.items():
+        array = wrapped[name]
+        assert array.shape == ref.shape and array.tobytes() == ref.tobytes(), name
+
+
+def _preset(kind, n):
+    return {"identity": lambda: identity_metric(n),
+            "conformal": lambda: conformal_metric(n, -2.0, axis=1),
+            "sine": lambda: sine_metric(n, 0.02, entry=(0, 1), axis=1),
+            "sine-diagonal": lambda: sine_metric(n, 0.02, axis=0),
+            "polynomial": lambda: _metric_spec("polynomial", n)}[kind]()
+
+
+def _broadcast_formula(kind, n, points):
+    """``_preset(kind, n)`` at ``points`` as C-order (..., n, n) arrays, the
+    formulas the presets used before they went entry-major."""
+    out = np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
+    if kind == "conformal":
+        factor = 1.0 + -2.0 * points[..., 1]
+        return factor[..., None, None] * np.eye(n)
+    if kind.startswith("sine"):
+        (i, j), axis = ((0, 1), 1) if kind == "sine" else ((0, 0), 0)
+        pert = 0.02 * np.sin(points[..., axis])
+        out[..., i, j] += pert
+        if i != j:
+            out[..., j, i] += pert
+    if kind == "polynomial":
+        for i, j, coef, powers in ((0, 0, 0.01, (0, 2) + (0,) * (n - 2)),
+                                   (0, 1, 0.005, (1, 1) + (0,) * (n - 2))):
+            mono = np.ones(points.shape[:-1])
+            for k, p in enumerate(powers):
+                if p:
+                    mono = mono * points[..., k] ** p
+            out[..., i, j] += coef * mono
+            if i != j:
+                out[..., j, i] += coef * mono
+    return out
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("identity", "conformal", "sine", "sine-diagonal", "polynomial"))
+def test_presets_are_bitwise_the_broadcast_formula_with_contiguous_entries(kind, n):
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-1.0, 1.0, (5, 7, n))
+    points[0, :, 1] = 0.75  # a conformal factor of -0.5: -0.0 off the diagonal
+    points[1, 2, 1] = np.nan
+    points[2, 3, 0] = np.nan
+    expected = _broadcast_formula(kind, n, points)
+    if kind == "conformal":
+        assert np.signbit(expected[0, :, 0, 1]).all() and np.isnan(expected[1, 2]).all()
+    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(points, -1, 0)), 0, -1)
+    for pts in (points, entry_major, points.reshape(-1, n)):
+        g = _preset(kind, n)(pts)
+        assert g.tobytes() == expected.reshape(g.shape).tobytes()
+        assert all(g[..., i, j].flags.c_contiguous for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("near_identity", (False, True))
+def test_quadratic_form_is_bitwise_einsum_in_any_layout(n, near_identity):
+    from mvlab.grid import _quadratic_form
+
+    rng = np.random.default_rng(10 * n + near_identity)
+    g = rng.standard_normal((5000, n, n))
+    if near_identity:
+        g = np.eye(n) + 1e-3 * (g + np.swapaxes(g, 1, 2))
+    v = rng.standard_normal((5000, n))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    expected = np.einsum("mij,mi,mj->m", g, v, v)
+    entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, 0, -1)), -1, 0)
+    for layout in (g, entry_major):
+        assert _quadratic_form(layout, np.ascontiguousarray(v.T)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n,m", ((2, 3), (3, 2)))
+def test_make_ball_domain_rejects_a_metric_of_another_dimension(n, m):
+    for metric in (conformal_metric(m, 0.01), identity_metric(m)):
+        with pytest.raises(MVLabError, match=f"metric of dimension {m} on a ball of dimension {n}"):
+            make_ball_domain([0.0] * n, 1.0, 1 / 16, n, metric)
+    # before any box is sized: this one's node coordinates would raise GridTooLarge
+    with pytest.raises(MVLabError, match="metric of dimension"):
+        make_ball_domain([0.0] * 3, 1.0, 1e-4, 3, conformal_metric(2, 0.01))
+
+
+def test_metric_spec_call_checks_point_and_matrix_shapes():
+    from mvlab.grid import MetricSpec
+
+    square = MetricSpec(3, lambda p: np.zeros(p.shape[:-1] + (2, 2)))
+    with pytest.raises(MVLabError, match=r"returned shape \(4, 2, 2\) for points of shape \(4, 3\)"):
+        square(np.zeros((4, 3)))
+    with pytest.raises(MVLabError, match=r"dimension 3 got points of shape \(4, 2\)"):
+        conformal_metric(3, 0.01)(np.zeros((4, 2)))
+    # a C-order result, and a single point, pass
+    eye = MetricSpec(3, lambda p: np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)).copy())
+    assert eye(np.zeros((4, 3))).shape == (4, 3, 3)
+    assert conformal_metric(3, 0.01)(np.zeros(3)).shape == (3, 3)
+
+
 @pytest.mark.parametrize("rows", (None, 1000))
 def test_metric_gate_names_an_asymmetric_block_over_an_earlier_indefinite_one(rows,
                                                                              monkeypatch):
