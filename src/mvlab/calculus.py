@@ -221,8 +221,6 @@ def normal_derivative(e: ScalarField) -> BoundaryValues:
     row = dom.flat_plane_index
     if row is None or dom.flat_node_count == 0:
         raise DomainHasNoFlatBoundary("domain has no flat-boundary nodes")
-    if dom.shape[0] <= row + 2:
-        raise DomainHasNoFlatBoundary("grid box too shallow for the one-sided stencil")
     h = dom.spacing
     e0, e1, e2 = dom._band(e.values, row, row + 3)
     flat = dom.mask[row] == FLAT_BOUNDARY

@@ -131,12 +131,16 @@ class RunConfig:
         return read_field(config_value(self.raw, "field_file", "config", str), domain)
 
     def params(self, n):
-        cfg = config_value(self.raw, "params", "config", dict, {})
-        if self.a_flag is not None:
-            cfg["a"] = self.a_flag
-        if self.b_flag is not None:
-            cfg["b"] = self.b_flag
-        return params_from_config(cfg, n)
+        return params_from_config(self.params_entry(
+            config_value(self.raw, "params", "config", dict, {})), n)
+
+    def params_entry(self, entry):
+        """A params ``entry`` (None when there is none) with the --a and --b
+        flags merged in; a flag with no entry makes one."""
+        flags = {key: v for key, v in (("a", self.a_flag), ("b", self.b_flag)) if v is not None}
+        if not flags or not isinstance(entry, (dict, type(None))):  # a malformed one is reported
+            return entry
+        return {**(entry or {}), **flags}
 
     def ledger(self, domain, params):
         """The run's ledger; C is measured on ``domain`` only when asked for."""
@@ -241,29 +245,19 @@ def run(cfg: RunConfig) -> int:
 
     params = cfg.params(n)
 
-    if sub == "verify-morrey":
+    if sub.startswith("verify-"):
         ledger = cfg.ledger(domain, params)
-        rep = verify.verify_morrey(e, ledger.c_master)
-        rec = rep.as_dict()
-        rec["ledger"] = ledger.as_dict()
-        report.write_records(cfg.out_dir / "morrey.txt", [rec])
-        print(f"morrey verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r}")
-        return _verdict_exit([rep.verdict])
-
-    if sub == "verify-interior":
-        ledger = cfg.ledger(domain, params)
-        rep = verify.verify_interior_mvi(e, params, ledger)
-        report.write_records(cfg.out_dir / "interior.txt", [rep.as_dict()])
-        print(f"interior-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
-              f"reason={rep.reason}")
-        return _verdict_exit([rep.verdict])
-
-    if sub == "verify-boundary":
-        ledger = cfg.ledger(domain, params)
-        rep = verify.verify_boundary_mvi(e, params, ledger)
-        report.write_records(cfg.out_dir / "boundary.txt", [rep.as_dict()])
-        print(f"boundary-mvi verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r} "
-              f"reason={rep.reason}")
+        if sub == "verify-morrey":
+            rep = verify.verify_morrey(e, ledger.c_master)
+        elif sub == "verify-interior":
+            rep = verify.verify_interior_mvi(e, params, ledger)
+        else:
+            rep = verify.verify_boundary_mvi(e, params, ledger)
+        record = rep.as_dict()
+        record.setdefault("ledger", ledger.as_dict())  # a Morrey report carries none
+        report.write_records(cfg.out_dir / f"{sub.removeprefix('verify-')}.txt", [record])
+        reason = "" if sub == "verify-morrey" else f" reason={rep.reason}"
+        print(f"{rep.claim} verdict={rep.verdict} lhs={rep.lhs!r} rhs={rep.rhs!r}{reason}")
         return _verdict_exit([rep.verdict])
 
     if sub == "monotonicity":
@@ -313,7 +307,7 @@ def _run_detect(cfg: RunConfig) -> int:
         first = read_field(paths[0])
         fields = [first] + [read_field(p, first.domain) for p in paths[1:]]
         domain = first.domain
-        params = params_from_config(manifest.get("params"), domain.dimension)
+        params = params_from_config(cfg.params_entry(manifest.get("params")), domain.dimension)
         seq = quantization.make_density_sequence(
             fields, params,
             config_value(manifest, "energy_bound", "manifest", _finite_float, None))
@@ -324,7 +318,7 @@ def _run_detect(cfg: RunConfig) -> int:
         schedule = config_value(seq_cfg, "schedule", "sequence", finite_floats)
         background = (generator_from_config(seq_cfg["background"])
                       if "background" in seq_cfg else None)
-        params_cfg = raw.get("params")
+        params_cfg = cfg.params_entry(raw.get("params"))
         params = (params_from_config(params_cfg, domain.dimension)
                   if params_cfg is not None else None)
         seq = synth.gen_sequence(bubbles, schedule, domain, background, params)

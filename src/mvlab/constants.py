@@ -67,9 +67,11 @@ def mu_ab(a: float, b: float, c: float, n: int) -> float:
 
 def interior_rhs(params: BoundParams, r: float, energy: float, c: float) -> float:
     """Right-hand side c*A0*r^2 + c*(A1^(n/2) + r^-n)*energy of the interior
-    mean value inequality (stated for radii r <= 1)."""
-    if not 0.0 < r <= 1.0:
-        raise RadiusOutOfRange(f"interior inequality requires 0 < r <= 1, got {r}")
+    mean value inequality: stated for radii r <= 1 when A0 or A1 > 0, and for
+    any r > 0 without them, where it is scale-invariant."""
+    if not (0.0 < r <= 1.0 or (r > 1.0 and params.A0 == params.A1 == 0.0)):
+        raise RadiusOutOfRange(f"interior inequality requires r > 0, and r <= 1 when "
+                               f"A0 or A1 > 0; got {r}")
     if energy < 0:
         raise MVLabError("energy must be nonnegative")
     n = params.n
@@ -227,9 +229,8 @@ class ConstantLedger:
         if not 0.0 <= self.delta < math.inf:
             raise MVLabError(f"ledger 'delta' must be finite and >= 0, got {self.delta!r}")
         if self.a + self.b > 0:
-            residual = abs(self.a * self.eps_ab**2 + self.b * self.eps_ab
-                           - 0.5 / self.c_master)
-            if residual >= 1e-12:
+            residual = abs(self.a * self.eps_ab**2 + self.b * self.eps_ab - 0.5 / self.c_master)
+            if residual >= 1e-12 * max(1.0, 0.5 / self.c_master):  # relative once 1/(2C) > 1
                 raise MVLabError(f"eps(a,b) root residual {residual} too large")
             if self.mu_ab != self.eps_ab**self.n / (2.0 * self.c_master):
                 raise MVLabError("mu(a,b) inconsistent with eps(a,b)")

@@ -641,9 +641,7 @@ class Domain:
             dist *= factor
             near = near[dist.ravel()[near] <= r + margin + factor * h]
             first = a * math.prod(self.shape[1:])
-            for rows in _blocks(len(near), self.dimension):
-                dist.reshape(-1)[near[rows]] = _segment_block(
-                    self.metric, self.center, self._node_points(first + near[rows]))
+            dist.reshape(-1)[near] = self.distance(self._node_points(first + near))
         return dist
 
     def _normals(self, dist: np.ndarray, lo: int, nodes: np.ndarray) -> np.ndarray:
@@ -830,14 +828,9 @@ class Domain:
 
     @property
     def flat_plane_index(self) -> int | None:
-        """Axis-0 row index of the plane x0 = 0, when it lies in the box."""
-        if self.kind != HALF_BALL:
-            return None
-        rel = -self.origin[0] / self.spacing
-        row = int(round(rel))
-        if abs(rel - row) > 1e-8 or not (0 <= row < self.shape[0]):
-            return None
-        return row
+        """Axis-0 row index of the plane x0 = 0, when it lies in the box: a
+        half-ball's box starts on the plane (row 0) or at least h above it."""
+        return 0 if self.kind == HALF_BALL and abs(self.origin[0]) < 0.5 * self.spacing else None
 
     @property
     def flat_node_count(self) -> int:
@@ -850,15 +843,15 @@ class Domain:
     def _euclidean(self) -> bool:
         return self.metric is None
 
-    def _gate(self, *selections: np.ndarray | None) -> list[np.ndarray]:
-        """sqrt(det g) at each selection of raveled, sorted box nodes (at every
-        box node for None), from one pass over every box node that is also the
-        gate of a metric ball: MetricNotPositiveDefinite unless g is symmetric
-        and positive definite at every box node; the error names the smallest
-        eigenvalue over all box nodes that fail, unless a block is not
-        symmetric, whose "metric is not symmetric" is raised when it is reached."""
+    def _gate(self, *selections: np.ndarray) -> list[np.ndarray]:
+        """sqrt(det g) at each selection of raveled, sorted box nodes, from one
+        pass over every box node that is also the gate of a metric ball:
+        MetricNotPositiveDefinite unless g is symmetric and positive definite
+        at every box node; the error names the smallest eigenvalue over all box
+        nodes that fail, unless a block is not symmetric, whose "metric is not
+        symmetric" is raised when it is reached."""
         count = math.prod(self.shape)
-        outs = [np.empty(count if nodes is None else len(nodes)) for nodes in selections]
+        outs = [np.empty(len(nodes)) for nodes in selections]
         failed = []
         for rows in _blocks(count, self.dimension):
             values = np.empty(rows.stop - rows.start)
@@ -866,11 +859,8 @@ class Domain:
             if lowest is not None:
                 failed.append(lowest)
             for nodes, out in zip(selections, outs):
-                if nodes is None:
-                    out[rows] = values
-                else:
-                    lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
-                    out[lo:hi] = values[nodes[lo:hi] - rows.start]
+                lo, hi = np.searchsorted(nodes, (rows.start, rows.stop))
+                out[lo:hi] = values[nodes[lo:hi] - rows.start]
         if failed:
             raise MetricNotPositiveDefinite(
                 f"metric has eigenvalue {np.min(failed)} <= 0 on the grid box")
@@ -896,7 +886,7 @@ class Domain:
         (``_gate``) and raises its error."""
         if self._euclidean:
             return _read_only(np.ones(self.shape))
-        return _read_only(self._gate(None)[0].reshape(self.shape))
+        return _read_only(self._gate(np.arange(math.prod(self.shape)))[0].reshape(self.shape))
 
     @cached_property
     def face_metric(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -1164,8 +1154,8 @@ def _classify(padded: np.ndarray, flat_row: int | None) -> np.ndarray:
 
 def _grid_center(kind: str, center: Sequence[float], r: float, h: float,
                  n: int) -> np.ndarray:
-    """The center as an array, after the checks both domain builders share."""
-    center = np.asarray(center, dtype=float)
+    """The center as a read-only copy, after the checks both domain builders share."""
+    center = _read_only(np.array(center, dtype=float))
     if n not in SUPPORTED_DIMENSIONS:
         raise MVLabError(f"dimension {n} not in {SUPPORTED_DIMENSIONS}")
     if center.shape != (n,):
@@ -1179,6 +1169,17 @@ def _grid_center(kind: str, center: Sequence[float], r: float, h: float,
     if h > r / 8 + 1e-12:
         raise ResolutionTooCoarse(f"spacing h={h} exceeds r/8={r / 8}")
     return center
+
+
+def _box(center: np.ndarray, r: float, h: float, pad: float = 1.0,
+         below: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only origin and the shape of a grid box reaching ceil(pad r / h) + 1
+    nodes past the centre along every axis, and at most ``below`` below it on axis 0."""
+    half = int(np.ceil(pad * r / h)) + 1
+    steps = np.full(len(center), half)
+    if below is not None:
+        steps[0] = min(half, below)
+    return _read_only(center - steps * h), tuple(int(k) for k in steps + half + 1)
 
 
 def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
@@ -1195,11 +1196,7 @@ def make_ball_domain(center: Sequence[float], r: float, h: float, n: int,
         metric = None
 
     pad = 1.0 + (2.0 * metric.declared_deviation if metric is not None else 0.0)
-    half = int(np.ceil(pad * r / h)) + 1
-    origin = center - half * h
-    shape = (2 * half + 1,) * n
-
-    domain = Domain(BALL, center, float(r), float(h), n, origin, shape, metric)
+    domain = Domain(BALL, center, float(r), float(h), n, *_box(center, r, h, pad), metric)
     if metric is not None:
         domain._gated  # the positive-definite gate, over every box node, after the mask
         measured = domain.measured_deviation
@@ -1220,15 +1217,8 @@ def make_half_ball_domain(y: Sequence[float], r: float, h: float, n: int) -> Dom
     steps = y[0] / h
     if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
         raise CenterOffGrid(f"y0={y[0]} is not an integer multiple of h={h}")
-    steps = int(round(steps))
-
-    half = int(np.ceil(r / h)) + 1
-    down = min(half, steps)  # never place rows below x0 = 0
-    origin = y.copy()
-    origin[0] -= down * h
-    origin[1:] -= half * h
-    shape = (down + half + 1,) + (2 * half + 1,) * (n - 1)
-    return Domain(HALF_BALL, y, float(r), float(h), n, origin, shape, None)
+    # no row below the plane x0 = 0
+    return Domain(HALF_BALL, y, float(r), float(h), n, *_box(y, r, h, below=round(steps)))
 
 
 def metric_deviation(metric: MetricSpec, domain: Domain) -> float:

@@ -245,13 +245,11 @@ def detect_concentration(seq: DensitySequence, ledger: ConstantLedger,
                                         dich.branch.value))
 
         if not forced_any:
-            loc = steps[-1].z
-            bounded.append(BoundedCandidate(loc, tuple(cluster),
+            bounded.append(BoundedCandidate(steps[-1].z, tuple(cluster),
                                             max(argmaxes[i][1] for i in cluster)))
             # remove the candidate at the scale the dichotomy certified it,
             # or its own shoulder re-triggers the cluster search
-            dismiss_radius = max(max(s.delta for s in steps), exclusion_floor)
-            _clear_ball(dom, allowed, loc, dismiss_radius)
+            _clear_ball(dom, allowed, location, delta_excl)
             active = cluster
             continue
 

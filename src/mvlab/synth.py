@@ -187,23 +187,18 @@ def _values_and_facts(spec: GeneratorSpec, domain: Domain, memo: dict):
         if not spec.parts:
             raise MVLabError("sum generator needs parts")
         total = np.zeros(len(domain._mask_nodes))
-        merged: dict = {"laplacian_const": 0.0, "neumann_const": 0.0,
-                        "harmonic": True, "subharmonic": True}
+        part_facts = []
         for part in spec.parts:
             vals, facts = _values_and_facts(part, domain, memo)
             total += vals
-            if "laplacian_const" in facts and "laplacian_const" in merged:
-                merged["laplacian_const"] += facts["laplacian_const"]
-            else:
-                merged.pop("laplacian_const", None)
-            if "neumann_const" in facts and "neumann_const" in merged:
-                merged["neumann_const"] += facts["neumann_const"]
-            else:
-                merged.pop("neumann_const", None)
-            merged["harmonic"] = merged.get("harmonic", False) and facts.get("harmonic", False)
-            merged["subharmonic"] = (merged.get("subharmonic", False)
-                                     and facts.get("subharmonic", False))
+            part_facts.append(facts)
         total += spec.offset
+        # a constant adds when every part has it; a property holds when every part has it
+        merged = {key: sum((facts[key] for facts in part_facts), 0.0)
+                  for key in ("laplacian_const", "neumann_const")
+                  if all(key in facts for facts in part_facts)}
+        for key in ("harmonic", "subharmonic"):
+            merged[key] = all(facts.get(key, False) for facts in part_facts)
         return total, merged
 
     raise MVLabError(f"unhandled generator kind {kind!r}")

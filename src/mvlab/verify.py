@@ -311,6 +311,7 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
     tol = calculus.verdict_tolerance(dom)
     hypothesis: dict = {"mode": hypothesis_mode}
     weak = None
+    profile = calculus.shell_profile(e, center, radii)
 
     if hypothesis_mode == "pointwise":
         ok = calculus.judge(_hypothesis_margins(e, BoundParams(n), hypothesis), tol) is None
@@ -321,12 +322,10 @@ def monotonicity_suite(e: ScalarField, center, radii, *,
     else:
         raise MVLabError(f"unknown hypothesis mode {hypothesis_mode!r}")
     if not ok:
-        profile = calculus.shell_profile(e, center, radii)
         return MonotonicityReport(profile, y0, False, math.nan, math.nan,
                                   None, "unresolved", None, (), hypothesis,
                                   tol, HYPOTHESIS_VIOLATED, weak)
 
-    profile = calculus.shell_profile(e, center, radii)
     rs = profile.radii()
     ms = profile.values()
 

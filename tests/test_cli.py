@@ -562,3 +562,65 @@ def test_detect_bubbles_quantization_violated_exit(tmp_path):
     })
     assert main(["--config", cfg, "--out", str(tmp_path / "ov"),
                  "detect-bubbles"]) == 2
+
+
+def _detect_ledger(tmp_path, name, cfg, *flags):
+    """The ledger detect-bubbles records for ``cfg`` run with ``flags``."""
+    out = tmp_path / name
+    assert main(["--config", write_config(tmp_path, f"{name}.json", cfg), "--out", str(out),
+                 *flags, "detect-bubbles"]) == 0
+    ledger = json.loads(strip_header((out / "detect.txt").read_text()))["ledger"]
+    return ledger["a"], ledger["b"]
+
+
+def test_detect_bubbles_honours_the_a_and_b_flags(tmp_path):
+    inline = {"domain": COARSE, "sequence": SEQUENCE, "ledger": {"C": 3.0}}
+    fitted, b = _detect_ledger(tmp_path, "fit", inline)
+    assert fitted > 0.0 and b == 0.0  # with neither a flag nor an entry, the fit stands
+    # a flag with no entry sets its constant, leaves the others 0 and skips the fit
+    assert _detect_ledger(tmp_path, "a", inline, "--a", "5") == (5.0, 0.0)
+    assert _detect_ledger(tmp_path, "b", inline, "--b", "7") == (0.0, 7.0)
+    assert _detect_ledger(tmp_path, "ab", inline, "--a", "5", "--b", "7") == (5.0, 7.0)
+    # a flag overrides its key of the top-level params entry
+    entry = {**inline, "params": {"a": 3.0, "b": 1.0}}
+    assert _detect_ledger(tmp_path, "entry", entry) == (3.0, 1.0)
+    assert _detect_ledger(tmp_path, "entry-b", entry, "--b", "7") == (3.0, 7.0)
+
+    # manifest: the flags merge into manifest.params
+    manifest = _detect_manifest(None)(tmp_path)
+    del manifest["manifest"]["energy_bound"]
+    assert _detect_ledger(tmp_path, "m", manifest) == (8.0, 0.0)
+    assert _detect_ledger(tmp_path, "m-a", manifest, "--a", "5") == (5.0, 0.0)
+    assert _detect_ledger(tmp_path, "m-b", manifest, "--b", "2") == (8.0, 2.0)
+    del manifest["manifest"]["params"]
+    assert _detect_ledger(tmp_path, "m-none-a", manifest, "--a", "5") == (5.0, 0.0)
+
+
+@pytest.mark.parametrize("subcommand, domain, stdout", [
+    ("verify-morrey", BALL, r"morrey verdict=Holds lhs=\S+ rhs=\S+"),
+    ("verify-interior", BALL, r"interior-mvi verdict=Holds lhs=\S+ rhs=\S+ reason=None"),
+    ("verify-boundary", HALF, r"boundary-mvi verdict=Holds lhs=\S+ rhs=\S+ reason=None"),
+])
+def test_verify_subcommands_share_one_record_and_stdout_layout(tmp_path, capsys, subcommand,
+                                                               domain, stdout):
+    cfg = write_config(tmp_path, "v.json", {"domain": {**domain, "spacing": 1 / 16},
+                                            "generator": {"kind": "constant"},
+                                            "ledger": {"C": 1.0}})
+    assert main(["--config", cfg, "--out", str(tmp_path), subcommand]) == 0
+    assert re.fullmatch(stdout, capsys.readouterr().out.strip())
+    name = subcommand.removeprefix("verify-")
+    data = json.loads(strip_header((tmp_path / f"{name}.txt").read_text()))
+    assert data["claim"] == ("morrey" if name == "morrey" else f"{name}-mvi")
+    assert data["ledger"]["c_master"] == 1.0 and data["verdict"] == "Holds"
+
+
+def test_verify_morrey_on_a_ball_of_radius_two_gives_a_verdict(tmp_path, capsys):
+    # a = b = A0 = A1 = 0: the inequality is scale-invariant, so r > 1 is no input error
+    cfg = write_config(tmp_path, "r2.json", {
+        "domain": {**BALL, "radius": 2.0, "spacing": 1 / 8},
+        "generator": {"kind": "quadratic", "amplitude": 1.0, "center": [0.0, 0.0]}})
+    assert main(["--config", cfg, "--out", str(tmp_path), "verify-morrey"]) == 0
+    assert capsys.readouterr().out.startswith("morrey verdict=Holds")
+    data = json.loads(strip_header((tmp_path / "morrey.txt").read_text()))
+    assert data["grid"]["radius"] == 2.0
+    assert data["ledger"]["provenance"]["c_master"] == "measured"

@@ -83,7 +83,27 @@ def test_interior_rhs_examples():
     p2 = BoundParams(2, A0=1.0, A1=4.0)
     assert interior_rhs(p2, 1.0, 1.0, 1.0) == pytest.approx(6.0)
     with pytest.raises(RadiusOutOfRange):
-        interior_rhs(p, 1.5, 1.0, 1.0)
+        interior_rhs(p1, 1.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_interior_rhs_limits_the_radius_only_with_a0_or_a1(n):
+    # without A0 and A1 the inequality is scale-invariant: any r > 0
+    p = BoundParams(n, a=1.0)
+    assert interior_rhs(p, 2.0, 3.0, 0.5) == 0.5 * 2.0 ** (-n) * 3.0
+    for params in (BoundParams(n, A0=1.0), BoundParams(n, A1=0.5)):
+        assert interior_rhs(params, 1.0, 3.0, 0.5) > 0.0
+        with pytest.raises(RadiusOutOfRange):
+            interior_rhs(params, 1.0 + 1e-12, 3.0, 0.5)
+    for params in (p, BoundParams(n, A0=1.0)):
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(RadiusOutOfRange):
+                interior_rhs(params, r, 3.0, 0.5)
+    # at r <= 1 the right-hand side keeps the closed form's bits
+    p2 = BoundParams(n, A0=0.3, A1=0.7)
+    for r in (0.25, 0.6, 1.0):
+        closed_form = 2.5 * 0.3 * r**2 + 2.5 * (0.7 ** (n / 2.0) + r ** (-n)) * 1.7
+        assert interior_rhs(p2, r, 1.7, 2.5) == closed_form
 
 
 def test_boundary_rhs_examples():
@@ -183,6 +203,15 @@ def test_ledger_construction_and_thresholds():
 
     with pytest.raises(MVLabError):
         make_ledger(2, 1.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("c", (1e-6, 1e-3))
+@pytest.mark.parametrize("a, b", ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+def test_ledger_accepts_a_small_master_constant(a, b, c):
+    # a eps^2 + b eps = 1/(2C) is large here, and the root's residual scales with it
+    led = make_ledger(2, a, b, c)
+    assert led.eps_ab == epsilon_ab(a, b, c) and led.hbar == mu_ab(a, b, c, 2)
+    assert abs(a * led.eps_ab**2 + b * led.eps_ab - 0.5 / c) < 1e-12 * (0.5 / c)
 
 
 @pytest.mark.parametrize("a, c, delta, key", [

@@ -1442,3 +1442,89 @@ def test_on_demand_geometry_is_bitwise_the_cached_boxes(kind, n, h):
             nodes = nodes[inside.ravel()[nodes]]
         assert np.array_equal(dom._mask_nodes[positions], nodes)
         assert got.tobytes() == dist.ravel()[nodes].tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("make", (make_ball_domain, make_half_ball_domain))
+def test_domain_keeps_a_read_only_copy_of_its_centre_and_origin(make, n):
+    centre = np.zeros(n)
+    dom = make(centre, 1.0, 1 / 8, n)
+    origin = dom.origin.copy()
+    centre[0] = 0.5  # the caller's array is not the domain's
+    assert np.array_equal(dom.center, np.zeros(n))
+    assert dom.origin.tobytes() == origin.tobytes()
+    for array in (dom.center, dom.origin):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+        with pytest.raises(ValueError):
+            array += 1.0
+    with pytest.raises(ValueError):
+        dom.origin[0] += 1.0
+
+
+# the box formulas and the flat-row rule as each domain builder had them
+# before the two builders shared one box helper: the references below
+
+def _reference_ball_box(center, r, h, n, metric):
+    pad = 1.0 + (2.0 * metric.declared_deviation if metric is not None else 0.0)
+    half = int(np.ceil(pad * r / h)) + 1
+    return np.asarray(center, dtype=float) - half * h, (2 * half + 1,) * n
+
+
+def _reference_half_ball_box(y, r, h, n):
+    y = np.asarray(y, dtype=float)
+    half = int(np.ceil(r / h)) + 1
+    down = min(half, int(round(y[0] / h)))
+    origin = y.copy()
+    origin[0] -= down * h
+    origin[1:] -= half * h
+    return origin, (down + half + 1,) + (2 * half + 1,) * (n - 1)
+
+
+def _reference_flat_row(dom):
+    rel = -dom.origin[0] / dom.spacing
+    row = int(round(rel))
+    if abs(rel - row) > 1e-8 or not (0 <= row < dom.shape[0]):
+        return None
+    return row
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_ball_boxes_are_bitwise_the_reference_formula(n):
+    rng = np.random.default_rng(n)
+    for metric in (None, conformal_metric(n, 0.01, axis=1)):
+        for r, h in ((1.0, 1 / 8), (0.7, 0.7 / 9), (1.3, 0.1)):
+            center = rng.uniform(-0.2, 0.2, n) if metric is not None else rng.uniform(-3, 3, n)
+            dom = make_ball_domain(center, r, h, n, metric)
+            origin, shape = _reference_ball_box(center, r, h, n, dom.metric)
+            assert dom.origin.tobytes() == origin.tobytes() and dom.shape == shape
+            assert dom.flat_plane_index is None
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("r, h", ((1.0, 1 / 8), (0.75, 0.75 / 10)))
+def test_half_ball_boxes_are_bitwise_the_reference_formula(n, r, h):
+    rng = np.random.default_rng(n)
+    reach = math.ceil(r / h) + 1
+    for k in (0, 1, 2, reach, reach + 1, round(1.5 * r / h)):
+        y = np.concatenate([[k * h], rng.uniform(-1, 1, n - 1)])
+        dom = make_half_ball_domain(y, r, h, n)
+        origin, shape = _reference_half_ball_box(y, r, h, n)
+        assert dom.origin.tobytes() == origin.tobytes() and dom.shape == shape
+        assert dom.flat_plane_index == _reference_flat_row(dom)
+        # the plane is in the box exactly when the centre is within its reach,
+        # and then it is row 0 of a box deep enough for a one-sided stencil
+        assert (dom.flat_plane_index is not None) == (k <= reach)
+        if dom.flat_plane_index is not None:
+            assert dom.flat_plane_index == 0 and dom.shape[0] >= 3
+        assert (dom.flat_node_count > 0) == (k < r / h)  # the ball reaches the plane
+
+
+def test_a_half_ball_centre_accepted_just_off_the_grid_keeps_its_flat_row():
+    # the builder takes y0 = (25 + 2e-8) h as on the grid (tolerance 1e-9 * 25);
+    # its box then starts 2e-8 h above the plane, which the old float rule
+    # (tolerance 1e-8 rows) read as no flat row and no flat node
+    h = 1 / 64
+    dom = make_half_ball_domain([(25 + 2e-8) * h, 0.0], 1.0, h, 2)
+    assert 0.0 < dom.origin[0] < 1e-9 and _reference_flat_row(dom) is None
+    assert dom.flat_plane_index == 0 and dom.flat_node_count == 117

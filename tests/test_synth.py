@@ -167,6 +167,22 @@ def test_sum_generator_merges_facts():
     assert e.facts["laplacian_const"] == -2.0
     assert e.facts["neumann_const"] == -1.0
     assert e.facts["subharmonic"]
+    assert not e.facts["harmonic"]  # the quadratic part is not harmonic
+
+    # a constant adds when every part has it, a property holds when every part does
+    bubble = GeneratorSpec("bubble", scale=0.25, center=(0.0, 0.0))  # no laplacian_const
+    with_bubble = gen(GeneratorSpec("sum", parts=(GeneratorSpec("constant"), bubble)), dom)
+    assert "laplacian_const" not in with_bubble.facts
+    assert "neumann_const" not in with_bubble.facts
+    assert not with_bubble.facts["harmonic"] and not with_bubble.facts["subharmonic"]
+    quadratic = GeneratorSpec("quadratic", amplitude=0.25, center=(0.0, 0.0))  # no harmonic
+    with_quadratic = gen(GeneratorSpec("sum", parts=(GeneratorSpec("constant"), quadratic)), dom)
+    assert with_quadratic.facts["laplacian_const"] == -1.0
+    assert with_quadratic.facts["neumann_const"] == 0.0
+    assert not with_quadratic.facts["harmonic"] and with_quadratic.facts["subharmonic"]
+    harmonic = gen(GeneratorSpec("sum", parts=(GeneratorSpec("constant"),
+                                               GeneratorSpec("linear_x0"))), dom)
+    assert harmonic.facts["harmonic"] and harmonic.facts["subharmonic"]
 
 
 def test_gen_sequence_energies_and_fits():
